@@ -6,21 +6,31 @@ integrates to (4 pi^2)^-1 sqrt(det W) / 4, so the state is pure exactly
 when additionally c1^2 - c2^2 = 16 h^2, i.e. h = 1.
 
 Separability of a two-mode Gaussian state with correlation matrix V is
-equivalent to V - I/2 >= 0.  Two deliberately independent routes decide
-it:
+equivalent to V - I/2 >= 0.  Every state of the family factorises in
+the frame of its two normal modes, with variances
 
-* the eigensolver route builds W -> V -> V - I/2 and diagonalises,
-* the closed-form route evaluates the doubly degenerate pair
+    s_i = e^-p_i + (2 nbar + 1) d E(p_i),   p1 = d + 2r,  p2 = d - 2r,
+
+and E(p) = (1 - e^-p)/p, so the spectrum of V - I/2 is the doubly
+degenerate pair (s_i - 1)/2 and the separability margin is
+(min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Two
+routes decide it:
+
+* the single-point report :func:`separability_eigenvalues` builds
+  W -> V -> V - I/2 and diagonalises it numerically,
+* the closed-form route evaluates the pair
 
       e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
-  with E(p) = (1 - e^-p)/p, whose sign reproduces the separability law
-  "separable iff r <= d nbar".
+  whose sign reproduces the separability law "separable iff r <= d nbar".
 
-The routes must agree to ``TOLERANCES.route_agreement``; disagreement
-raises :class:`~cvbell.errors.CrossCheckError` instead of returning a
-silently wrong verdict.  States with margin exactly on the boundary
-count as separable (the criterion is a non-strict inequality).
+The grid scan :func:`separability_map` takes its margin from the
+normal-mode variances and checks it cell by cell against the closed
+pair.  The routes must agree to ``TOLERANCES.route_agreement``;
+disagreement (or a NaN) raises :class:`~cvbell.errors.CrossCheckError`
+instead of returning a silently wrong verdict.  States with margin
+exactly on the boundary count as separable (the criterion is a
+non-strict inequality).
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import coefficient_arrays, evolve_coefficients
+from .dynamics import evolve_coefficients
 from .errors import CrossCheckError
 from .numerics import TOLERANCES, one_minus_exp_over, sym4_eigenvalues
 from .parallel import chunked_rows
@@ -142,22 +152,33 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
                  lo: int, hi: int) -> np.ndarray:
     d = d_grid[lo:hi, None]
     nbar = nbar_grid[None, :]
-    c1, c2, h = coefficient_arrays(r, d, nbar)
-    # numeric pipeline, vectorised: W diag/cross -> det -> V -> spectrum
-    w_d = c1 / (2.0 * h)
-    w_c = c2 / (2.0 * h)
-    root_det = w_d * w_d - w_c * w_c
-    v_d = w_d / root_det
-    v_c = w_c / root_det
-    margin = v_d - 0.5 - np.abs(v_c)
-    # paired closed-form route must agree everywhere before we trust it
+    # the factors that depend on d alone are computed on the d column
     p1 = d + 2.0 * r
     p2 = d - 2.0 * r
-    e_small = one_minus_exp_over(p1) * (d * nbar - r)
-    e_large = one_minus_exp_over(p2) * (d * nbar + r)
-    closed_margin = np.minimum(e_small, e_large)
-    gap = float(np.max(np.abs(margin - closed_margin)))
-    if gap > TOLERANCES.route_agreement:
+    e1 = one_minus_exp_over(p1)
+    e2 = one_minus_exp_over(p2)
+    occ = 2.0 * nbar + 1.0
+    # normal-mode variances: sums of positive terms, so nothing cancels;
+    # full-grid temporaries are updated in place because a fresh block
+    # per operation costs about as much as the arithmetic itself
+    s1 = occ * (d * e1)
+    s1 += np.exp(-p1)
+    s2 = occ * (d * e2)
+    s2 += np.exp(-p2)
+    margin = np.minimum(s1, s2, out=s1)
+    margin -= 1.0
+    margin *= 0.5
+    # paired closed-form route must agree everywhere before we trust it;
+    # a NaN gap fails the comparison and raises as well
+    dn = d * nbar
+    e_small = dn - r
+    e_small *= e1
+    e_large = np.add(dn, r, out=dn)
+    e_large *= e2
+    dev = np.minimum(e_small, e_large, out=e_small)
+    dev -= margin
+    gap = float(np.max(np.abs(dev, out=dev)))
+    if not gap <= TOLERANCES.route_agreement:
         raise CrossCheckError(
             f"separability routes disagree by {gap:.3e} on the scan grid")
     return margin
@@ -167,10 +188,10 @@ def separability_map(r: float, d_grid, nbar_grid,
                      workers: int | None = None) -> SeparabilityMap:
     """Classify separability over a (d, nbar) grid at fixed r.
 
-    Grids must be ascending and nonnegative.  The margin is computed by
-    the vectorised numeric pipeline with the closed-form route asserted
-    against it cell by cell; rows are chunked across the scan thread
-    pool for large grids.
+    Grids must be ascending and nonnegative.  The margin
+    (min(s1, s2) - 1)/2 comes from the normal-mode variances, with the
+    closed-form pair asserted against it cell by cell; rows are chunked
+    across the scan thread pool for large grids.
     """
     d_grid = np.asarray(d_grid, dtype=float)
     nbar_grid = np.asarray(nbar_grid, dtype=float)
@@ -189,11 +210,8 @@ def separability_map(r: float, d_grid, nbar_grid,
         lambda lo, hi: _margin_rows(r, d_grid, nbar_grid, lo, hi),
         len(d_grid), len(nbar_grid), workers)
     separable = margin >= TOLERANCES.boundary_margin
-    boundary = np.full(len(d_grid), np.nan)
-    for i in range(len(d_grid)):
-        hits = np.nonzero(separable[i])[0]
-        if hits.size:
-            boundary[i] = nbar_grid[hits[0]]
+    boundary = np.where(separable.any(axis=1),
+                        nbar_grid[separable.argmax(axis=1)], np.nan)
     return SeparabilityMap(r=r, d_grid=d_grid, nbar_grid=nbar_grid,
                            separable=separable, margin=margin,
                            boundary_nbar=boundary)

@@ -272,17 +272,20 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
         point.update({n: float(v) for n, v in zip(free_ordered, values)})
         return point
 
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pt = {n: float(fixed[n]) for n in fixed}
-    grid_args = {n: pt[n] for n in PARAM_ORDER if n in pt}
-    arrays = {n: mesh[free_ordered.index(n)] if n in free_ordered else grid_args[n]
-              for n in PARAM_ORDER}
+    # each free axis lies along its own dimension and the fixed values stay
+    # floats, so the axes broadcast: (c1, c2, h) do not depend on J and are
+    # computed once per (r, d, nbar) cell, not on the full grid; the
+    # arithmetic per cell is that of a meshgrid, so the values are the same
+    k = len(free_ordered)
+    arrays = {n: float(fixed[n]) for n in fixed}
+    for i, name in enumerate(free_ordered):
+        arrays[name] = axes[i].reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
     c1, c2, h = coefficient_arrays(arrays["r"], arrays["d"], arrays["nbar"])
     values = _closed_bell(arrays["J"], c1, c2, h)
     flat_best = int(np.argmax(values))  # first index wins ties: lexicographic
-    best_idx = np.unravel_index(flat_best, values.shape) if values.ndim else ()
-    best_x = np.array([axes[i][best_idx[i]] for i in range(len(free_ordered))])
-    best_val = float(values[best_idx]) if values.ndim else float(values)
+    best_idx = np.unravel_index(flat_best, values.shape)
+    best_x = np.array([axes[i][best_idx[i]] for i in range(k)])
+    best_val = float(values[best_idx])
 
     lo_arr = np.array([merged_bounds[n][0] for n in free_ordered])
     hi_arr = np.array([merged_bounds[n][1] for n in free_ordered])

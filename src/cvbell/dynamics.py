@@ -45,7 +45,6 @@ from .phase_space import (
 )
 
 __all__ = [
-    "DriftDiffusionPair",
     "SteadyStateReport",
     "drift_matrix",
     "diffusion_matrix",
@@ -84,19 +83,6 @@ def diffusion_matrix(gamma: float, nbar: float) -> np.ndarray:
     """Diffusion matrix D = (gamma/4)(2 nbar + 1) I."""
     _check_rates(gamma, 0.0, nbar)
     return (gamma / 4.0) * (2.0 * nbar + 1.0) * np.eye(4)
-
-
-@dataclass(frozen=True)
-class DriftDiffusionPair:
-    """Drift and diffusion matrices of one parameter set."""
-
-    A: np.ndarray
-    D: np.ndarray
-
-    @classmethod
-    def from_rates(cls, gamma: float, kappa: float,
-                   nbar: float = 0.0) -> "DriftDiffusionPair":
-        return cls(A=drift_matrix(gamma, kappa), D=diffusion_matrix(gamma, nbar))
 
 
 def drift_eigenvalues(gamma: float, kappa: float) -> np.ndarray:

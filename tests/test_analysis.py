@@ -1,12 +1,14 @@
 """Unit tests for purity and separability classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvbell import (
     TOLERANCES,
+    CrossCheckError,
     GaussianForm,
     SqueezedStateParams,
     evolve_coefficients,
@@ -141,6 +143,67 @@ def test_map_agrees_with_pointwise_route():
                 SqueezedStateParams(0.9, float(d), float(nbar)))
             assert m.separable[i, j] == rep.separable
             assert m.margin[i, j] == pytest.approx(rep.margin, abs=1e-12)
+
+
+def _variances(r, d, nbar):
+    # normal-mode variances s_i = e^-p_i + (2 nbar + 1) d E(p_i)
+    p1, p2 = d + 2.0 * r, d - 2.0 * r
+    occ = 2.0 * nbar + 1.0
+    return (math.exp(-p1) + occ * d * one_minus_exp_over(p1),
+            math.exp(-p2) + occ * d * one_minus_exp_over(p2))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 2.5])
+def test_map_matches_eigensolver_margin(r):
+    d_grid = np.linspace(0.0, 6.0, 40)
+    n_grid = np.linspace(0.0, 5.0, 40)
+    m = separability_map(r, d_grid, n_grid)
+    rng = np.random.default_rng(41)
+    for i, j in zip(rng.integers(0, 40, 60), rng.integers(0, 40, 60)):
+        d, nbar = float(d_grid[i]), float(n_grid[j])
+        rep = separability_eigenvalues(SqueezedStateParams(r, d, nbar))
+        s1, s2 = _variances(r, d, nbar)
+        assert abs(m.margin[i, j] - rep.margin) <= 1e-12 * (1.0 + s1 + s2)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.5, 3.0, 10.0, 20.0])
+def test_map_matches_closed_pair_everywhere(r):
+    d_grid = np.linspace(0.0, 10.0, 25)
+    n_grid = np.linspace(0.0, 5.0, 25)
+    m = separability_map(r, d_grid, n_grid)
+    for i, d in enumerate(d_grid):
+        for j, nbar in enumerate(n_grid):
+            closed = min(separability_closed_pair(
+                SqueezedStateParams(r, float(d), float(nbar))))
+            scale = 1.0 + d * nbar + r
+            assert abs(m.margin[i, j] - closed) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("r", [10.0, 20.0])
+def test_map_finite_at_large_squeezing(r):
+    # the variances span e^-2r .. e^2r here: no NaN, no warning, and the
+    # verdicts still follow the law
+    d_grid = np.linspace(0.0, 10.0, 200)
+    n_grid = np.linspace(0.0, 5.0, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = separability_map(r, d_grid, n_grid)
+    assert np.all(np.isfinite(m.margin))
+    law = d_grid[:, None] * n_grid[None, :] - r
+    away = np.abs(law) > 1e-9
+    assert np.array_equal(m.separable[away], law[away] >= 0.0)
+    hit = np.isfinite(m.boundary_nbar)
+    assert np.array_equal(hit, np.any(law >= 0.0, axis=1))
+
+
+def test_map_route_check_rejects_nan(monkeypatch):
+    import cvbell.analysis as analysis
+    real = analysis.one_minus_exp_over
+    monkeypatch.setattr(analysis, "one_minus_exp_over",
+                        lambda p: real(p) * np.nan)
+    with pytest.raises(CrossCheckError):
+        separability_map(1.0, np.linspace(0.0, 1.0, 3),
+                         np.linspace(0.0, 1.0, 3))
 
 
 def test_is_pure_validates_input():

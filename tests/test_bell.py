@@ -12,6 +12,7 @@ from cvbell import (
     bell_closed_form,
     bell_combination,
     bell_surface,
+    coefficient_arrays,
     evolve_coefficients,
     maximize_bell,
     model_evaluator,
@@ -122,6 +123,30 @@ def test_maximize_all_free_is_deterministic():
     assert first.params["d"] <= 1e-9
     lo, hi = DEFAULT_BOUNDS["J"]
     assert lo <= first.params["J"] <= hi
+
+
+@pytest.mark.parametrize("free", [("J",), ("r", "d"), PARAM_ORDER])
+def test_maximize_reaches_meshgrid_coarse_grid(free):
+    # oracle: the documented 32-node grid per free axis, built as a full
+    # meshgrid (geometric in J, linear otherwise)
+    fixed = {n: v for n, v in {"J": 0.01, "r": 1.5, "d": 0.2,
+                               "nbar": 0.1}.items() if n not in free}
+    axes = [np.geomspace(*DEFAULT_BOUNDS[n], 32) if n == "J"
+            else np.linspace(*DEFAULT_BOUNDS[n], 32) for n in free]
+    mesh = dict(zip(free, np.meshgrid(*axes, indexing="ij")))
+    point = {**fixed, **mesh}
+    c1, c2, h = coefficient_arrays(point["r"], point["d"], point["nbar"])
+    J = point["J"]
+    grid = (1.0 + 2.0 * np.exp(-J * c1 / (2.0 * h))
+            - np.exp(-J * (c1 - c2) / h)) / h
+    assert grid.shape == (32,) * len(free)
+    res = maximize_bell(free, fixed)
+    assert res.b_max >= float(grid.max())
+    for n in free:
+        lo, hi = DEFAULT_BOUNDS[n]
+        assert lo <= res.params[n] <= hi
+    for n, v in fixed.items():
+        assert res.params[n] == v
 
 
 def test_maximize_validation():
