@@ -26,7 +26,8 @@ routes decide it:
 
 The grid scan :func:`separability_map` takes its margin from the
 normal-mode variances and checks it cell by cell against the closed
-pair.  The routes must agree to ``TOLERANCES.route_agreement``;
+pair.  The routes must agree to ``TOLERANCES.route_agreement`` times
+1 + s1 + s2 in every cell, because both round like the variances;
 disagreement (or a NaN) raises :class:`~cvbell.errors.CrossCheckError`
 instead of returning a silently wrong verdict.  States with margin
 exactly on the boundary count as separable (the criterion is a
@@ -165,6 +166,9 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
     s1 += np.exp(-p1)
     s2 = occ * (d * e2)
     s2 += np.exp(-p2)
+    # the routes round like the variances, so the tolerance scales with them
+    scale = s1 + s2
+    scale += 1.0
     margin = np.minimum(s1, s2, out=s1)
     margin -= 1.0
     margin *= 0.5
@@ -177,10 +181,13 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
     e_large *= e2
     dev = np.minimum(e_small, e_large, out=e_small)
     dev -= margin
-    gap = float(np.max(np.abs(dev, out=dev)))
-    if not gap <= TOLERANCES.route_agreement:
+    gap = np.abs(dev, out=dev)
+    if not np.all(gap <= TOLERANCES.route_agreement * scale):
+        worst = float(np.max(gap / scale))
         raise CrossCheckError(
-            f"separability routes disagree by {gap:.3e} on the scan grid")
+            f"separability routes disagree by {worst:.3e} relative to "
+            f"1 + s1 + s2 (tolerance {TOLERANCES.route_agreement:.0e}) "
+            f"on the scan grid")
     return margin
 
 

@@ -205,6 +205,49 @@ def _model_bell_scalar(J, r, d, nbar) -> float:
     return float(_closed_bell(J, c1, c2, h))
 
 
+def _require_finite_grid(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("B is not finite on part of the coarse grid (the "
+                         "coefficients overflow there); narrow the bounds")
+
+
+def _coarse_best(axes: Sequence[np.ndarray], free_ordered: tuple,
+                 fixed: Mapping[str, float]) -> tuple:
+    """Grid index and value of the best coarse cell.
+
+    The free axes lie along their own dimensions and broadcast, so
+    (c1, c2, h) are computed once per (r, d, nbar) cell and never on
+    J.  When J is free along with other parameters, B is evaluated one
+    J node at a time on the (r, d, nbar) block, which keeps the block in
+    cache.  The first maximum wins, which is the flat ``np.argmax`` of
+    the full grid: exact ties go to the lexicographically smallest
+    (J, r, d, nbar) cell.  A non-finite cell raises ``ValueError``.
+    """
+    k = len(free_ordered)
+    arrays = dict(fixed)
+    for i, name in enumerate(free_ordered):
+        arrays[name] = axes[i].reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
+    if free_ordered[0] != "J" or k == 1:
+        c1, c2, h = coefficient_arrays(arrays["r"], arrays["d"], arrays["nbar"])
+        values = _closed_bell(arrays["J"], c1, c2, h)
+        _require_finite_grid(values)
+        flat = int(np.argmax(values))
+        return np.unravel_index(flat, values.shape), float(values.flat[flat])
+    # drop the J dimension from the free state axes
+    state = {n: arrays[n][0] if n in free_ordered else arrays[n]
+             for n in ("r", "d", "nbar")}
+    c1, c2, h = coefficient_arrays(state["r"], state["d"], state["nbar"])
+    best_idx, best_val = None, -math.inf
+    for i, j in enumerate(axes[0]):
+        values = _closed_bell(j, c1, c2, h)
+        _require_finite_grid(values)
+        flat = int(np.argmax(values))
+        if values.flat[flat] > best_val:  # strict: earlier J nodes win ties
+            best_idx = (i,) + np.unravel_index(flat, values.shape)
+            best_val = float(values.flat[flat])
+    return best_idx, best_val
+
+
 def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
                   bounds: Mapping[str, tuple] | None = None,
                   grid_points: int = 32) -> MaximizeResult:
@@ -222,10 +265,18 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     free : sequence of str
         Names to optimise over, subset of {"J", "r", "d", "nbar"}.
     fixed : mapping
-        Values for the remaining names (exactly the complement).
+        Values for the remaining names (exactly the complement); each
+        must be finite and nonnegative.
     bounds : mapping, optional
         (lo, hi) per free name; J bounds must be positive.  Defaults:
         J (1e-4, 1), r (0, 3), d (0, 5), nbar (0, 2).
+
+    Raises
+    ------
+    ValueError
+        On bad names, fixed values or bounds, and when B is not finite
+        somewhere on the coarse grid (e.g. r bounds so large that the
+        coefficients overflow).
     """
     free = tuple(free)
     if not free:
@@ -246,6 +297,14 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
         raise ValueError(f"parameters both free and fixed: {overlap}")
     if grid_points < 32:
         raise ValueError("coarse scan needs at least 32 points per dimension")
+    fixed_values = {}
+    for name in PARAM_ORDER:
+        if name in fixed:
+            value = float(fixed[name])
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"fixed {name} must be a finite nonnegative "
+                                 f"real, got {fixed[name]!r}")
+            fixed_values[name] = value
 
     merged_bounds = dict(DEFAULT_BOUNDS)
     if bounds:
@@ -267,34 +326,26 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
                 raise ValueError(f"{name} bounds must be nonnegative")
             axes.append(np.linspace(lo, hi, grid_points))
 
-    def full_point(values) -> dict:
-        point = {n: float(fixed[n]) for n in PARAM_ORDER if n in fixed}
-        point.update({n: float(v) for n, v in zip(free_ordered, values)})
-        return point
-
-    # each free axis lies along its own dimension and the fixed values stay
-    # floats, so the axes broadcast: (c1, c2, h) do not depend on J and are
-    # computed once per (r, d, nbar) cell, not on the full grid; the
-    # arithmetic per cell is that of a meshgrid, so the values are the same
     k = len(free_ordered)
-    arrays = {n: float(fixed[n]) for n in fixed}
-    for i, name in enumerate(free_ordered):
-        arrays[name] = axes[i].reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
-    c1, c2, h = coefficient_arrays(arrays["r"], arrays["d"], arrays["nbar"])
-    values = _closed_bell(arrays["J"], c1, c2, h)
-    flat_best = int(np.argmax(values))  # first index wins ties: lexicographic
-    best_idx = np.unravel_index(flat_best, values.shape)
+    best_idx, best_val = _coarse_best(axes, free_ordered, fixed_values)
     best_x = np.array([axes[i][best_idx[i]] for i in range(k)])
-    best_val = float(values[best_idx])
 
     lo_arr = np.array([merged_bounds[n][0] for n in free_ordered])
     hi_arr = np.array([merged_bounds[n][1] for n in free_ordered])
 
+    # the objective sees Python floats only: a full (J, r, d, nbar) list
+    # with the free slots overwritten, and out-of-bounds points rejected
+    slots = [PARAM_ORDER.index(n) for n in free_ordered]
+    limits = list(zip(slots, lo_arr.tolist(), hi_arr.tolist()))
+    base = [fixed_values.get(n, 0.0) for n in PARAM_ORDER]
+
     def objective(x: np.ndarray) -> float:
-        if np.any(x < lo_arr) or np.any(x > hi_arr):
-            return math.inf
-        point = full_point(x)
-        return -_model_bell_scalar(point["J"], point["r"], point["d"], point["nbar"])
+        point = base.copy()
+        for (slot, lo, hi), v in zip(limits, x.tolist()):
+            if not lo <= v <= hi:
+                return math.inf
+            point[slot] = v
+        return -_model_bell_scalar(*point)
 
     # local steps: J is geometric, so step relative to the start point
     step = (hi_arr - lo_arr) / 64.0
@@ -306,8 +357,9 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     if -refined_neg > best_val:
         best_x, best_val = refined_x, -refined_neg
 
-    return MaximizeResult(params=full_point(best_x), b_max=best_val,
-                          free=free_ordered)
+    params = dict(fixed_values)
+    params.update(zip(free_ordered, best_x.tolist()))
+    return MaximizeResult(params=params, b_max=best_val, free=free_ordered)
 
 
 def small_j_slope(evaluator: Callable[[TwoModePoint], float],
@@ -318,6 +370,13 @@ def small_j_slope(evaluator: Callable[[TwoModePoint], float],
     Richardson extrapolation (2 s1 - s2), cancelling the O(J) error.
     The result is flagged unanchored when B(0) deviates from the
     local-realism ceiling 2 by more than ``TOLERANCES.anchor_abs``.
+
+    For the squeezed family the exponents of B(J) grow like J cosh 2r,
+    so the left-over O(J^2) error is O((j_probe cosh 2r)^2) relative:
+    pass ``j_probe`` of about 1e-6 / cosh 2r, or at r = 8 the default
+    probe sits where B is far from linear (it even gets the sign of the
+    phase-diffused slope wrong).  The shrunken probe still moves B by
+    j_probe 4 p sinh 2r < 4e-6 p, far above rounding.
     """
     if j_probe <= 0:
         raise ValueError("probe step must be positive")

@@ -14,6 +14,7 @@ worker count of grid scans; output is identical for any setting.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -259,6 +260,7 @@ def _mixture_record(args, kind: str) -> ReportRecord:
     spec = MixtureSpec(p=args.p, r=args.r, kind=kind)
     if getattr(args, "slope", False):
         result = small_j_slope(mixture_evaluator(spec),
+                               j_probe=1e-6 / math.cosh(2.0 * args.r),
                                state_label=f"{kind} p={args.p:g}")
         meta = _meta(kind, mode="slope", p=args.p, r=args.r)
         return ReportRecord(meta=meta,

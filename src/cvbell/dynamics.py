@@ -103,10 +103,15 @@ def coefficient_arrays(r, d, nbar):
     Broadcasts its arguments; scalar inputs give scalar outputs.  This is
     the computational core of :func:`evolve_coefficients` and of the grid
     scans, kept array-valued so surfaces do not pay per-point overhead.
+    Three floats skip the array conversion and give float64 scalars: the
+    operations are the same (``np.exp`` included, which can differ from
+    ``math.exp`` in the last bit), so the values are bit-identical.
     """
-    r = np.asarray(r, dtype=float)
-    d = np.asarray(d, dtype=float)
-    nbar = np.asarray(nbar, dtype=float)
+    if not (isinstance(r, float) and isinstance(d, float)
+            and isinstance(nbar, float)):
+        r = np.asarray(r, dtype=float)
+        d = np.asarray(d, dtype=float)
+        nbar = np.asarray(nbar, dtype=float)
     p1 = d + 2.0 * r
     p2 = d - 2.0 * r
     e1 = one_minus_exp_over(p1)

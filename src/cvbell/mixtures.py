@@ -223,6 +223,19 @@ class ThresholdReport:
     best_b_at_unit_weight: float
 
 
+def _budget_grid(low: float) -> np.ndarray:
+    grid = np.geomspace(low, 1.0, 200)
+    grid.flags.writeable = False
+    return grid
+
+
+#: default budget grids of the threshold search, built once; the
+#: phase-diffused one reaches down to 1e-6 because its threshold sits at
+#: vanishing weight
+_DEFAULT_BUDGETS = {"werner-thermal": _budget_grid(1e-4),
+                    "phase-diffused": _budget_grid(1e-6)}
+
+
 def werner_violation_threshold(r: float, J_grid=None,
                                kind: str = "werner-thermal",
                                p_tol: float | None = None) -> ThresholdReport:
@@ -242,8 +255,7 @@ def werner_violation_threshold(r: float, J_grid=None,
     if p_tol is None:
         p_tol = TOLERANCES.threshold_p_abs
     if J_grid is None:
-        low = 1e-4 if kind == "werner-thermal" else 1e-6
-        J_grid = np.geomspace(low, 1.0, 200)
+        J_grid = _DEFAULT_BUDGETS[kind]
     else:
         J_grid = np.asarray(J_grid, dtype=float)
         if J_grid.ndim != 1 or J_grid.size == 0 or np.any(J_grid <= 0):
@@ -253,7 +265,7 @@ def werner_violation_threshold(r: float, J_grid=None,
     b_ref = component_bell_curve(J_grid, r, kind)
 
     def best_b(p: float) -> float:
-        return float(np.max(p * b_pure + (1.0 - p) * b_ref))
+        return float((p * b_pure + (1.0 - p) * b_ref).max())
 
     top = best_b(1.0)
     if not top > 2.0:

@@ -125,25 +125,33 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 # modified Bessel function of the first kind, order zero
 # ----------------------------------------------------------------------
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
+def _ones(x):
+    # a fresh array of ones for an array (updated in place below), else 1.0
+    # (the in-place operators then rebind a float)
+    return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+
+
+def _i0_series(x):
     # sum_k (x^2/4)^k / (k!)^2; at x = 15 the k = 40 tail is < 1e-16 relative
     q = x * x / 4.0
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
+    term = _ones(x)
+    acc = _ones(x)
     for k in range(1, 41):
-        term = term * q / (k * k)
-        acc = acc + term
+        term *= q
+        term /= k * k
+        acc += term
     return acc
 
 
-def _i0_asymptotic_tail(x: np.ndarray) -> np.ndarray:
+def _i0_asymptotic_tail(x):
     # sum_k a_k / x^k with a_k = a_{k-1} (2k-1)^2 / (8k); 24 terms keep the
     # truncation below 1e-13 relative at the x = 15 switch point
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
+    term = _ones(x)
+    acc = _ones(x)
     for k in range(1, 25):
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        acc = acc + term
+        term *= (2 * k - 1) ** 2
+        term /= 8.0 * k * x
+        acc += term
     return acc
 
 
@@ -183,7 +191,16 @@ def bessel_i0_log(x):
 
     Uses log of the power series below the switch and
     x - log(2 pi x)/2 + log(tail) above, so no intermediate overflows.
+    A Python or numpy float (or int) runs the same operations on floats
+    (``np.log`` included) and returns a ``float``.
     """
+    if isinstance(x, (float, int)):
+        t = float(x)
+        if t < 0.0:
+            raise ValueError("bessel_i0_log requires a nonnegative argument")
+        if t < TOLERANCES.bessel_switch:
+            return float(np.log(_i0_series(t)))
+        return float(t - 0.5 * np.log(2.0 * np.pi * t) + np.log(_i0_asymptotic_tail(t)))
     a, scalar = _as_array(x)
     if np.any(a < 0.0):
         raise ValueError("bessel_i0_log requires a nonnegative argument")
@@ -201,6 +218,11 @@ def bessel_i0_log(x):
 # stabilised (1 - exp(-p)) / p
 # ----------------------------------------------------------------------
 
+def _exp_quotient_taylor(t):
+    # float or array alike: the same operations in the same order
+    return 1.0 + t * (-1.0 / 2 + t * (1.0 / 6 + t * (-1.0 / 24 + t * (1.0 / 120 + t * (-1.0 / 720)))))
+
+
 def one_minus_exp_over(p):
     """(1 - exp(-p))/p with a removable singularity at p = 0.
 
@@ -208,15 +230,19 @@ def one_minus_exp_over(p):
     Taylor polynomial 1 - p/2 + p^2/6 - p^3/24 + p^4/120 - p^5/720 is
     used; elsewhere the direct quotient via expm1.  The branches agree to
     1e-15 relative at the switch.  Positive and strictly decreasing on
-    the real line.
+    the real line.  A Python or numpy float (or int) takes a scalar
+    branch with the same operations and returns a ``float``.
     """
+    if isinstance(p, (float, int)):
+        t = float(p)
+        if abs(t) < TOLERANCES.taylor_cutoff:
+            return _exp_quotient_taylor(t)
+        return float(-np.expm1(-t) / t)
     a, scalar = _as_array(p)
     small = np.abs(a) < TOLERANCES.taylor_cutoff
     safe = np.where(small, 1.0, a)
     direct = -np.expm1(-safe) / safe
-    t = a
-    taylor = 1.0 + t * (-1.0 / 2 + t * (1.0 / 6 + t * (-1.0 / 24 + t * (1.0 / 120 + t * (-1.0 / 720)))))
-    out = np.where(small, taylor, direct)
+    out = np.where(small, _exp_quotient_taylor(a), direct)
     return _maybe_scalar(out, scalar)
 
 
@@ -488,11 +514,9 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
     for _ in range(max_iter):
         order = np.argsort(vals, kind="stable")
         verts, vals = verts[order], vals[order]
-        diam = 0.0
-        for i in range(ndim + 1):
-            for j in range(i + 1, ndim + 1):
-                d = verts[i] - verts[j]
-                diam = max(diam, math.sqrt(float(np.sum(d * d))))
+        # largest vertex-to-vertex distance, all pairs at once
+        d = verts[:, None, :] - verts[None, :, :]
+        diam = math.sqrt(float(np.max(np.sum(d * d, axis=-1))))
         if diam < diameter_tol:
             break
         centroid = np.mean(verts[:-1], axis=0)

@@ -209,3 +209,26 @@ def test_map_route_check_rejects_nan(monkeypatch):
 def test_is_pure_validates_input():
     with pytest.raises(ValueError):
         is_pure(GaussianForm(c1=4.0, c2=0.0, h=0.0))
+
+
+def test_map_route_check_is_relative_to_variances():
+    # at nbar ~ 1e8 the variances are ~1e8 and the two routes round apart
+    # by ~1e-8 absolute (4e-17 relative); that is agreement, not a fault
+    d_grid = np.linspace(0.5, 3.0, 50)
+    n_grid = np.linspace(0.0, 1e8, 50)
+    m = separability_map(1.0, d_grid, n_grid)
+    law = d_grid[:, None] * n_grid[None, :] - 1.0
+    assert np.array_equal(m.separable, law >= 0.0)
+    for workers in (1, 2):
+        again = separability_map(1.0, d_grid, n_grid, workers=workers)
+        assert np.array_equal(again.margin, m.margin)
+
+
+def test_map_route_check_reports_relative_gap(monkeypatch):
+    import cvbell.analysis as analysis
+    real = analysis.one_minus_exp_over
+    monkeypatch.setattr(analysis, "one_minus_exp_over",
+                        lambda p: real(p) * (1.0 + 1e-6))
+    with pytest.raises(CrossCheckError, match="relative to 1 \\+ s1 \\+ s2"):
+        separability_map(1.0, np.linspace(0.5, 3.0, 20),
+                         np.linspace(0.0, 5.0, 20))

@@ -19,7 +19,7 @@ from cvbell import (
     parity_correlation,
     small_j_slope,
 )
-from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER
+from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _closed_bell, _coarse_best
 
 # frozen values at the J=0.01, r=1.5 reference point
 B_ANCHOR = 2.187452904044629
@@ -186,3 +186,71 @@ def test_surface_validates_grids():
         bell_surface(1.5, 0.0, np.array([0.2, 0.1]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         bell_surface(1.5, 0.0, np.array([-0.1, 0.2]), np.array([0.0, 1.0]))
+
+
+def _meshgrid_argmax(axes, free, fixed):
+    # oracle: the full meshgrid and the flat argmax (first maximum, i.e.
+    # the lexicographically smallest (J, r, d, nbar) cell)
+    mesh = dict(zip(free, np.meshgrid(*axes, indexing="ij")))
+    point = {**fixed, **mesh}
+    c1, c2, h = coefficient_arrays(point["r"], point["d"], point["nbar"])
+    grid = _closed_bell(point["J"], c1, c2, h)
+    flat = int(np.argmax(grid))
+    return np.unravel_index(flat, grid.shape), float(grid.flat[flat])
+
+
+@pytest.mark.parametrize("free", [("J", "r"), ("r", "nbar"), ("J", "d", "nbar"),
+                                  ("r", "d", "nbar"), PARAM_ORDER])
+def test_coarse_stage_matches_meshgrid_argmax(free):
+    fixed = {n: v for n, v in {"J": 0.01, "r": 1.5, "d": 0.2,
+                               "nbar": 0.1}.items() if n not in free}
+    axes = [np.geomspace(*DEFAULT_BOUNDS[n], 32) if n == "J"
+            else np.linspace(*DEFAULT_BOUNDS[n], 32) for n in free]
+    idx, val = _coarse_best(axes, free, fixed)
+    ref_idx, ref_val = _meshgrid_argmax(axes, free, fixed)
+    assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
+    assert val == ref_val
+
+
+def test_coarse_stage_ties_go_to_smallest_cell():
+    # equal J nodes and d = 0 (nbar then has no effect) make every cell
+    # a tie; the first cell must win, as in the flat argmax
+    free = ("J", "nbar")
+    axes = [np.full(32, 0.01), np.linspace(0.0, 2.0, 32)]
+    fixed = {"r": 0.0, "d": 0.0}
+    idx, _ = _coarse_best(axes, free, fixed)
+    ref_idx, _ = _meshgrid_argmax(axes, free, fixed)
+    assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
+    assert int(idx[0]) == 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"d": -1.0}, {"r": math.nan}, {"nbar": -0.6}, {"J": -0.01},
+    {"r": math.inf}, {"nbar": math.nan},
+])
+def test_maximize_rejects_bad_fixed_values(bad):
+    fixed = {"J": 0.01, "r": 1.5, "d": 0.2, "nbar": 0.1}
+    fixed.update(bad)
+    name = next(iter(bad))
+    free = ("r",) if name == "J" else ("J",)
+    with pytest.raises(ValueError, match=f"fixed {name}"):
+        maximize_bell(free, {n: v for n, v in fixed.items() if n not in free})
+
+
+def test_maximize_accepts_zero_fixed_values():
+    # the vacuum stays below 2, which it approaches as J -> 0
+    res = maximize_bell(("J",), {"r": 0.0, "d": 0.0, "nbar": 0.0})
+    assert 2.0 - 1e-6 <= res.b_max <= 2.0
+    assert maximize_bell(("r",), {"J": 0.0, "d": 0.3, "nbar": 0.0}).b_max > 0
+
+
+def test_maximize_rejects_overflowing_coarse_grid():
+    # r up to 400 overflows e^{2r}; the grid used to yield b_max = nan
+    with pytest.raises(ValueError, match="not finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            maximize_bell(("J", "r"), {"d": 0.0, "nbar": 0.0},
+                          bounds={"r": (0.0, 400.0)})
+    with pytest.raises(ValueError, match="not finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            maximize_bell(("r",), {"J": 0.01, "d": 0.0, "nbar": 0.0},
+                          bounds={"r": (0.0, 400.0)})

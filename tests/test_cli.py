@@ -2,13 +2,14 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cvbell import parse_csv, render
+from cvbell import TOLERANCES, parse_csv, render
 from cvbell.cli import main
 
 
@@ -199,3 +200,14 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "4,0,1" in proc.stdout.replace("\r", "")
+
+
+def test_phase_diffused_slope_row_at_large_squeezing():
+    # the probe shrinks like 1 / cosh 2r; a fixed 1e-6 probe printed
+    # -1.578e6 here instead of 4 p sinh 2r = +8.886e6
+    code, out, _ = run_cli("phase-diffused", "--slope", "--p", "0.5",
+                           "--r", "8")
+    header, row = (l.split(",") for l in data_lines(out))
+    vals = dict(zip(header, row))
+    assert float(vals["slope"]) == pytest.approx(2.0 * math.sinh(16.0),
+                                                 rel=TOLERANCES.slope_rel)

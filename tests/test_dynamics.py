@@ -176,3 +176,27 @@ def test_oracle_self_check_error_type_exists():
     # the self-check failure channel is a ConvergenceError subclass of
     # RuntimeError so callers can catch it without masking ValueError
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_coefficient_arrays_float_path_matches_array_path():
+    # three floats skip the array conversion; every value must be the one
+    # the array path gives, including inf/NaN once the exponentials
+    # overflow (r = 400), which must not raise ZeroDivisionError
+    rng = np.random.default_rng(17)
+    r = np.concatenate([rng.uniform(0.0, 3.0, 300), [400.0, 400.0, 0.0]])
+    d = np.concatenate([rng.uniform(0.0, 6.0, 300), [0.0, 1.0, 0.0]])
+    nbar = np.concatenate([rng.uniform(0.0, 5.0, 300), [0.0, 0.5, 0.0]])
+    d[:50] = 2.0 * r[:50]  # the resonance d = 2r, p2 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = coefficient_arrays(r, d, nbar)
+        for i in range(r.size):
+            for args in ((float(r[i]), float(d[i]), float(nbar[i])),
+                         (r[i], d[i], nbar[i])):
+                got = coefficient_arrays(*args)
+                assert all(_same(float(g), float(w[i]))
+                           for g, w in zip(got, whole))
+    assert not all(np.isfinite(c[-3]) for c in whole)

@@ -8,6 +8,7 @@ import pytest
 from cvbell import (
     ConvergenceError,
     MixtureSpec,
+    TOLERANCES,
     TwoModePoint,
     component_bell_curve,
     finite_dim_werner_threshold,
@@ -171,3 +172,27 @@ def test_mixture_evaluator_matches_mixture_wigner():
     pt = TwoModePoint(0.1 - 0.2j, 0.05 + 0.3j)
     assert float(ev(pt)) == pytest.approx(float(mixture_wigner(pt, spec)),
                                           rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
+@pytest.mark.parametrize("r", [0.3, 1.5, 3.0, 5.0, 8.0])
+def test_small_j_slope_with_scaled_probe(kind, r):
+    # the probe shrinks like 1 / cosh 2r; the fixed 1e-6 probe was off by
+    # 4.7e-3 relative at r = 5 and had the wrong sign at r = 8
+    p = 0.5
+    res = small_j_slope(mixture_evaluator(MixtureSpec(p=p, r=r, kind=kind)),
+                        j_probe=1e-6 / math.cosh(2.0 * r))
+    exact = 4.0 * p * math.sinh(2.0 * r)
+    assert abs(res.slope - exact) <= TOLERANCES.slope_rel * exact
+
+
+@pytest.mark.parametrize("kind, low", [("werner-thermal", 1e-4),
+                                       ("phase-diffused", 1e-6)])
+def test_threshold_default_grid_is_the_documented_grid(kind, low):
+    # the default budget grids are built once; passing the same grid
+    # explicitly must give the same report, bit for bit
+    for r in (0.3, 1.5, 2.7):
+        default = werner_violation_threshold(r, kind=kind)
+        explicit = werner_violation_threshold(
+            r, J_grid=np.geomspace(low, 1.0, 200), kind=kind)
+        assert default == explicit

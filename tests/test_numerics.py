@@ -195,3 +195,65 @@ def test_nelder_mead_minimizes_quadratic():
         np.array([0.0, 0.0]), step=0.5)
     np.testing.assert_allclose(x, target, atol=1e-5)
     assert fx < 1e-10
+
+
+def test_one_minus_exp_over_scalar_branch_matches_array_path():
+    cut = TOLERANCES.taylor_cutoff
+    p = np.concatenate([
+        np.linspace(-30.0, 30.0, 401),
+        np.linspace(-3.0 * cut, 3.0 * cut, 401),
+        cut * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        -cut * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        [0.0, -0.0, 30.0, -30.0, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(invalid="ignore"):  # -inf gives inf / inf = nan
+        whole = one_minus_exp_over(p)
+        for x, ref in zip(p, whole):
+            for arg in (float(x), np.float64(x)):
+                got = one_minus_exp_over(arg)
+                assert type(got) is float
+                assert got == ref or (math.isnan(got) and math.isnan(ref))
+    for n in range(-30, 31):
+        assert one_minus_exp_over(n) == one_minus_exp_over(np.array([float(n)]))[0]
+
+
+TEST_FUNCTIONS = [
+    (lambda z: (z[0] - 1.2) ** 2 + 3.0 * (z[1] + 0.7) ** 2,
+     [0.0, 0.0], 0.5),
+    (lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
+     + (z[2] - 0.3) ** 2, [-1.0, 1.5, 0.0], [0.2, 0.1, 0.3]),
+    (lambda z: float(np.sum(np.cos(3.0 * z)) + np.sum(z * z)),
+     [0.4, -0.2, 1.0, 0.1], 0.25),
+]
+
+
+@pytest.mark.parametrize("f, x0, step", TEST_FUNCTIONS)
+def test_nelder_mead_matches_pairwise_diameter_oracle(f, x0, step):
+    from oracles import nelder_mead_pairwise
+
+    x, fx = nelder_mead_minimize(f, np.array(x0), step)
+    x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), step)
+    assert np.array_equal(x, x_ref)
+    assert fx == fx_ref
+
+
+def test_bessel_i0_log_scalar_branch_matches_array_path():
+    sw = TOLERANCES.bessel_switch
+    rng = np.random.default_rng(23)
+    x = np.concatenate([
+        np.linspace(0.0, 50.0, 501),
+        sw * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        10.0 ** rng.uniform(-8.0, 8.0, 300),
+        [np.inf, np.nan],
+    ])
+    with np.errstate(invalid="ignore"):  # inf - inf = nan at x = inf
+        whole = bessel_i0_log(x)
+        for v, ref in zip(x, whole):
+            for arg in (float(v), np.float64(v)):
+                got = bessel_i0_log(arg)
+                assert type(got) is float
+                assert got == ref or (math.isnan(got) and math.isnan(ref))
+    for n in range(0, 40):
+        assert bessel_i0_log(n) == bessel_i0_log(np.array([float(n)]))[0]
+    with pytest.raises(ValueError):
+        bessel_i0_log(-1.0)
