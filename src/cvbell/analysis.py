@@ -27,7 +27,8 @@ routes decide it:
 The grid scan :func:`separability_map` takes its margin from the
 normal-mode variances and checks it cell by cell against the closed
 pair.  The routes must agree to ``TOLERANCES.route_agreement`` times
-1 + s1 + s2 in every cell, because both round like the variances;
+1 + min(s1, s2) in every cell, because both are the size of the smaller
+variance and round like it;
 disagreement (or a NaN) raises :class:`~cvbell.errors.CrossCheckError`
 instead of returning a silently wrong verdict.  States with margin
 exactly on the boundary count as separable (the criterion is a
@@ -166,10 +167,11 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
     s1 += np.exp(-p1)
     s2 = occ * (d * e2)
     s2 += np.exp(-p2)
-    # the routes round like the variances, so the tolerance scales with them
-    scale = s1 + s2
-    scale += 1.0
     margin = np.minimum(s1, s2, out=s1)
+    # both routes are min(s1, s2)-sized and round like it, so the tolerance
+    # scales with the smaller variance; the larger one (up to e^{4r}) would
+    # loosen it exactly where the verdict is decided
+    scale = margin + 1.0
     margin -= 1.0
     margin *= 0.5
     # paired closed-form route must agree everywhere before we trust it;
@@ -186,7 +188,7 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
         worst = float(np.max(gap / scale))
         raise CrossCheckError(
             f"separability routes disagree by {worst:.3e} relative to "
-            f"1 + s1 + s2 (tolerance {TOLERANCES.route_agreement:.0e}) "
+            f"1 + min(s1, s2) (tolerance {TOLERANCES.route_agreement:.0e}) "
             f"on the scan grid")
     return margin
 

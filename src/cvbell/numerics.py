@@ -125,33 +125,25 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 # modified Bessel function of the first kind, order zero
 # ----------------------------------------------------------------------
 
-def _ones(x):
-    # a fresh array of ones for an array (updated in place below), else 1.0
-    # (the in-place operators then rebind a float)
-    return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-
-
-def _i0_series(x):
+def _i0_series(x: np.ndarray) -> np.ndarray:
     # sum_k (x^2/4)^k / (k!)^2; at x = 15 the k = 40 tail is < 1e-16 relative
     q = x * x / 4.0
-    term = _ones(x)
-    acc = _ones(x)
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
     for k in range(1, 41):
-        term *= q
-        term /= k * k
-        acc += term
+        term = term * q / (k * k)
+        acc = acc + term
     return acc
 
 
-def _i0_asymptotic_tail(x):
+def _i0_asymptotic_tail(x: np.ndarray) -> np.ndarray:
     # sum_k a_k / x^k with a_k = a_{k-1} (2k-1)^2 / (8k); 24 terms keep the
     # truncation below 1e-13 relative at the x = 15 switch point
-    term = _ones(x)
-    acc = _ones(x)
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
     for k in range(1, 25):
-        term *= (2 * k - 1) ** 2
-        term /= 8.0 * k * x
-        acc += term
+        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
+        acc = acc + term
     return acc
 
 
@@ -191,16 +183,7 @@ def bessel_i0_log(x):
 
     Uses log of the power series below the switch and
     x - log(2 pi x)/2 + log(tail) above, so no intermediate overflows.
-    A Python or numpy float (or int) runs the same operations on floats
-    (``np.log`` included) and returns a ``float``.
     """
-    if isinstance(x, (float, int)):
-        t = float(x)
-        if t < 0.0:
-            raise ValueError("bessel_i0_log requires a nonnegative argument")
-        if t < TOLERANCES.bessel_switch:
-            return float(np.log(_i0_series(t)))
-        return float(t - 0.5 * np.log(2.0 * np.pi * t) + np.log(_i0_asymptotic_tail(t)))
     a, scalar = _as_array(x)
     if np.any(a < 0.0):
         raise ValueError("bessel_i0_log requires a nonnegative argument")
@@ -329,7 +312,9 @@ def rk4_lyapunov(A: np.ndarray, D: np.ndarray, sigma0: np.ndarray, t: float,
     """Integrate dS/dt = A S + S A^T + D with classical RK4.
 
     Fixed step h = t/steps; the iterate is re-symmetrised after every
-    step so roundoff cannot accumulate asymmetry.
+    step so roundoff cannot accumulate asymmetry.  Because the equation
+    is linear with constant coefficients, each step adds the same affine
+    function of S; it is built once from the RK4 formula and then iterated.
 
     Parameters
     ----------
@@ -354,17 +339,35 @@ def rk4_lyapunov(A: np.ndarray, D: np.ndarray, sigma0: np.ndarray, t: float,
         return S
     h = t / steps
 
-    def rhs(M):
-        return A @ M + M @ At + D
+    def increment(M, F):
+        # symmetrised RK4 increment of dM/dt = A M + M A^T + F
+        def rhs(X):
+            return A @ X + X @ At + F
 
+        k1 = rhs(M)
+        k2 = rhs(M + 0.5 * h * k1)
+        k3 = rhs(M + 0.5 * h * k2)
+        k4 = rhs(M + h * k3)
+        dM = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return 0.5 * (dM + dM.T)
+
+    # The increment is affine in S: increment(S, D) = increment(S, 0) +
+    # increment(0, D).  It is read off once as a matrix G on the flattened
+    # S, and each step is then S + G S + c: about 2 us per step instead of
+    # about 25 us for the twenty small-matrix operations of the formula.
+    # The increment of an antisymmetric part is zero, so symmetrising S
+    # first gives the same iterates; they then stay exactly symmetric.
+    # Adding the small increment to S, rather than iterating I + G, keeps
+    # the rounding of G from compounding over the steps.
+    n = S.shape[0]
+    zero = np.zeros((n, n))
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    G = np.stack([increment(E, zero).ravel() for E in basis], axis=1)
+    c = increment(zero, D).ravel()
+    v = (0.5 * (S + S.T)).ravel()
     for _ in range(steps):
-        k1 = rhs(S)
-        k2 = rhs(S + 0.5 * h * k1)
-        k3 = rhs(S + 0.5 * h * k2)
-        k4 = rhs(S + h * k3)
-        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        S = 0.5 * (S + S.T)
-    return S
+        v = v + (G @ v + c)
+    return v.reshape(n, n)
 
 
 # ----------------------------------------------------------------------

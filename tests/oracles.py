@@ -1,8 +1,9 @@
 """Reference implementations kept beside the tests as oracles.
 
 Each one is the straightforward form of a routine whose runtime version
-was restructured for speed with the same arithmetic; the tests require
-the two to agree bit for bit.
+was restructured for speed.  Where the arithmetic is the same the tests
+require the two to agree bit for bit; ``rk4_lyapunov_stepwise`` rounds
+differently from the runtime route and is compared to a tolerance.
 """
 
 import math
@@ -60,3 +61,28 @@ def nelder_mead_pairwise(f, x0, step, diameter_tol=1e-6, max_iter=2000):
                     vals[i] = f(verts[i])
     best = int(np.argmin(vals))
     return verts[best].copy(), float(vals[best])
+
+
+def rk4_lyapunov_stepwise(A, D, sigma0, t, steps):
+    """Classical RK4 for dS/dt = A S + S A^T + D, one formula per step.
+
+    The form ``cvbell.numerics.rk4_lyapunov`` had before it iterated the
+    step as a precomputed affine map.
+    """
+    A = np.asarray(A, dtype=float)
+    At = A.T
+    D = np.asarray(D, dtype=float)
+    S = np.array(sigma0, dtype=float, copy=True)
+    h = t / steps
+
+    def rhs(M):
+        return A @ M + M @ At + D
+
+    for _ in range(steps):
+        k1 = rhs(S)
+        k2 = rhs(S + 0.5 * h * k1)
+        k3 = rhs(S + 0.5 * h * k2)
+        k4 = rhs(S + h * k3)
+        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        S = 0.5 * (S + S.T)
+    return S

@@ -229,6 +229,23 @@ def test_map_route_check_reports_relative_gap(monkeypatch):
     real = analysis.one_minus_exp_over
     monkeypatch.setattr(analysis, "one_minus_exp_over",
                         lambda p: real(p) * (1.0 + 1e-6))
-    with pytest.raises(CrossCheckError, match="relative to 1 \\+ s1 \\+ s2"):
+    with pytest.raises(CrossCheckError, match="relative to 1 \\+ min\\(s1, s2\\)"):
         separability_map(1.0, np.linspace(0.5, 3.0, 20),
                          np.linspace(0.0, 5.0, 20))
+
+
+def test_map_route_check_is_not_loosened_by_the_larger_variance(monkeypatch):
+    # at r = 10, d = 1 the cells near nbar = r / d have s1 ~ 1 but
+    # s2 ~ 4e8; a 1e-6 relative error in E(p) moves the routes apart by
+    # ~5e-7 there, far above the 1e-9 tolerance on a margin that is ~0
+    # (a tolerance relative to 1 + s1 + s2 would have been 0.4)
+    import cvbell.analysis as analysis
+    d_grid = np.array([1.0])
+    n_grid = np.linspace(9.5, 10.5, 5)
+    clean = separability_map(10.0, d_grid, n_grid)
+    assert np.array_equal(clean.separable[0], n_grid >= 10.0)
+    real = analysis.one_minus_exp_over
+    monkeypatch.setattr(analysis, "one_minus_exp_over",
+                        lambda p: real(p) * (1.0 + 1e-6))
+    with pytest.raises(CrossCheckError):
+        separability_map(10.0, d_grid, n_grid)
