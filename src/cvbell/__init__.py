@@ -5,165 +5,69 @@ internal damping, purity and separability verdicts, displaced-parity
 Bell tests, and the Werner-type and phase-diffused mixtures built on
 top of the squeezed state.  The ``cvbell`` console script exposes
 everything as reproducible CSV/JSON reports.
+
+Names are loaded on first use (PEP 562): ``import cvbell`` alone
+imports no numpy, and neither do the numpy-free names (the errors,
+reports, tolerances and the single-point core of :mod:`cvbell.modes`).
 """
 
-from .analysis import (
-    PurityReport,
-    SeparabilityMap,
-    SeparabilityReport,
-    is_pure,
-    separability_closed_pair,
-    separability_eigenvalues,
-    separability_map,
-)
-from .bell import (
-    BellEvaluation,
-    BellSettings,
-    BellSurface,
-    MaximizeResult,
-    SlopeResult,
-    bell_closed_form,
-    bell_combination,
-    bell_surface,
-    maximize_bell,
-    model_evaluator,
-    parity_correlation,
-    small_j_slope,
-)
-from .dynamics import (
-    SteadyStateReport,
-    coefficient_arrays,
-    covariance_ode_oracle,
-    diffusion_matrix,
-    drift_eigenvalues,
-    drift_matrix,
-    evolve_coefficients,
-    propagate_covariance,
-    propagate_green,
-    steady_state,
-)
-from .errors import ConvergenceError, CrossCheckError
-from .mixtures import (
-    MixtureSpec,
-    ThresholdReport,
-    component_bell_curve,
-    finite_dim_werner_threshold,
-    mixture_bell,
-    mixture_bell_curve,
-    mixture_evaluator,
-    mixture_wigner,
-    phase_average_quadrature_oracle,
-    phase_averaged_wigner,
-    pure_bell_curve,
-    thermal_marginal,
-    werner_violation_threshold,
-    werner_wigner,
-)
-from .numerics import (
-    TOLERANCES,
-    QuadratureRule,
-    Tolerances,
-    bessel_i0,
-    bessel_i0_log,
-    gauss_legendre,
-    matrix_exp4,
-    nelder_mead_minimize,
-    one_minus_exp_over,
-    periodic_trapezoid,
-    rk4_lyapunov,
-    sym4_eigenvalues,
-)
-from .phase_space import (
-    CovarianceMatrix,
-    GaussianForm,
-    SqueezedStateParams,
-    TwoModePoint,
-    covariance_xvec,
-    form_from_covariance_xvec,
-    nm_from_v,
-    precision_xvec,
-    v_from_w,
-    w_matrix_from_form,
-    wigner_gaussian_eval,
-    wigner_pure_2mss,
-)
-from .reports import ReportRecord, parse_csv, render, to_csv, to_json
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellEvaluation",
-    "BellSettings",
-    "BellSurface",
-    "ConvergenceError",
-    "CovarianceMatrix",
-    "CrossCheckError",
-    "GaussianForm",
-    "MaximizeResult",
-    "MixtureSpec",
-    "PurityReport",
-    "QuadratureRule",
-    "ReportRecord",
-    "SeparabilityMap",
-    "SeparabilityReport",
-    "SlopeResult",
-    "SqueezedStateParams",
-    "SteadyStateReport",
-    "ThresholdReport",
-    "Tolerances",
-    "TwoModePoint",
-    "TOLERANCES",
-    "bell_closed_form",
-    "bell_combination",
-    "bell_surface",
-    "bessel_i0",
-    "bessel_i0_log",
-    "coefficient_arrays",
-    "component_bell_curve",
-    "covariance_ode_oracle",
-    "covariance_xvec",
-    "diffusion_matrix",
-    "drift_eigenvalues",
-    "drift_matrix",
-    "evolve_coefficients",
-    "finite_dim_werner_threshold",
-    "form_from_covariance_xvec",
-    "gauss_legendre",
-    "is_pure",
-    "matrix_exp4",
-    "maximize_bell",
-    "mixture_bell",
-    "mixture_bell_curve",
-    "mixture_evaluator",
-    "mixture_wigner",
-    "model_evaluator",
-    "nelder_mead_minimize",
-    "nm_from_v",
-    "one_minus_exp_over",
-    "parity_correlation",
-    "parse_csv",
-    "periodic_trapezoid",
-    "phase_average_quadrature_oracle",
-    "phase_averaged_wigner",
-    "precision_xvec",
-    "propagate_covariance",
-    "propagate_green",
-    "pure_bell_curve",
-    "render",
-    "rk4_lyapunov",
-    "separability_closed_pair",
-    "separability_eigenvalues",
-    "separability_map",
-    "small_j_slope",
-    "steady_state",
-    "sym4_eigenvalues",
-    "thermal_marginal",
-    "to_csv",
-    "to_json",
-    "v_from_w",
-    "w_matrix_from_form",
-    "werner_violation_threshold",
-    "werner_wigner",
-    "wigner_gaussian_eval",
-    "wigner_pure_2mss",
-]
+#: home module of every public name; the numpy-free ones point at
+#: modules that do not import numpy
+_HOMES = {
+    "analysis": ("PurityReport", "SeparabilityMap", "SeparabilityReport",
+                 "is_pure", "separability_closed_pair",
+                 "separability_eigenvalues", "separability_map"),
+    "bell": ("BellEvaluation", "BellSettings", "BellSurface",
+             "MaximizeResult", "SlopeResult", "bell_closed_form",
+             "bell_combination", "bell_surface", "maximize_bell",
+             "model_evaluator", "parity_correlation", "small_j_slope"),
+    "dynamics": ("SteadyStateReport", "coefficient_arrays",
+                 "covariance_ode_oracle", "diffusion_matrix",
+                 "drift_eigenvalues", "drift_matrix", "evolve_coefficients",
+                 "propagate_covariance", "propagate_green", "steady_state"),
+    "errors": ("ConvergenceError", "CrossCheckError"),
+    "mixtures": ("ThresholdReport", "component_bell_curve", "mixture_bell",
+                 "mixture_bell_curve", "mixture_evaluator", "mixture_wigner",
+                 "phase_average_quadrature_oracle", "phase_averaged_wigner",
+                 "pure_bell_curve", "thermal_marginal",
+                 "werner_violation_threshold", "werner_wigner"),
+    "modes": ("MixtureSpec", "SqueezedStateParams",
+              "finite_dim_werner_threshold"),
+    "numerics": ("QuadratureRule", "bessel_i0", "bessel_i0_log",
+                 "gauss_legendre", "matrix_exp4", "nelder_mead_minimize",
+                 "one_minus_exp_over", "periodic_trapezoid", "rk4_lyapunov",
+                 "sym4_eigenvalues"),
+    "phase_space": ("CovarianceMatrix", "GaussianForm", "TwoModePoint",
+                    "covariance_xvec", "form_from_covariance_xvec",
+                    "nm_from_v", "precision_xvec", "v_from_w",
+                    "w_matrix_from_form", "wigner_gaussian_eval",
+                    "wigner_pure_2mss"),
+    "reports": ("ReportRecord", "parse_csv", "render", "to_csv", "to_json"),
+    "tolerances": ("TOLERANCES", "Tolerances"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = ("analysis", "bell", "cli", "dynamics", "errors", "mixtures",
+               "modes", "numerics", "parallel", "phase_space", "reports",
+               "tolerances")
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name in _HOME_OF:
+        value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__),
+                        name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

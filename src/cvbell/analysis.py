@@ -13,26 +13,23 @@ the frame of its two normal modes, with variances
 
 and E(p) = (1 - e^-p)/p, so the spectrum of V - I/2 is the doubly
 degenerate pair (s_i - 1)/2 and the separability margin is
-(min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Two
-routes decide it:
+(min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Both the
+single-point report :func:`separability_eigenvalues` (through
+:class:`cvbell.modes.NormalModes`, without numpy) and the grid scan
+:func:`separability_map` take the spectrum from the normal modes, and
+both check it against the closed-form pair
 
-* the single-point report :func:`separability_eigenvalues` builds
-  W -> V -> V - I/2 and diagonalises it numerically,
-* the closed-form route evaluates the pair
+    e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
-      e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
-
-  whose sign reproduces the separability law "separable iff r <= d nbar".
-
-The grid scan :func:`separability_map` takes its margin from the
-normal-mode variances and checks it cell by cell against the closed
-pair.  The routes must agree to ``TOLERANCES.route_agreement`` times
-1 + min(s1, s2) in every cell, because both are the size of the smaller
-variance and round like it;
-disagreement (or a NaN) raises :class:`~cvbell.errors.CrossCheckError`
-instead of returning a silently wrong verdict.  States with margin
-exactly on the boundary count as separable (the criterion is a
-non-strict inequality).
+whose sign reproduces the separability law "separable iff r <= d nbar".
+The routes must agree to ``TOLERANCES.route_agreement`` times
+1 + min(s1, s2) for the margin, because both are the size of the
+smaller variance and round like it; disagreement (or a NaN) raises
+:class:`~cvbell.errors.CrossCheckError` instead of returning a silently
+wrong verdict.  States with margin exactly on the boundary count as
+separable (the criterion is a non-strict inequality).  The 4x4
+W -> V pipeline of :mod:`cvbell.phase_space` stays as an independent
+route that tests compare the normal modes with.
 """
 
 from __future__ import annotations
@@ -41,16 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_coefficients
 from .errors import CrossCheckError
-from .numerics import TOLERANCES, one_minus_exp_over, sym4_eigenvalues
+from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
+from .numerics import TOLERANCES, one_minus_exp_over
 from .parallel import chunked_rows
-from .phase_space import (
-    GaussianForm,
-    SqueezedStateParams,
-    v_from_w,
-    w_matrix_from_form,
-)
+from .phase_space import GaussianForm
 
 __all__ = [
     "PurityReport",
@@ -99,36 +91,22 @@ class SeparabilityReport:
     closed_pair: tuple
 
 
-def separability_closed_pair(params: SqueezedStateParams):
-    """Closed-form eigenvalue pair (e_large, e_small) of V - I/2."""
-    e_large = float(one_minus_exp_over(params.p2)) * (params.d * params.nbar + params.r)
-    e_small = float(one_minus_exp_over(params.p1)) * (params.d * params.nbar - params.r)
-    return e_large, e_small
-
-
 def separability_eigenvalues(params: SqueezedStateParams) -> SeparabilityReport:
-    """Dual-route separability analysis at one parameter point.
+    """Separability analysis at one parameter point.
 
-    Primary verdict from the numeric eigensolve of V - I/2; the closed
-    forms are asserted against it and any disagreement beyond
-    ``TOLERANCES.route_agreement`` raises :class:`CrossCheckError`.
+    The spectrum is the doubly degenerate pair (s_i - 1)/2 of the
+    normal-mode variances, which :meth:`NormalModes.of` checks against
+    the closed pair (a gap beyond ``TOLERANCES.route_agreement`` times
+    1 + s_i raises :class:`CrossCheckError`).  A state whose variances
+    overflow the float range raises ``ValueError``.
     """
-    form = evolve_coefficients(params)
-    v = v_from_w(w_matrix_from_form(form))
-    numeric = sym4_eigenvalues(v.entries - 0.5 * np.eye(4))
-    e_large, e_small = separability_closed_pair(params)
-    closed = np.array([e_small, e_small, e_large, e_large])
-    gap = float(np.max(np.abs(numeric - closed)))
-    if gap > TOLERANCES.route_agreement:
-        raise CrossCheckError(
-            f"separability routes disagree by {gap:.3e} at "
-            f"(r={params.r}, d={params.d}, nbar={params.nbar})")
-    margin = float(numeric[0])
+    modes = NormalModes.of(params)
+    e_small, e_large = modes.pair
     return SeparabilityReport(
-        eigenvalues=numeric,
-        separable=margin >= TOLERANCES.boundary_margin,
-        margin=margin,
-        closed_pair=(e_large, e_small),
+        eigenvalues=np.array([e_small, e_small, e_large, e_large]),
+        separable=modes.separable,
+        margin=modes.margin,
+        closed_pair=separability_closed_pair(params),
     )
 
 

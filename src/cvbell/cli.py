@@ -18,29 +18,17 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import is_pure, separability_eigenvalues
-from .bell import (
-    bell_combination,
-    bell_surface,
-    maximize_bell,
-    model_evaluator,
-    small_j_slope,
-)
-from .dynamics import evolve_coefficients, steady_state
 from .errors import ConvergenceError, CrossCheckError
-from .mixtures import (
+from .modes import (
     MixtureSpec,
+    NormalModes,
+    SqueezedStateParams,
     finite_dim_werner_threshold,
-    mixture_bell,
-    mixture_bell_curve,
-    mixture_evaluator,
-    werner_violation_threshold,
+    steady_limit,
+    werner_bell,
 )
-from .numerics import TOLERANCES
-from .phase_space import SqueezedStateParams, nm_from_v, v_from_w, w_matrix_from_form
 from .reports import ReportRecord, render
+from .tolerances import TOLERANCES
 
 __all__ = ["main", "build_parser"]
 
@@ -66,20 +54,32 @@ def _meta(subcommand: str, **params) -> dict:
     return meta
 
 
-def _nm(form):
-    return nm_from_v(v_from_w(w_matrix_from_form(form)))
+def _linspace(start: float, stop: float, num: int) -> list:
+    """``numpy.linspace(start, stop, num)`` for num >= 2, bit for bit."""
+    div = num - 1
+    step = (stop - start) / div
+    if step == 0:
+        values = [i / div * (stop - start) + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
 
 
-def _state_row(params: SqueezedStateParams):
-    form = evolve_coefficients(params)
-    n, m = _nm(form)
-    sep = separability_eigenvalues(params)
-    return form, n, m, is_pure(form).pure, sep.margin
+def _state_columns(params: SqueezedStateParams) -> tuple:
+    """c1, c2, h, N, M, pure, margin of one state."""
+    modes = NormalModes.of(params)
+    return (modes.c1, modes.c2, modes.h, modes.N, modes.M, modes.pure,
+            modes.margin)
 
 
 # ----------------------------------------------------------------------
 # subcommand handlers
 # ----------------------------------------------------------------------
+#
+# The single-point handlers run on :mod:`cvbell.modes` and never import
+# numpy; the grid, maximiser, threshold and phase-diffused handlers
+# import the numpy modules when they run.
 
 def cmd_coeffs(args) -> ReportRecord:
     scan = args.t_max is not None
@@ -89,12 +89,10 @@ def cmd_coeffs(args) -> ReportRecord:
         if args.t_count < 2:
             raise ValueError("time scan needs at least 2 samples")
         rows = []
-        for t in np.linspace(0.0, args.t_max, args.t_count):
+        for t in _linspace(0.0, args.t_max, args.t_count):
             params = SqueezedStateParams.from_rates(args.kappa, args.gamma,
-                                                    float(t), args.nbar)
-            form, n, m, pure, margin = _state_row(params)
-            rows.append((float(t), params.r, params.d, form.c1, form.c2,
-                         form.h, n, m, pure, margin))
+                                                    t, args.nbar)
+            rows.append((t, params.r, params.d) + _state_columns(params))
         meta = _meta("coeffs", kappa=args.kappa, gamma=args.gamma,
                      nbar=args.nbar, t_max=args.t_max, t_count=args.t_count)
         return ReportRecord(meta=meta,
@@ -104,26 +102,21 @@ def cmd_coeffs(args) -> ReportRecord:
     if args.r is None or args.d is None:
         args.parser.error("need --r and --d (or a --t-max time scan)")
     params = SqueezedStateParams(r=args.r, d=args.d, nbar=args.nbar)
-    form, n, m, pure, margin = _state_row(params)
     return ReportRecord(
         meta=_meta("coeffs", r=args.r, d=args.d, nbar=args.nbar),
         columns=("r", "d", "nbar", "c1", "c2", "h",
                  "N", "M", "pure", "margin"),
-        rows=[(params.r, params.d, params.nbar, form.c1, form.c2, form.h,
-               n, m, pure, margin)])
+        rows=[(params.r, params.d, params.nbar) + _state_columns(params)])
 
 
 def _figure_separability() -> ReportRecord:
     r = FIGURE_SQUEEZING
     rows = []
     for d in (2.5, 5.0):
-        for nbar in np.linspace(0.0, 10.0, 201):
-            params = SqueezedStateParams(r=r, d=d, nbar=float(nbar))
-            sep = separability_eigenvalues(params)
-            n, m = _nm(evolve_coefficients(params))
-            e_small, e_large = sep.eigenvalues[0], sep.eigenvalues[-1]
-            rows.append((d, float(nbar), n, m, e_small, e_large,
-                         sep.margin, sep.separable))
+        for nbar in _linspace(0.0, 10.0, 201):
+            modes = NormalModes.of(SqueezedStateParams(r=r, d=d, nbar=nbar))
+            rows.append((d, nbar, modes.N, modes.M) + modes.pair
+                        + (modes.margin, modes.separable))
     meta = _meta("figure", index=1, r=r, nbar_max=10.0, nbar_count=201)
     return ReportRecord(meta=meta,
                         columns=("d", "nbar", "N", "M", "e_small", "e_large",
@@ -132,6 +125,10 @@ def _figure_separability() -> ReportRecord:
 
 
 def _figure_bell_surface() -> ReportRecord:
+    import numpy as np
+
+    from .bell import bell_surface
+
     j_grid = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 49)))
     d_grid = np.linspace(0.0, 2.0, 41)
     surface = bell_surface(FIGURE_SQUEEZING, 0.0, j_grid, d_grid)
@@ -142,6 +139,10 @@ def _figure_bell_surface() -> ReportRecord:
 
 
 def _figure_bell_vs_diffusion() -> ReportRecord:
+    import numpy as np
+
+    from .bell import bell_surface
+
     # dense where the violation dies, coarse along the long tail to 50
     d_grid = np.concatenate((np.linspace(0.0, 0.5, 51),
                              np.linspace(0.6, 5.0, 45),
@@ -154,6 +155,10 @@ def _figure_bell_vs_diffusion() -> ReportRecord:
 
 
 def _figure_mixture_curves(index: int, kind: str, weights) -> ReportRecord:
+    import numpy as np
+
+    from .mixtures import mixture_bell_curve
+
     j_grid = np.geomspace(1e-4, 1.0, 200)
     curves = [mixture_bell_curve(MixtureSpec(p=p, r=FIGURE_SQUEEZING, kind=kind),
                                  j_grid)
@@ -180,6 +185,8 @@ def cmd_figure(args) -> ReportRecord:
 
 
 def cmd_maximize(args) -> ReportRecord:
+    from .bell import maximize_bell
+
     free = tuple(name.strip() for name in args.free.split(",") if name.strip())
     supplied = {"J": args.J, "r": args.r, "d": args.d, "nbar": args.nbar}
     fixed = {k: v for k, v in supplied.items() if k not in free and v is not None}
@@ -200,38 +207,35 @@ def cmd_maximize(args) -> ReportRecord:
 
 def cmd_bell(args) -> ReportRecord:
     params = SqueezedStateParams(r=args.r, d=args.d, nbar=args.nbar)
-    evaluation = bell_combination(model_evaluator(params), args.J,
-                                  f"r={args.r:g} d={args.d:g} nbar={args.nbar:g}")
+    B, correlations = NormalModes.of(params).bell(args.J)
     meta = _meta("bell", J=args.J, r=args.r, d=args.d, nbar=args.nbar)
     return ReportRecord(meta=meta,
                         columns=("J", "r", "d", "nbar", "B",
                                  "pi1", "pi2", "pi3", "pi4"),
-                        rows=[(args.J, args.r, args.d, args.nbar,
-                               evaluation.B) + evaluation.correlations])
+                        rows=[(args.J, args.r, args.d, args.nbar, B)
+                              + correlations])
 
 
 def cmd_separability(args) -> ReportRecord:
     params = SqueezedStateParams(r=args.r, d=args.d, nbar=args.nbar)
-    sep = separability_eigenvalues(params)
-    e = [float(v) for v in sep.eigenvalues]
+    modes = NormalModes.of(params)
+    e_small, e_large = modes.pair
     meta = _meta("separability", r=args.r, d=args.d, nbar=args.nbar)
     return ReportRecord(meta=meta,
                         columns=("r", "d", "nbar", "e1", "e2", "e3", "e4",
                                  "margin", "separable"),
-                        rows=[(args.r, args.d, args.nbar, e[0], e[1], e[2],
-                               e[3], sep.margin, sep.separable)])
+                        rows=[(args.r, args.d, args.nbar, e_small, e_small,
+                               e_large, e_large, modes.margin,
+                               modes.separable)])
 
 
 def cmd_steady(args) -> ReportRecord:
-    report = steady_state(args.gamma, args.kappa, args.nbar)
-    if report.limit_form is not None:
-        form = report.limit_form
-        n, m = _nm(form)
-        row = (report.exists, report.classification, form.c1, form.c2,
-               form.h, n, m)
+    kind, modes = steady_limit(args.gamma, args.kappa, args.nbar)
+    if modes is not None:
+        row = (True, kind, modes.c1, modes.c2, modes.h, modes.N, modes.M)
     else:
         nan = float("nan")
-        row = (report.exists, report.classification, nan, nan, nan, nan, nan)
+        row = (False, kind, nan, nan, nan, nan, nan)
     meta = _meta("steady", gamma=args.gamma, kappa=args.kappa, nbar=args.nbar)
     return ReportRecord(meta=meta,
                         columns=("exists", "classification", "c1", "c2", "h",
@@ -247,6 +251,8 @@ def _mixture_record(args, kind: str) -> ReportRecord:
         return ReportRecord(meta=meta, columns=("dim", "p_threshold"),
                             rows=[(dim, finite_dim_werner_threshold(dim))])
     if args.threshold:
+        from .mixtures import werner_violation_threshold
+
         report = werner_violation_threshold(args.r, kind=kind)
         p_star = float("nan") if report.p_star is None else report.p_star
         meta = _meta(kind, mode="threshold", r=args.r)
@@ -259,6 +265,9 @@ def _mixture_record(args, kind: str) -> ReportRecord:
         args.parser.error(f"{name}: need --p (or --threshold)")
     spec = MixtureSpec(p=args.p, r=args.r, kind=kind)
     if getattr(args, "slope", False):
+        from .bell import small_j_slope
+        from .mixtures import mixture_evaluator
+
         result = small_j_slope(mixture_evaluator(spec),
                                j_probe=1e-6 / math.cosh(2.0 * args.r),
                                state_label=f"{kind} p={args.p:g}")
@@ -269,13 +278,18 @@ def _mixture_record(args, kind: str) -> ReportRecord:
                                    result.anchored, result.b_zero)])
     if args.J is None:
         args.parser.error(f"{name}: need --J (or --threshold / --slope)")
-    evaluation = mixture_bell(spec, args.J)
+    if kind == "werner-thermal":
+        B, correlations = werner_bell(spec, args.J)
+    else:
+        from .mixtures import mixture_bell
+
+        evaluation = mixture_bell(spec, args.J)
+        B, correlations = evaluation.B, evaluation.correlations
     meta = _meta(kind, mode="bell", p=args.p, r=args.r, J=args.J)
     return ReportRecord(meta=meta,
                         columns=("p", "r", "J", "B",
                                  "pi1", "pi2", "pi3", "pi4"),
-                        rows=[(args.p, args.r, args.J,
-                               evaluation.B) + evaluation.correlations])
+                        rows=[(args.p, args.r, args.J, B) + correlations])
 
 
 def cmd_werner(args) -> ReportRecord:

@@ -36,13 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .modes import SqueezedStateParams, _check_rates, _require_finite, steady_limit
 from .numerics import TOLERANCES, one_minus_exp_over, rk4_lyapunov
-from .phase_space import (
-    GaussianForm,
-    SqueezedStateParams,
-    form_from_covariance_xvec,
-    _require_finite,
-)
+from .phase_space import GaussianForm, form_from_covariance_xvec
 
 __all__ = [
     "SteadyStateReport",
@@ -65,12 +61,6 @@ SWAP_SIGN = np.array([
     [0.0, -1.0, 0.0, 0.0],
 ])
 SWAP_SIGN.flags.writeable = False
-
-
-def _check_rates(gamma: float, kappa: float, nbar: float = 0.0):
-    for name, v in (("gamma", gamma), ("kappa", kappa), ("nbar", nbar)):
-        if _require_finite(name, v) < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
 def drift_matrix(gamma: float, kappa: float) -> np.ndarray:
@@ -166,28 +156,23 @@ def steady_state(gamma: float, kappa: float, nbar: float = 0.0) -> SteadyStateRe
     """Classify the t -> infinity limit of the process.
 
     For gamma > 2 kappa the coefficients converge to the squeezed
-    thermal triple
+    thermal triple of the normal-mode variances
+    s = (2 nbar + 1)/(1 +- q), q = 2 kappa / gamma
+    (:func:`cvbell.modes.steady_limit`), i.e.
 
         c1 = 4 (2 nbar + 1) / (1 - q^2),  c2 = -q c1,
-        h = (2 nbar + 1)^2 / (1 - q^2),   q = 2 kappa / gamma,
+        h = (2 nbar + 1)^2 / (1 - q^2),
 
     which is thermal (c2 = 0, N = nbar) when kappa = 0.  On the
     boundary gamma = 2 kappa two drift eigenvalues vanish and no limit
     exists ("boundary-undefined"); for gamma < 2 kappa the squeezing
     wins and the moments grow without bound ("none").
     """
-    _check_rates(gamma, kappa, nbar)
-    if gamma == 2.0 * kappa:
-        return SteadyStateReport(exists=False, classification="boundary-undefined",
+    kind, modes = steady_limit(gamma, kappa, nbar)
+    if modes is None:
+        return SteadyStateReport(exists=False, classification=kind,
                                  limit_form=None)
-    if gamma < 2.0 * kappa:
-        return SteadyStateReport(exists=False, classification="none",
-                                 limit_form=None)
-    q = 2.0 * kappa / gamma
-    occ = 2.0 * nbar + 1.0
-    c1 = 4.0 * occ / (1.0 - q * q)
-    form = GaussianForm(c1=c1, c2=-q * c1, h=occ * occ / (1.0 - q * q))
-    kind = "thermal" if kappa == 0.0 else "squeezed-thermal"
+    form = GaussianForm(c1=modes.c1, c2=modes.c2, h=modes.h)
     return SteadyStateReport(exists=True, classification=kind, limit_form=form)
 
 

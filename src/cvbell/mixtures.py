@@ -12,8 +12,11 @@ Two one-parameter families interpolate between the pure squeezed state
 
 Both mixtures are convex, so every Bell combination is affine in p.
 The evaluators here feed the four-point assembly directly; closed
-component curves are kept alongside for fast threshold scans, and the
-assembly cross-checks the affine identity on every call.
+component curves are kept alongside for fast threshold scans, and each
+single Bell value cross-checks the affine identity.  Both components of
+the Werner-type mixture are Gaussian, so its single Bell values come
+from the numpy-free normal-mode core (:func:`cvbell.modes.werner_bell`),
+where ``MixtureSpec`` and the finite-dimensional threshold live too.
 """
 
 from __future__ import annotations
@@ -24,8 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .bell import BellEvaluation, bell_combination
+from .bell import BellEvaluation, BellSettings, bell_combination
 from .errors import ConvergenceError, CrossCheckError
+from .modes import (
+    MIXTURE_KINDS,
+    MixtureSpec,
+    _require_squeezing,
+    finite_dim_werner_threshold,
+    werner_bell,
+)
 from .numerics import TOLERANCES, bessel_i0_log, periodic_trapezoid
 from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
 
@@ -46,30 +56,6 @@ __all__ = [
     "werner_violation_threshold",
     "finite_dim_werner_threshold",
 ]
-
-MIXTURE_KINDS = ("werner-thermal", "phase-diffused")
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weight p of the squeezed component, squeezing r, mixture kind."""
-
-    p: float
-    r: float
-    kind: str = "werner-thermal"
-
-    def __post_init__(self):
-        p, r = float(self.p), float(self.r)
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"mixing weight must lie in [0, 1], got {self.p!r}")
-        if not math.isfinite(r) or r < 0:
-            raise ValueError(f"squeezing must be nonnegative, got {self.r!r}")
-        if self.kind not in MIXTURE_KINDS:
-            raise ValueError(f"unknown mixture kind {self.kind!r}; "
-                             f"expected one of {MIXTURE_KINDS}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-
 
 def thermal_marginal(alpha, r: float):
     """Single-mode density left after tracing out the partner mode.
@@ -189,11 +175,18 @@ def mixture_bell_curve(spec: MixtureSpec, J):
 def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
     """Four-point Bell combination of the mixture at budget J.
 
-    Assembled from density evaluations, then cross-checked against the
-    affine combination of the closed component curves; disagreement
-    beyond ``TOLERANCES.affine_mix_rel`` raises ``CrossCheckError``.
+    The Werner-type mixture is Gaussian in each component and comes
+    from :func:`cvbell.modes.werner_bell`.  The phase-diffused one is
+    assembled from density evaluations.  Either way B is cross-checked
+    against the affine combination of the closed component curves;
+    disagreement beyond ``TOLERANCES.affine_mix_rel`` raises
+    ``CrossCheckError``.
     """
     label = f"{spec.kind} p={spec.p:g} r={spec.r:g}"
+    if spec.kind == "werner-thermal":
+        B, correlations = werner_bell(spec, J)
+        return BellEvaluation(B=B, correlations=correlations,
+                              settings=BellSettings(J=J), state_label=label)
     evaluation = bell_combination(mixture_evaluator(spec), J, label)
     affine = float(mixture_bell_curve(spec, float(J)))
     scale = max(abs(affine), 1.0)
@@ -250,8 +243,7 @@ def werner_violation_threshold(r: float, J_grid=None,
     """
     if kind not in MIXTURE_KINDS:
         raise ValueError(f"unknown mixture kind {kind!r}")
-    if r < 0 or not math.isfinite(float(r)):
-        raise ValueError(f"squeezing must be nonnegative, got {r!r}")
+    _require_squeezing(r)
     if p_tol is None:
         p_tol = TOLERANCES.threshold_p_abs
     if J_grid is None:
@@ -282,16 +274,3 @@ def werner_violation_threshold(r: float, J_grid=None,
     return ThresholdReport(kind=kind, r=float(r), p_star=0.5 * (lo + hi),
                            violated_at_unit_weight=True,
                            best_b_at_unit_weight=top)
-
-
-def finite_dim_werner_threshold(dim: int) -> float:
-    """Weight threshold 1 / (1 + dim) of the finite-dimensional analogue.
-
-    Shrinks as the local dimension grows; the continuous-variable
-    families above sit at the dim -> infinity edge of the comparison.
-    """
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
-        raise ValueError("dimension must be an integer")
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    return 1.0 / (1.0 + dim)

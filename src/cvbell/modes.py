@@ -1,0 +1,361 @@
+"""Normal-mode core of every single-point computation, without numpy.
+
+Every state of the model family is a two-mode Gaussian that factorises
+in the frame of its two normal modes.  Their variances are
+
+    s_i = e^-p_i + (2 nbar + 1) d E(p_i),   p1 = d + 2r,  p2 = d - 2r,
+
+with E(p) = (1 - e^-p)/p, so s1 <= s2, and both are sums of positive
+terms in which nothing cancels.  The steady state of the process at
+rates gamma > 2 kappa has s = (2 nbar + 1)/(1 +- 2 kappa/gamma).
+Everything the package reports about one state is a one-line function
+of (s1, s2):
+
+* the Wigner coefficients c1 = 2(s1 + s2), c2 = 2(s1 - s2), h = s1 s2;
+* N = (s1 + s2)/4 - 1/2 and M = (s1 - s2)/4;
+* the spectrum of V - I/2, the doubly degenerate pair (s_i - 1)/2, and
+  the separability margin (min(s1, s2) - 1)/2, which is Simon's PPT
+  criterion (PRL 84, 2726, 2000) in the normal-mode frame;
+* the purity 1/h;
+* the displaced-parity correlations [1, e^-aJ, e^-aJ, e^-bJ]/h, with
+  a = 1/s1 + 1/s2 and b = 4/s1.
+
+The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
+evaluate the same formulas on numpy arrays.  This module imports only
+the standard library, so the single-point command-line paths start
+without numpy.  Where a variance leaves the float range (e^{2r} at
+r > ~355) the constructors raise ``ValueError`` naming the parameters.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from dataclasses import dataclass
+
+from .errors import CrossCheckError
+from .tolerances import TOLERANCES
+
+__all__ = [
+    "MIXTURE_KINDS",
+    "MixtureSpec",
+    "NormalModes",
+    "SqueezedStateParams",
+    "separability_closed_pair",
+    "exp_quotient",
+    "finite_dim_werner_threshold",
+    "steady_limit",
+    "werner_bell",
+]
+
+MIXTURE_KINDS = ("werner-thermal", "phase-diffused")
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_rates(gamma: float, kappa: float, nbar: float = 0.0):
+    for name, v in (("gamma", gamma), ("kappa", kappa), ("nbar", nbar)):
+        if _require_finite(name, v) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
+def _where(params) -> str:
+    return f"r={params.r!r}, d={params.d!r}, nbar={params.nbar!r}"
+
+
+def _overflow(where: str) -> ValueError:
+    return ValueError(f"the normal-mode variances overflow the float range "
+                      f"at {where}")
+
+
+def _exp_quotient_taylor(t):
+    """1 - t/2 + t^2/6 - t^3/24 + t^4/120 - t^5/720, for floats and arrays."""
+    return 1.0 + t * (-1.0 / 2 + t * (1.0 / 6 + t * (-1.0 / 24 + t * (1.0 / 120 + t * (-1.0 / 720)))))
+
+
+def exp_quotient(p: float) -> float:
+    """E(p) = (1 - e^-p)/p of a float, with E(0) = 1.
+
+    The Taylor polynomial below ``TOLERANCES.taylor_cutoff``, the
+    quotient through ``math.expm1`` elsewhere, as
+    :func:`cvbell.numerics.one_minus_exp_over` does on arrays.  Raises
+    ``OverflowError`` below p ~ -709.
+    """
+    if abs(p) < TOLERANCES.taylor_cutoff:
+        return _exp_quotient_taylor(p)
+    return -math.expm1(-p) / p
+
+
+@dataclass(frozen=True)
+class SqueezedStateParams:
+    """Reduced parameters of the noisy squeezed state.
+
+    r is the accumulated squeezing (coupling x time), d the accumulated
+    damping (rate x time) and nbar the reservoir occupation.  The raw
+    (kappa, gamma, t) parameterisation enters through :meth:`from_rates`.
+    """
+
+    r: float
+    d: float
+    nbar: float = 0.0
+
+    def __post_init__(self):
+        for name in ("r", "d", "nbar"):
+            v = _require_finite(name, getattr(self, name))
+            if v < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_rates(cls, kappa: float, gamma: float, t: float,
+                   nbar: float = 0.0) -> "SqueezedStateParams":
+        for name, v in (("kappa", kappa), ("gamma", gamma), ("t", t)):
+            if _require_finite(name, v) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
+        return cls(r=kappa * t, d=gamma * t, nbar=nbar)
+
+    @property
+    def p1(self) -> float:
+        return self.d + 2.0 * self.r
+
+    @property
+    def p2(self) -> float:
+        return self.d - 2.0 * self.r
+
+
+def separability_closed_pair(params: SqueezedStateParams) -> tuple:
+    """Closed-form eigenvalue pair (e_large, e_small) of V - I/2.
+
+    e_large = E(p2) (d nbar + r) and e_small = E(p1) (d nbar - r), whose
+    sign reproduces the law "separable iff r <= d nbar".
+    """
+    dn = params.d * params.nbar
+    try:
+        return (exp_quotient(params.p2) * (dn + params.r),
+                exp_quotient(params.p1) * (dn - params.r))
+    except OverflowError:
+        raise _overflow(_where(params)) from None
+
+
+@dataclass(frozen=True)
+class NormalModes:
+    """Normal-mode variances (s1, s2), s1 <= s2, of one model state."""
+
+    s1: float
+    s2: float
+
+    def __post_init__(self):
+        for name in ("s1", "s2"):
+            if not _require_finite(name, getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)!r}")
+
+    @classmethod
+    def _within_range(cls, s1: float, s2: float, where: str) -> "NormalModes":
+        # c1 and h are the largest derived values; both must stay finite
+        if not (math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)):
+            raise _overflow(where)
+        return cls(s1, s2)
+
+    @classmethod
+    def of(cls, params: SqueezedStateParams) -> "NormalModes":
+        """Variances of the state at reduced parameters.
+
+        Each (s_i - 1)/2 is checked against
+        :func:`separability_closed_pair` within
+        ``TOLERANCES.route_agreement`` times 1 + s_i, the size of both
+        routes and of their rounding; for the margin that is
+        1 + min(s1, s2), as in :func:`cvbell.analysis.separability_map`.
+        A gap beyond it, or a NaN, raises :class:`CrossCheckError`.
+        """
+        occ = 2.0 * params.nbar + 1.0
+        d = params.d
+        try:
+            s1 = math.exp(-params.p1) + occ * (d * exp_quotient(params.p1))
+            s2 = math.exp(-params.p2) + occ * (d * exp_quotient(params.p2))
+        except OverflowError:
+            raise _overflow(_where(params)) from None
+        modes = cls._within_range(s1, s2, _where(params))
+        e_large, e_small = separability_closed_pair(params)
+        for s, closed in ((s1, e_small), (s2, e_large)):
+            gap = abs((s - 1.0) / 2.0 - closed)
+            if not gap <= TOLERANCES.route_agreement * (1.0 + s):
+                raise CrossCheckError(
+                    f"separability routes disagree by {gap / (1.0 + s):.3e} "
+                    f"relative to 1 + s (tolerance "
+                    f"{TOLERANCES.route_agreement:.0e}) at ({_where(params)})")
+        return modes
+
+    @property
+    def c1(self) -> float:
+        return 2.0 * (self.s1 + self.s2)
+
+    @property
+    def c2(self) -> float:
+        return 2.0 * (self.s1 - self.s2)
+
+    @property
+    def h(self) -> float:
+        return self.s1 * self.s2
+
+    @property
+    def N(self) -> float:
+        return (self.s1 + self.s2) / 4.0 - 0.5
+
+    @property
+    def M(self) -> float:
+        return (self.s1 - self.s2) / 4.0
+
+    @property
+    def pair(self) -> tuple:
+        """(e_small, e_large): each is a doubly degenerate eigenvalue of
+        V - I/2."""
+        return (self.s1 - 1.0) / 2.0, (self.s2 - 1.0) / 2.0
+
+    @property
+    def margin(self) -> float:
+        """Smallest eigenvalue of V - I/2, (min(s1, s2) - 1)/2."""
+        return (min(self.s1, self.s2) - 1.0) / 2.0
+
+    @property
+    def separable(self) -> bool:
+        """Margin at or above ``TOLERANCES.boundary_margin``."""
+        return self.margin >= TOLERANCES.boundary_margin
+
+    @property
+    def purity(self) -> float:
+        return 1.0 / self.h
+
+    @property
+    def pure(self) -> bool:
+        """|1 - h|/h below ``TOLERANCES.purity_rel``: the residual of
+        :func:`cvbell.analysis.is_pure`, since c1^2 - c2^2 = 16 h."""
+        return abs(1.0 - self.h) / self.h < TOLERANCES.purity_rel
+
+    def correlations(self, J: float) -> tuple:
+        """The four displaced-parity correlations at budget J >= 0."""
+        J = _require_budget(J)
+        h = self.h
+        side = math.exp(-J * (1.0 / self.s1 + 1.0 / self.s2)) / h
+        return 1.0 / h, side, side, math.exp(-4.0 * J / self.s1) / h
+
+    def bell(self, J: float) -> tuple:
+        """(B, correlations) at budget J, B = pi1 + pi2 + pi3 - pi4.
+
+        B(0) = 2/h, the local-realism bound 2 for pure states.
+        """
+        corr = self.correlations(J)
+        return corr[0] + corr[1] + corr[2] - corr[3], corr
+
+
+def _require_budget(J) -> float:
+    j = float(J)
+    if not math.isfinite(j) or j < 0:
+        raise ValueError(f"J must be a nonnegative real, got {J!r}")
+    return j
+
+
+def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
+    """(classification, variances or None) of the t -> infinity limit.
+
+    "squeezed-thermal" or "thermal" (kappa = 0) when gamma > 2 kappa,
+    with the variances s = (2 nbar + 1)/(1 +- q), q = 2 kappa/gamma;
+    "boundary-undefined" on gamma = 2 kappa, where two drift eigenvalues
+    vanish; "none" when the squeezing wins and the moments grow without
+    bound.
+    """
+    _check_rates(gamma, kappa, nbar)
+    if gamma == 2.0 * kappa:
+        return "boundary-undefined", None
+    if gamma < 2.0 * kappa:
+        return "none", None
+    q = 2.0 * kappa / gamma
+    occ = 2.0 * nbar + 1.0
+    modes = NormalModes._within_range(
+        occ / (1.0 + q), occ / (1.0 - q),
+        f"gamma={gamma!r}, kappa={kappa!r}, nbar={nbar!r}")
+    return ("thermal" if kappa == 0.0 else "squeezed-thermal"), modes
+
+
+# ----------------------------------------------------------------------
+# mixtures
+# ----------------------------------------------------------------------
+
+def _require_squeezing(r) -> float:
+    value = float(r)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"squeezing must be nonnegative, got {r!r}")
+    try:
+        math.exp(2.0 * value)
+    except OverflowError:
+        raise ValueError(f"squeezing r={value!r} overflows the float range "
+                         f"(e^2r > 1.8e308)") from None
+    return value
+
+
+@dataclass(frozen=True)
+class MixtureSpec:
+    """Weight p of the squeezed component, squeezing r, mixture kind."""
+
+    p: float
+    r: float
+    kind: str = "werner-thermal"
+
+    def __post_init__(self):
+        p = float(self.p)
+        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"mixing weight must lie in [0, 1], got {self.p!r}")
+        r = _require_squeezing(self.r)
+        if self.kind not in MIXTURE_KINDS:
+            raise ValueError(f"unknown mixture kind {self.kind!r}; "
+                             f"expected one of {MIXTURE_KINDS}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+
+
+def werner_bell(spec: MixtureSpec, J: float) -> tuple:
+    """(B, correlations) of the Werner-type mixture at budget J.
+
+    Both components are Gaussian: the squeezed vacuum has variances
+    (e^-2r, e^2r), and the product of its thermal marginals has cosh 2r
+    twice.  The correlations are mixed with weights p and 1 - p, and B
+    is cross-checked against the affine combination of the closed
+    component curves in cosh/sinh form; a gap beyond
+    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.
+    """
+    if spec.kind != "werner-thermal":
+        raise ValueError(f"expected a werner-thermal spec, got {spec.kind!r}")
+    J = _require_budget(J)
+    p, r = spec.p, spec.r
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
+    product = NormalModes(c, c).correlations(J)
+    corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, product))
+    B = corr[0] + corr[1] + corr[2] - corr[3]
+    b_pure = 1.0 + 2.0 * math.exp(-2.0 * c * J) - math.exp(-4.0 * (c + s) * J)
+    b_product = (1.0 + 2.0 * math.exp(-2.0 * J / c)
+                 - math.exp(-4.0 * J / c)) / (c * c)
+    affine = p * b_pure + (1.0 - p) * b_product
+    if abs(B - affine) > TOLERANCES.affine_mix_rel * max(abs(affine), 1.0):
+        raise CrossCheckError(
+            f"assembled Bell value {B!r} disagrees with affine component "
+            f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")
+    return B, corr
+
+
+def finite_dim_werner_threshold(dim: int) -> float:
+    """Weight threshold 1 / (1 + dim) of the finite-dimensional analogue.
+
+    Shrinks as the local dimension grows; the continuous-variable
+    families sit at the dim -> infinity edge of the comparison.
+    """
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        raise ValueError("dimension must be an integer")
+    if dim < 2:
+        raise ValueError("dimension must be at least 2")
+    return 1.0 / (1.0 + dim)

@@ -4,8 +4,9 @@ A two-mode Gaussian state is handled in two coordinate systems:
 
 * the real vector x = (Re a1, Im a1, Re a2, Im a2), used for Wigner
   densities and moment matrices,
-* the analytic vector (a1, a1*, a2, a2*), used for the W and V matrices
-  that the separability analysis consumes.
+* the analytic vector (a1, a1*, a2, a2*), used for the W and V matrices,
+  an independent 4x4 route to the spectrum and to (N, M) that the
+  normal-mode core of :mod:`cvbell.modes` is tested against.
 
 Every state of the family has a Wigner function
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modes import SqueezedStateParams, _require_finite
 from .numerics import TOLERANCES, sym4_eigenvalues
 
 __all__ = [
@@ -51,13 +53,6 @@ PARITY_SIGNATURE = np.diag([1.0, -1.0, 1.0, -1.0])
 PARITY_SIGNATURE.flags.writeable = False
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class TwoModePoint:
     """A point (a1, a2) of two-mode phase space.
@@ -80,43 +75,6 @@ class TwoModePoint:
         a1 = np.asarray(self.alpha1)
         a2 = np.asarray(self.alpha2)
         return a1.real, a1.imag, a2.real, a2.imag
-
-
-@dataclass(frozen=True)
-class SqueezedStateParams:
-    """Reduced parameters of the noisy squeezed state.
-
-    r is the accumulated squeezing (coupling x time), d the accumulated
-    damping (rate x time) and nbar the reservoir occupation.  The raw
-    (kappa, gamma, t) parameterisation enters through :meth:`from_rates`.
-    """
-
-    r: float
-    d: float
-    nbar: float = 0.0
-
-    def __post_init__(self):
-        for name in ("r", "d", "nbar"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_rates(cls, kappa: float, gamma: float, t: float,
-                   nbar: float = 0.0) -> "SqueezedStateParams":
-        for name, v in (("kappa", kappa), ("gamma", gamma), ("t", t)):
-            if _require_finite(name, v) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-        return cls(r=kappa * t, d=gamma * t, nbar=nbar)
-
-    @property
-    def p1(self) -> float:
-        return self.d + 2.0 * self.r
-
-    @property
-    def p2(self) -> float:
-        return self.d - 2.0 * self.r
 
 
 @dataclass(frozen=True)

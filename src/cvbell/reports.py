@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["ReportRecord", "to_csv", "to_json", "parse_csv", "render"]
 
@@ -46,12 +45,32 @@ class ReportRecord:
         object.__setattr__(self, "rows", rows)
 
 
+def _plain(value):
+    """A numpy bool, integer or floating scalar as the Python bool, int
+    or float it holds; anything else unchanged.
+
+    numpy is never imported here: a numpy scalar can only exist once
+    its module is loaded.
+    """
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(value, np.generic):
+        return value
+    for kind, plain in ((np.bool_, bool), (np.integer, int),
+                        (np.floating, float)):
+        if isinstance(value, kind):
+            return plain(value)
+    return value
+
+
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return FLOAT_FORMAT % value
+    value = _plain(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return FLOAT_FORMAT % float(value)
 
@@ -73,11 +92,14 @@ def to_csv(record: ReportRecord) -> str:
 
 
 def _json_safe(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if type(value) is float:
+        return value if math.isfinite(value) else None
+    value = _plain(value)
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         v = float(value)
         return v if math.isfinite(v) else None
     return value

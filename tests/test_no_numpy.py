@@ -1,0 +1,89 @@
+"""The package and its single-point commands start without numpy.
+
+Each check runs in a fresh interpreter, because this test process has
+numpy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+NUMPY_FREE_COMMANDS = [
+    ["coeffs", "--r", "1.5", "--d", "1", "--nbar", "0.5"],
+    ["coeffs", "--kappa", "0.75", "--gamma", "1", "--t-max", "2",
+     "--t-count", "5"],
+    ["coeffs", "--r", "20", "--d", "1", "--format", "json"],
+    ["separability", "--r", "1", "--d", "2", "--nbar", "1"],
+    ["bell", "--J", "0.01", "--r", "1.5", "--d", "0.1"],
+    ["steady", "--gamma", "3", "--kappa", "1", "--nbar", "0.5"],
+    ["steady", "--gamma", "1", "--kappa", "1"],
+    ["werner", "--r", "1.5", "--p", "0.95", "--J", "0.01"],
+    ["werner", "--r", "1.5", "--finite-dim", "2"],
+    ["figure", "1"],
+    # error paths too: exit 3 without numpy
+    ["bell", "--J", "0.01", "--r", "400"],
+    ["werner", "--r", "-1", "--p", "0.5", "--J", "0.01"],
+]
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS,
+                         ids=[" ".join(a) for a in NUMPY_FREE_COMMANDS])
+def test_single_point_command_loads_no_numpy(argv):
+    proc = run_python(
+        "import sys\n"
+        "from cvbell.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert code in (0, 3), code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_cvbell_loads_no_numpy():
+    proc = run_python(
+        "import sys\n"
+        "import cvbell\n"
+        "from cvbell import (TOLERANCES, ConvergenceError, CrossCheckError,\n"
+        "    MixtureSpec, ReportRecord, SqueezedStateParams, Tolerances,\n"
+        "    finite_dim_werner_threshold, render)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_resolves():
+    proc = run_python(
+        "import cvbell\n"
+        "missing = [n for n in cvbell.__all__ if not hasattr(cvbell, n)]\n"
+        "assert not missing, missing\n"
+        "assert len(set(cvbell.__all__)) == len(cvbell.__all__)\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import():
+    proc = run_python(
+        "import cvbell\n"
+        "namespace = {}\n"
+        "exec('from cvbell import *', namespace)\n"
+        "assert set(cvbell.__all__) <= set(namespace)\n"
+        "assert namespace['maximize_bell'] is cvbell.bell.maximize_bell\n"
+        "assert namespace['SqueezedStateParams'] is "
+        "cvbell.phase_space.SqueezedStateParams\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import cvbell
+
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        cvbell.nonexistent
