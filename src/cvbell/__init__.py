@@ -8,7 +8,8 @@ everything as reproducible CSV/JSON reports.
 
 Names are loaded on first use (PEP 562): ``import cvbell`` alone
 imports no numpy, and neither do the numpy-free names (the errors,
-reports, tolerances and the single-point core of :mod:`cvbell.modes`).
+reports, tolerances and the single-point core of :mod:`cvbell.modes`,
+which includes the closed-form maximum over J and the small-J slope).
 """
 
 import importlib
@@ -22,7 +23,7 @@ _HOMES = {
                  "is_pure", "separability_closed_pair",
                  "separability_eigenvalues", "separability_map"),
     "bell": ("BellEvaluation", "BellSettings", "BellSurface",
-             "MaximizeResult", "SlopeResult", "bell_closed_form",
+             "SlopeResult", "bell_closed_form",
              "bell_combination", "bell_surface", "maximize_bell",
              "model_evaluator", "parity_correlation", "small_j_slope"),
     "dynamics": ("SteadyStateReport", "coefficient_arrays",
@@ -35,8 +36,9 @@ _HOMES = {
                  "phase_average_quadrature_oracle", "phase_averaged_wigner",
                  "pure_bell_curve", "thermal_marginal",
                  "werner_violation_threshold", "werner_wigner"),
-    "modes": ("MixtureSpec", "SqueezedStateParams",
-              "finite_dim_werner_threshold"),
+    "modes": ("MaximizeResult", "MixtureSpec", "SqueezedStateParams",
+              "finite_dim_werner_threshold", "maximize_over_j",
+              "mixture_slope"),
     "numerics": ("QuadratureRule", "bessel_i0", "bessel_i0_log",
                  "gauss_legendre", "matrix_exp4", "nelder_mead_minimize",
                  "one_minus_exp_over", "periodic_trapezoid", "rk4_lyapunov",

@@ -177,8 +177,9 @@ def separability_map(r: float, d_grid, nbar_grid,
 
     Grids must be ascending and nonnegative.  The margin
     (min(s1, s2) - 1)/2 comes from the normal-mode variances, with the
-    closed-form pair asserted against it cell by cell; rows are chunked
-    across the scan thread pool for large grids.
+    closed-form pair asserted against it cell by cell; rows run in
+    cache-sized blocks.  ``workers`` is accepted for compatibility and
+    ignored.
     """
     d_grid = np.asarray(d_grid, dtype=float)
     nbar_grid = np.asarray(nbar_grid, dtype=float)
@@ -195,7 +196,7 @@ def separability_map(r: float, d_grid, nbar_grid,
 
     margin = chunked_rows(
         lambda lo, hi: _margin_rows(r, d_grid, nbar_grid, lo, hi),
-        len(d_grid), len(nbar_grid), workers)
+        len(d_grid), len(nbar_grid))
     separable = margin >= TOLERANCES.boundary_margin
     boundary = np.where(separable.any(axis=1),
                         nbar_grid[separable.argmax(axis=1)], np.nan)

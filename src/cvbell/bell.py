@@ -28,7 +28,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import coefficient_arrays, evolve_coefficients
+from .dynamics import coefficient_arrays, evolve_coefficients, variance_arrays
+from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
+    DEFAULT_BOUNDS,
+    PARAM_ORDER,
+    MaximizeResult,
+    NormalModes,
+    _maximize_inputs,
+    maximize_over_j,
+)
 from .numerics import TOLERANCES, nelder_mead_minimize
 from .parallel import chunked_rows
 from .phase_space import (
@@ -56,17 +64,6 @@ __all__ = [
 
 #: parity-to-density conversion (pi/2)^2
 PARITY_SCALE = (math.pi / 2.0) ** 2
-
-#: canonical parameter order used for grids and tie-breaking
-PARAM_ORDER = ("J", "r", "d", "nbar")
-
-DEFAULT_BOUNDS = {
-    "J": (1e-4, 1.0),
-    "r": (0.0, 3.0),
-    "d": (0.0, 5.0),
-    "nbar": (0.0, 2.0),
-}
-
 
 @dataclass(frozen=True)
 class BellSettings:
@@ -111,15 +108,6 @@ class BellSurface:
     J_grid: np.ndarray
     d_grid: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class MaximizeResult:
-    """Outcome of a Bell maximisation: full parameter point and value."""
-
-    params: dict
-    b_max: float
-    free: tuple
 
 
 @dataclass(frozen=True)
@@ -176,7 +164,11 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     """B over the product of ascending nonnegative J and d grids.
 
     Evaluated through the closed form (itself pinned to the four-point
-    assembly by the test suite), chunked across the scan pool.
+    assembly by the test suite) on the normal-mode variances of each d
+    column: B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2,
+    b = 4/s1 and h = s1 s2.  The column coefficients -a, -b and 1/h are
+    computed once, and the rows run in cache-sized blocks.  ``workers``
+    is accepted for compatibility and ignored.
     """
     J_grid = np.asarray(J_grid, dtype=float)
     d_grid = np.asarray(d_grid, dtype=float)
@@ -187,11 +179,25 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
             raise ValueError(f"{name} must be nonnegative")
         if g.size > 1 and np.any(np.diff(g) <= 0):
             raise ValueError(f"{name} must be strictly ascending")
-    c1, c2, h = coefficient_arrays(r, d_grid, nbar)
-    values = chunked_rows(
-        lambda lo, hi: _closed_bell(J_grid[lo:hi, None], c1[None, :],
-                                    c2[None, :], h[None, :]),
-        len(J_grid), len(d_grid), workers)
+    s1, s2 = variance_arrays(r, d_grid, nbar)
+    neg_a = -(1.0 / s1 + 1.0 / s2)
+    neg_b = -4.0 / s1
+    inv_h = 1.0 / (s1 * s2)
+
+    def rows(lo, hi):
+        J = J_grid[lo:hi, None]
+        # eight full-block ufuncs, each in place after the first product
+        out = J * neg_a
+        np.exp(out, out=out)
+        out *= 2.0
+        out += 1.0
+        tail = J * neg_b
+        np.exp(tail, out=tail)
+        out -= tail
+        out *= inv_h
+        return out
+
+    values = chunked_rows(rows, len(J_grid), len(d_grid))
     return BellSurface(r=float(r), nbar=float(nbar), J_grid=J_grid,
                        d_grid=d_grid, values=values)
 
@@ -205,47 +211,60 @@ def _model_bell_scalar(J, r, d, nbar) -> float:
     return float(_closed_bell(J, c1, c2, h))
 
 
-def _require_finite_grid(values: np.ndarray) -> None:
+def _modes(r, d, nbar) -> NormalModes:
+    return NormalModes.of(SqueezedStateParams(r, d, nbar))
+
+
+def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
+    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
+    J = s1 * np.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
+    np.clip(J, lo, hi, out=J)
+    h = s1 * s2
+    side = np.exp(-J * (1.0 / s1 + 1.0 / s2)) / h
+    return J, 1.0 / h + side + side - np.exp(-4.0 * J / s1) / h
+
+
+def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
+                 fixed: Mapping[str, float],
+                 j_bounds: tuple | None = None) -> tuple:
+    """Grid index and value of the best coarse cell.
+
+    ``axes`` are the grids of the free state parameters ``names`` (a
+    subset of r, d, nbar, in that order); each lies along its own
+    dimension and broadcasts, so nothing is computed on a full meshgrid
+    that depends on fewer parameters.  With ``j_bounds`` the value of a
+    cell is max_J B over that interval in closed form
+    (:func:`_bell_optimum`); otherwise J is ``fixed["J"]``.  The first
+    maximum wins (the flat ``np.argmax``), so exact ties go to the
+    lexicographically smallest (r, d, nbar) cell.  A non-finite cell
+    raises ``ValueError``.
+    """
+    k = len(names)
+    arrays = dict(fixed)
+    for i, name in enumerate(names):
+        arrays[name] = axes[i].reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
+    state = (arrays["r"], arrays["d"], arrays["nbar"])
+    # an overflowing cell raises below; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if j_bounds is None:
+            values = _closed_bell(arrays["J"], *coefficient_arrays(*state))
+        else:
+            values = _bell_optimum(*variance_arrays(*state), *j_bounds)[1]
     if not np.isfinite(values).all():
         raise ValueError("B is not finite on part of the coarse grid (the "
                          "coefficients overflow there); narrow the bounds")
+    flat = int(np.argmax(values))
+    return np.unravel_index(flat, values.shape), float(values.flat[flat])
 
 
-def _coarse_best(axes: Sequence[np.ndarray], free_ordered: tuple,
-                 fixed: Mapping[str, float]) -> tuple:
-    """Grid index and value of the best coarse cell.
-
-    The free axes lie along their own dimensions and broadcast, so
-    (c1, c2, h) are computed once per (r, d, nbar) cell and never on
-    J.  When J is free along with other parameters, B is evaluated one
-    J node at a time on the (r, d, nbar) block, which keeps the block in
-    cache.  The first maximum wins, which is the flat ``np.argmax`` of
-    the full grid: exact ties go to the lexicographically smallest
-    (J, r, d, nbar) cell.  A non-finite cell raises ``ValueError``.
-    """
-    k = len(free_ordered)
-    arrays = dict(fixed)
-    for i, name in enumerate(free_ordered):
-        arrays[name] = axes[i].reshape((1,) * i + (-1,) + (1,) * (k - i - 1))
-    if free_ordered[0] != "J" or k == 1:
-        c1, c2, h = coefficient_arrays(arrays["r"], arrays["d"], arrays["nbar"])
-        values = _closed_bell(arrays["J"], c1, c2, h)
-        _require_finite_grid(values)
-        flat = int(np.argmax(values))
-        return np.unravel_index(flat, values.shape), float(values.flat[flat])
-    # drop the J dimension from the free state axes
-    state = {n: arrays[n][0] if n in free_ordered else arrays[n]
-             for n in ("r", "d", "nbar")}
-    c1, c2, h = coefficient_arrays(state["r"], state["d"], state["nbar"])
-    best_idx, best_val = None, -math.inf
-    for i, j in enumerate(axes[0]):
-        values = _closed_bell(j, c1, c2, h)
-        _require_finite_grid(values)
-        flat = int(np.argmax(values))
-        if values.flat[flat] > best_val:  # strict: earlier J nodes win ties
-            best_idx = (i,) + np.unravel_index(flat, values.shape)
-            best_val = float(values.flat[flat])
-    return best_idx, best_val
+def _point(base: list, box: list, x: list):
+    """(r, d, nbar) with the free slots set to x, or None off the box."""
+    point = base.copy()
+    for (slot, lo, hi), v in zip(box, x):
+        if not lo <= v <= hi:
+            return None
+        point[slot] = v
+    return point
 
 
 def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
@@ -253,10 +272,18 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
                   grid_points: int = 32) -> MaximizeResult:
     """Maximise B over a subset of (J, r, d, nbar).
 
-    Deterministic two-stage search: a coarse scan with ``grid_points``
-    nodes per free dimension (geometric in J, linear otherwise),
-    iterated in lexicographic (J, r, d, nbar) order so exact ties go to
-    the smallest tuple, then Nelder-Mead refinement from the best cell
+    At a fixed state, max_J B has a closed form
+    (:meth:`NormalModes.bell_optimum`), so J is never searched:
+
+    * J alone: the closed form of the fixed state, with no grid and no
+      simplex (:func:`cvbell.modes.maximize_over_j`);
+    * J and state parameters: the objective is max_J B of the state;
+    * state parameters only: the objective is B at the fixed J.
+
+    The state parameters get a deterministic two-stage search: a coarse
+    scan with ``grid_points`` linear nodes per free parameter, iterated
+    in lexicographic (r, d, nbar) order so exact ties go to the
+    smallest tuple, then Nelder-Mead refinement from the best cell
     until the simplex diameter is below ``TOLERANCES.simplex_diameter``.
     The refined point is only adopted if strictly better than the scan.
 
@@ -276,89 +303,51 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     ValueError
         On bad names, fixed values or bounds, and when B is not finite
         somewhere on the coarse grid (e.g. r bounds so large that the
-        coefficients overflow).
+        variances overflow).
     """
-    free = tuple(free)
-    if not free:
-        raise ValueError("need at least one free parameter")
-    for name in free:
-        if name not in PARAM_ORDER:
-            raise ValueError(f"unknown parameter {name!r}")
-    if len(set(free)) != len(free):
-        raise ValueError("duplicate free parameter")
-    for name in fixed:
-        if name not in PARAM_ORDER:
-            raise ValueError(f"unknown parameter {name!r}")
-    missing = [n for n in PARAM_ORDER if n not in free and n not in fixed]
-    if missing:
-        raise ValueError(f"no value for parameters: {missing}")
-    overlap = [n for n in free if n in fixed]
-    if overlap:
-        raise ValueError(f"parameters both free and fixed: {overlap}")
     if grid_points < 32:
         raise ValueError("coarse scan needs at least 32 points per dimension")
-    fixed_values = {}
-    for name in PARAM_ORDER:
-        if name in fixed:
-            value = float(fixed[name])
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"fixed {name} must be a finite nonnegative "
-                                 f"real, got {fixed[name]!r}")
-            fixed_values[name] = value
+    if tuple(free) == ("J",):
+        return maximize_over_j(fixed, bounds)
+    free_ordered, fixed_values, limits = _maximize_inputs(free, fixed, bounds)
+    j_bounds = limits.pop("J", None)
+    names = tuple(limits)
+    axes = [np.linspace(lo, hi, grid_points) for lo, hi in limits.values()]
+    best_idx, best_val = _coarse_best(axes, names, fixed_values, j_bounds)
+    best_x = np.array([axes[i][best_idx[i]] for i in range(len(names))])
 
-    merged_bounds = dict(DEFAULT_BOUNDS)
-    if bounds:
-        merged_bounds.update({k: (float(v[0]), float(v[1])) for k, v in bounds.items()})
-    free_ordered = tuple(n for n in PARAM_ORDER if n in free)
-
-    axes = []
-    for name in free_ordered:
-        lo, hi = merged_bounds[name]
-        if not hi > lo:
-            raise ValueError(f"empty bounds for {name}: ({lo}, {hi})")
-        if name == "J":
-            if lo <= 0:
-                raise ValueError("J bounds must be positive for the "
-                                 "geometric scan grid")
-            axes.append(np.geomspace(lo, hi, grid_points))
-        else:
-            if lo < 0:
-                raise ValueError(f"{name} bounds must be nonnegative")
-            axes.append(np.linspace(lo, hi, grid_points))
-
-    k = len(free_ordered)
-    best_idx, best_val = _coarse_best(axes, free_ordered, fixed_values)
-    best_x = np.array([axes[i][best_idx[i]] for i in range(k)])
-
-    lo_arr = np.array([merged_bounds[n][0] for n in free_ordered])
-    hi_arr = np.array([merged_bounds[n][1] for n in free_ordered])
-
-    # the objective sees Python floats only: a full (J, r, d, nbar) list
-    # with the free slots overwritten, and out-of-bounds points rejected
-    slots = [PARAM_ORDER.index(n) for n in free_ordered]
-    limits = list(zip(slots, lo_arr.tolist(), hi_arr.tolist()))
-    base = [fixed_values.get(n, 0.0) for n in PARAM_ORDER]
+    # the objective sees Python floats only: a full (r, d, nbar) list with
+    # the free slots overwritten, and out-of-bounds points rejected
+    slots = [("r", "d", "nbar").index(n) for n in names]
+    box = [(slot,) + limits[n] for slot, n in zip(slots, names)]
+    base = [fixed_values.get(n, 0.0) for n in ("r", "d", "nbar")]
+    if j_bounds is None:
+        def value(r, d, nbar):
+            return _model_bell_scalar(fixed_values["J"], r, d, nbar)
+    else:
+        def value(r, d, nbar):
+            return _modes(r, d, nbar).bell_optimum(*j_bounds)[1]
+        # the scalar closed form of the adopted cell, which the refinement
+        # must beat and which the result reports
+        best_val = value(*_point(base, box, best_x.tolist()))
 
     def objective(x: np.ndarray) -> float:
-        point = base.copy()
-        for (slot, lo, hi), v in zip(limits, x.tolist()):
-            if not lo <= v <= hi:
-                return math.inf
-            point[slot] = v
-        return -_model_bell_scalar(*point)
+        point = _point(base, box, x.tolist())
+        return math.inf if point is None else -value(*point)
 
-    # local steps: J is geometric, so step relative to the start point
+    lo_arr = np.array([b[1] for b in box])
+    hi_arr = np.array([b[2] for b in box])
     step = (hi_arr - lo_arr) / 64.0
-    if "J" in free_ordered:
-        j_index = free_ordered.index("J")
-        step[j_index] = best_x[j_index] / 8.0
     step = np.where(best_x + step > hi_arr, -step, step)
     refined_x, refined_neg = nelder_mead_minimize(objective, best_x, step)
     if -refined_neg > best_val:
         best_x, best_val = refined_x, -refined_neg
 
     params = dict(fixed_values)
-    params.update(zip(free_ordered, best_x.tolist()))
+    params.update(zip(names, best_x.tolist()))
+    if j_bounds is not None:
+        params["J"] = _modes(params["r"], params["d"],
+                             params["nbar"]).bell_optimum(*j_bounds)[0]
     return MaximizeResult(params=params, b_max=best_val, free=free_ordered)
 
 
@@ -376,7 +365,9 @@ def small_j_slope(evaluator: Callable[[TwoModePoint], float],
     pass ``j_probe`` of about 1e-6 / cosh 2r, or at r = 8 the default
     probe sits where B is far from linear (it even gets the sign of the
     phase-diffused slope wrong).  The shrunken probe still moves B by
-    j_probe 4 p sinh 2r < 4e-6 p, far above rounding.
+    j_probe 4 p sinh 2r < 4e-6 p, far above rounding.  For the mixtures
+    the slope is known exactly, :func:`cvbell.modes.mixture_slope`; the
+    tests keep this probe as its oracle.
     """
     if j_probe <= 0:
         raise ValueError("probe step must be positive")

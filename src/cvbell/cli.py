@@ -7,14 +7,12 @@ timestamps, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage errors (bad flags, bad figure index),
 3 domain errors (invalid parameter values, failed internal
-cross-checks).  The environment variable CVBELL_THREADS caps the
-worker count of grid scans; output is identical for any setting.
+cross-checks).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -24,6 +22,8 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     finite_dim_werner_threshold,
+    maximize_over_j,
+    mixture_slope,
     steady_limit,
     werner_bell,
 )
@@ -37,11 +37,6 @@ exit codes:
   0  success
   2  usage error (unknown or malformed flags, bad figure index)
   3  domain error (invalid parameter values, internal cross-check failure)
-
-environment:
-  CVBELL_THREADS  caps the worker count used by grid scans
-                  (default: machine parallelism; results do not depend
-                  on the setting)
 """
 
 FIGURE_SQUEEZING = 1.5  # squeezing used by every figure reproduction
@@ -77,9 +72,10 @@ def _state_columns(params: SqueezedStateParams) -> tuple:
 # subcommand handlers
 # ----------------------------------------------------------------------
 #
-# The single-point handlers run on :mod:`cvbell.modes` and never import
-# numpy; the grid, maximiser, threshold and phase-diffused handlers
-# import the numpy modules when they run.
+# The single-point handlers, ``maximize --free J`` and ``--slope`` run on
+# :mod:`cvbell.modes` and never import numpy; the grid, multi-parameter
+# maximiser, threshold and phase-diffused Bell handlers import the numpy
+# modules when they run.
 
 def cmd_coeffs(args) -> ReportRecord:
     scan = args.t_max is not None
@@ -185,8 +181,6 @@ def cmd_figure(args) -> ReportRecord:
 
 
 def cmd_maximize(args) -> ReportRecord:
-    from .bell import maximize_bell
-
     free = tuple(name.strip() for name in args.free.split(",") if name.strip())
     supplied = {"J": args.J, "r": args.r, "d": args.d, "nbar": args.nbar}
     fixed = {k: v for k, v in supplied.items() if k not in free and v is not None}
@@ -195,7 +189,12 @@ def cmd_maximize(args) -> ReportRecord:
                        ("d", args.d_bounds), ("nbar", args.nbar_bounds)):
         if pair is not None:
             bounds[name] = (pair[0], pair[1])
-    result = maximize_bell(free, fixed, bounds or None)
+    if free == ("J",):
+        result = maximize_over_j(fixed, bounds or None)
+    else:
+        from .bell import maximize_bell
+
+        result = maximize_bell(free, fixed, bounds or None)
     meta = _meta("maximize", free=",".join(result.free),
                  **{f"fixed_{k}": v for k, v in fixed.items()})
     p = result.params
@@ -265,17 +264,13 @@ def _mixture_record(args, kind: str) -> ReportRecord:
         args.parser.error(f"{name}: need --p (or --threshold)")
     spec = MixtureSpec(p=args.p, r=args.r, kind=kind)
     if getattr(args, "slope", False):
-        from .bell import small_j_slope
-        from .mixtures import mixture_evaluator
-
-        result = small_j_slope(mixture_evaluator(spec),
-                               j_probe=1e-6 / math.cosh(2.0 * args.r),
-                               state_label=f"{kind} p={args.p:g}")
+        slope, b_zero = mixture_slope(spec)
         meta = _meta(kind, mode="slope", p=args.p, r=args.r)
         return ReportRecord(meta=meta,
                             columns=("p", "r", "slope", "anchored", "B0"),
-                            rows=[(args.p, args.r, result.slope,
-                                   result.anchored, result.b_zero)])
+                            rows=[(args.p, args.r, slope,
+                                   abs(b_zero - 2.0) <= TOLERANCES.anchor_abs,
+                                   b_zero)])
     if args.J is None:
         args.parser.error(f"{name}: need --J (or --threshold / --slope)")
     if kind == "werner-thermal":

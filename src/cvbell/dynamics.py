@@ -36,7 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .modes import SqueezedStateParams, _check_rates, _require_finite, steady_limit
+from .modes import (
+    SqueezedStateParams,
+    _check_rates,
+    _overflow,
+    _require_finite,
+    _where,
+    steady_limit,
+)
 from .numerics import TOLERANCES, one_minus_exp_over, rk4_lyapunov
 from .phase_space import GaussianForm, form_from_covariance_xvec
 
@@ -46,6 +53,7 @@ __all__ = [
     "diffusion_matrix",
     "drift_eigenvalues",
     "coefficient_arrays",
+    "variance_arrays",
     "evolve_coefficients",
     "steady_state",
     "covariance_ode_oracle",
@@ -87,21 +95,27 @@ def drift_eigenvalues(gamma: float, kappa: float) -> np.ndarray:
 # closed-form coefficients
 # ----------------------------------------------------------------------
 
+def _as_arrays(r, d, nbar) -> tuple:
+    # three floats stay floats: numpy then gives float64 scalars from the
+    # same operations, bit-identical to the array path
+    if isinstance(r, float) and isinstance(d, float) and isinstance(nbar, float):
+        return r, d, nbar
+    return (np.asarray(r, dtype=float), np.asarray(d, dtype=float),
+            np.asarray(nbar, dtype=float))
+
+
 def coefficient_arrays(r, d, nbar):
     """Vectorised coefficient triple (c1, c2, h) for arrays of (r, d, nbar).
 
     Broadcasts its arguments; scalar inputs give scalar outputs.  This is
-    the computational core of :func:`evolve_coefficients` and of the grid
-    scans, kept array-valued so surfaces do not pay per-point overhead.
-    Three floats skip the array conversion and give float64 scalars: the
-    operations are the same (``np.exp`` included, which can differ from
-    ``math.exp`` in the last bit), so the values are bit-identical.
+    the computational core of :func:`evolve_coefficients` and of the
+    maximiser's scans at fixed J, kept array-valued so grids do not pay
+    per-point overhead.  Three floats skip the array conversion and give
+    float64 scalars: the operations are the same (``np.exp`` included,
+    which can differ from ``math.exp`` in the last bit), so the values
+    are bit-identical.
     """
-    if not (isinstance(r, float) and isinstance(d, float)
-            and isinstance(nbar, float)):
-        r = np.asarray(r, dtype=float)
-        d = np.asarray(d, dtype=float)
-        nbar = np.asarray(nbar, dtype=float)
+    r, d, nbar = _as_arrays(r, d, nbar)
     p1 = d + 2.0 * r
     p2 = d - 2.0 * r
     e1 = one_minus_exp_over(p1)
@@ -109,11 +123,29 @@ def coefficient_arrays(r, d, nbar):
     q1 = np.exp(-p1)
     q2 = np.exp(-p2)
     occ = 2.0 * nbar + 1.0
-    psum = p1 + p2
-    c1 = 2.0 * (q2 + q1) + occ * psum * (e1 + e2)
-    c2 = -2.0 * (q2 - q1) + occ * psum * (e1 - e2)
-    h = (q1 + occ * (psum / 2.0) * e1) * (q2 + occ * (psum / 2.0) * e2)
+    # 2d, not p1 + p2: for r >> d that sum rounds d by up to ulp(2r)
+    c1 = 2.0 * (q2 + q1) + occ * (2.0 * d) * (e1 + e2)
+    c2 = -2.0 * (q2 - q1) + occ * (2.0 * d) * (e1 - e2)
+    h = (q1 + occ * d * e1) * (q2 + occ * d * e2)
     return c1, c2, h
+
+
+def variance_arrays(r, d, nbar):
+    """Vectorised normal-mode variances (s1, s2) for arrays of (r, d, nbar).
+
+    s_i = e^-p_i + (2 nbar + 1) (d E(p_i)), in the order of
+    :meth:`cvbell.modes.NormalModes.of`, which computes the same formula
+    on floats.  Broadcasts its arguments; the factors that depend on
+    (r, d) alone are computed on their own shape before the occupation
+    broadcasts them.  Where e^{2r} overflows, s2 is inf.
+    """
+    r, d, nbar = _as_arrays(r, d, nbar)
+    occ = 2.0 * nbar + 1.0
+    p1 = d + 2.0 * r
+    p2 = d - 2.0 * r
+    s1 = occ * (d * one_minus_exp_over(p1)) + np.exp(-p1)
+    s2 = occ * (d * one_minus_exp_over(p2)) + np.exp(-p2)
+    return s1, s2
 
 
 def evolve_coefficients(params: SqueezedStateParams) -> GaussianForm:
@@ -121,14 +153,24 @@ def evolve_coefficients(params: SqueezedStateParams) -> GaussianForm:
 
     With p1 = d + 2r, p2 = d - 2r and E(p) = (1 - e^-p)/p:
 
-        c1 = 2(e^-p2 + e^-p1) + (2 nbar + 1)(p1 + p2)(E(p1) + E(p2))
-        c2 = -2(e^-p2 - e^-p1) + (2 nbar + 1)(p1 + p2)(E(p1) - E(p2))
-        h  = prod_i [e^-pi + (2 nbar + 1)((p1 + p2)/2) E(pi)]
+        c1 = 2(e^-p2 + e^-p1) + (2 nbar + 1) 2d (E(p1) + E(p2))
+        c2 = -2(e^-p2 - e^-p1) + (2 nbar + 1) 2d (E(p1) - E(p2))
+        h  = prod_i [e^-pi + (2 nbar + 1) d E(pi)]
 
     At d = 0 this reduces to the pure squeezed vacuum
     (4 cosh 2r, -4 sinh 2r, 1); at r = d = 0 to the vacuum (4, 0, 1).
+    A state whose coefficients leave the float range (e^{2r} at r above
+    ~355) raises ``ValueError`` naming the parameters.
     """
+    try:
+        # e^{2r - d}, the largest factor: past the float range numpy would
+        # warn before the check below raises
+        math.exp(-params.p2)
+    except OverflowError:
+        raise _overflow(_where(params)) from None
     c1, c2, h = coefficient_arrays(params.r, params.d, params.nbar)
+    if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(h)):
+        raise _overflow(_where(params))
     return GaussianForm(c1=float(c1), c2=float(c2), h=float(h))
 
 

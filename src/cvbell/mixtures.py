@@ -33,6 +33,7 @@ from .modes import (
     MIXTURE_KINDS,
     MixtureSpec,
     _require_squeezing,
+    _square,
     finite_dim_werner_threshold,
     werner_bell,
 )
@@ -153,11 +154,16 @@ def pure_bell_curve(J, r: float):
 
 
 def component_bell_curve(J, r: float, kind: str):
-    """B(J) of the p = 0 reference state of the given kind."""
+    """B(J) of the p = 0 reference state of the given kind.
+
+    Where cosh^2 2r leaves the float range (r above ~177) the product
+    state's curve is 0.
+    """
     J = np.asarray(J, dtype=float)
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
     if kind == "werner-thermal":
-        out = (1.0 + 2.0 * np.exp(-2.0 * J / c) - np.exp(-4.0 * J / c)) / c ** 2
+        out = ((1.0 + 2.0 * np.exp(-2.0 * J / c) - np.exp(-4.0 * J / c))
+               / _square(c))
     elif kind == "phase-diffused":
         out = (1.0 + 2.0 * np.exp(-2.0 * c * J)
                - np.exp(bessel_i0_log(4.0 * s * J) - 4.0 * c * J))

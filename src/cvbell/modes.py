@@ -18,7 +18,11 @@ of (s1, s2):
   criterion (PRL 84, 2726, 2000) in the normal-mode frame;
 * the purity 1/h;
 * the displaced-parity correlations [1, e^-aJ, e^-aJ, e^-bJ]/h, with
-  a = 1/s1 + 1/s2 and b = 4/s1.
+  a = 1/s1 + 1/s2 and b = 4/s1, and their optimum over J in closed
+  form, J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2), which tends to the
+  Banaszek-Wodkiewicz value 1 + 2^{2/3} - 2^{-4/3} of B as r grows
+  (PRL 82, 2009, 1999);
+* the small-J slope 4 p sinh 2r of the mixtures.
 
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
 evaluate the same formulas on numpy arrays.  This module imports only
@@ -37,18 +41,35 @@ from .errors import CrossCheckError
 from .tolerances import TOLERANCES
 
 __all__ = [
+    "DEFAULT_BOUNDS",
     "MIXTURE_KINDS",
+    "PARAM_ORDER",
+    "MaximizeResult",
     "MixtureSpec",
     "NormalModes",
     "SqueezedStateParams",
     "separability_closed_pair",
     "exp_quotient",
     "finite_dim_werner_threshold",
+    "maximize_over_j",
+    "mixture_slope",
     "steady_limit",
     "werner_bell",
 ]
 
 MIXTURE_KINDS = ("werner-thermal", "phase-diffused")
+
+#: canonical parameter order of the maximiser, used for grids and
+#: tie-breaking
+PARAM_ORDER = ("J", "r", "d", "nbar")
+
+#: search interval of each parameter the maximiser is not given bounds for
+DEFAULT_BOUNDS = {
+    "J": (1e-4, 1.0),
+    "r": (0.0, 3.0),
+    "d": (0.0, 5.0),
+    "nbar": (0.0, 2.0),
+}
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -156,10 +177,11 @@ class NormalModes:
                                  f"{getattr(self, name)!r}")
 
     @classmethod
-    def _within_range(cls, s1: float, s2: float, where: str) -> "NormalModes":
-        # c1 and h are the largest derived values; both must stay finite
+    def _within_range(cls, s1: float, s2: float, where) -> "NormalModes":
+        # c1 and h are the largest derived values; both must stay finite.
+        # ``where()`` names the state, and is formatted only on failure
         if not (math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)):
-            raise _overflow(where)
+            raise _overflow(where())
         return cls(s1, s2)
 
     @classmethod
@@ -180,7 +202,7 @@ class NormalModes:
             s2 = math.exp(-params.p2) + occ * (d * exp_quotient(params.p2))
         except OverflowError:
             raise _overflow(_where(params)) from None
-        modes = cls._within_range(s1, s2, _where(params))
+        modes = cls._within_range(s1, s2, lambda: _where(params))
         e_large, e_small = separability_closed_pair(params)
         for s, closed in ((s1, e_small), (s2, e_large)):
             gap = abs((s - 1.0) / 2.0 - closed)
@@ -252,6 +274,30 @@ class NormalModes:
         corr = self.correlations(J)
         return corr[0] + corr[1] + corr[2] - corr[3], corr
 
+    def bell_optimum(self, lo: float, hi: float) -> tuple:
+        """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
+
+        h B(J) = 1 + 2 e^-aJ - e^-bJ with b = 4/s1 > a = 1/s1 + 1/s2
+        (because s1 <= s2, as for every model state) has one stationary
+        point, a maximum, at J = ln(b/2a)/(b - a), i.e.
+
+            J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2);
+
+        B rises below it and falls above it, so J* clamped to [lo, hi]
+        maximises B on the interval.  At s1 = s2 (r = 0) J* = 0 and the
+        clamp gives lo.  For s1 >= 3 s2, which no model state has, b <= a
+        and the stationary point is a minimum: ``ValueError``.
+        :func:`cvbell.bell.maximize_bell` evaluates the same formula on
+        arrays.
+        """
+        s1, s2 = self.s1, self.s2
+        if not s1 < 3.0 * s2:
+            raise ValueError(f"the optimum over J needs s1 < 3 s2, got "
+                             f"s1={s1!r}, s2={s2!r}")
+        J = s1 * math.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
+        J = min(max(J, lo), hi)
+        return J, self.bell(J)[0]
+
 
 def _require_budget(J) -> float:
     j = float(J)
@@ -278,8 +324,84 @@ def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
     occ = 2.0 * nbar + 1.0
     modes = NormalModes._within_range(
         occ / (1.0 + q), occ / (1.0 - q),
-        f"gamma={gamma!r}, kappa={kappa!r}, nbar={nbar!r}")
+        lambda: f"gamma={gamma!r}, kappa={kappa!r}, nbar={nbar!r}")
     return ("thermal" if kappa == 0.0 else "squeezed-thermal"), modes
+
+
+# ----------------------------------------------------------------------
+# maximisation over J
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MaximizeResult:
+    """Outcome of a Bell maximisation: full parameter point and value."""
+
+    params: dict
+    b_max: float
+    free: tuple
+
+
+def _maximize_inputs(free, fixed, bounds) -> tuple:
+    """(free names in PARAM_ORDER, fixed values, bounds per free name).
+
+    Checks the arguments of :func:`cvbell.bell.maximize_bell`: known
+    names, each either free or fixed, finite nonnegative fixed values,
+    nonempty bounds, positive J bounds and nonnegative other bounds.
+    """
+    free = tuple(free)
+    if not free:
+        raise ValueError("need at least one free parameter")
+    for name in free:
+        if name not in PARAM_ORDER:
+            raise ValueError(f"unknown parameter {name!r}")
+    if len(set(free)) != len(free):
+        raise ValueError("duplicate free parameter")
+    for name in fixed:
+        if name not in PARAM_ORDER:
+            raise ValueError(f"unknown parameter {name!r}")
+    missing = [n for n in PARAM_ORDER if n not in free and n not in fixed]
+    if missing:
+        raise ValueError(f"no value for parameters: {missing}")
+    overlap = [n for n in free if n in fixed]
+    if overlap:
+        raise ValueError(f"parameters both free and fixed: {overlap}")
+    fixed_values = {}
+    for name in PARAM_ORDER:
+        if name in fixed:
+            value = float(fixed[name])
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"fixed {name} must be a finite nonnegative "
+                                 f"real, got {fixed[name]!r}")
+            fixed_values[name] = value
+    merged = dict(DEFAULT_BOUNDS)
+    if bounds:
+        merged.update({k: (float(v[0]), float(v[1])) for k, v in bounds.items()})
+    free_ordered = tuple(n for n in PARAM_ORDER if n in free)
+    limits = {}
+    for name in free_ordered:
+        lo, hi = merged[name]
+        if not hi > lo:
+            raise ValueError(f"empty bounds for {name}: ({lo}, {hi})")
+        if name == "J" and lo <= 0:
+            raise ValueError("J bounds must be positive")
+        if lo < 0:
+            raise ValueError(f"{name} bounds must be nonnegative")
+        limits[name] = (lo, hi)
+    return free_ordered, fixed_values, limits
+
+
+def maximize_over_j(fixed, bounds=None) -> MaximizeResult:
+    """Maximise B over J at a fixed state, in closed form.
+
+    The same result as ``maximize_bell(("J",), fixed, bounds)``:
+    ``fixed`` gives r, d and nbar, ``bounds`` may give the J interval
+    (default (1e-4, 1)).  J is :meth:`NormalModes.bell_optimum` of the
+    state; no grid and no search are involved.
+    """
+    _, values, limits = _maximize_inputs(("J",), fixed, bounds)
+    params = SqueezedStateParams(values["r"], values["d"], values["nbar"])
+    J, B = NormalModes.of(params).bell_optimum(*limits["J"])
+    return MaximizeResult(params={**values, "J": J}, b_max=B, free=("J",))
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +468,37 @@ def werner_bell(spec: MixtureSpec, J: float) -> tuple:
             f"assembled Bell value {B!r} disagrees with affine component "
             f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")
     return B, corr
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf where the square leaves the float range (Python's
+    ``**`` raises ``OverflowError`` there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def mixture_slope(spec: MixtureSpec) -> tuple:
+    """(dB/dJ at J = 0+, B(0)) of the mixture, in closed form.
+
+    Both reference states have zero slope at J = 0: the product state's
+    exponentials cancel to first order, and the phase-diffused one has
+    I0'(0) = 0.  B is affine in p, so the slope is p times the pure
+    state's, 4 p sinh 2r.  B(0) is 2 p + (1 - p) B_ref(0), with
+    B_ref(0) = 2 for the phase-diffused reference and 2/cosh^2 2r for
+    the product of the thermal marginals.  A slope beyond the float
+    range raises ``ValueError``.
+    """
+    slope = 4.0 * spec.p * math.sinh(2.0 * spec.r)
+    if not math.isfinite(slope):
+        raise ValueError(f"the small-J slope 4 p sinh 2r overflows the float "
+                         f"range at p={spec.p!r}, r={spec.r!r}")
+    if spec.kind == "phase-diffused":
+        b_ref = 2.0
+    else:
+        b_ref = 2.0 / _square(math.cosh(2.0 * spec.r))
+    return slope, spec.p * 2.0 + (1.0 - spec.p) * b_ref
 
 
 def finite_dim_werner_threshold(dim: int) -> float:

@@ -86,3 +86,35 @@ def rk4_lyapunov_stepwise(A, D, sigma0, t, steps):
         S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         S = 0.5 * (S + S.T)
     return S
+
+
+def bell_of_variances(J, s1, s2):
+    """B(J) = (1 + 2 e^{-aJ} - e^{-bJ}) / (s1 s2), a = 1/s1 + 1/s2, b = 4/s1."""
+    J = np.asarray(J, dtype=float)
+    return (1.0 + 2.0 * np.exp(-J * (1.0 / s1 + 1.0 / s2))
+            - np.exp(-4.0 * J / s1)) / (s1 * s2)
+
+
+def max_bell_dense(s1, s2, lo, hi, nodes=4001, sections=200):
+    """max_J B on [lo, hi] by a dense geometric scan and golden section.
+
+    The scan's best node brackets the maximum between its neighbours
+    (B has a single maximum in J); golden section in log J then narrows
+    that bracket.  Returns (J, B at J, largest B on the scan).
+    """
+    grid = np.geomspace(lo, hi, nodes)
+    vals = bell_of_variances(grid, s1, s2)
+    k = int(np.argmax(vals))
+    a = math.log(grid[max(k - 1, 0)])
+    b = math.log(grid[min(k + 1, nodes - 1)])
+    f = lambda u: float(bell_of_variances(math.exp(u), s1, s2))
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(sections):
+        c, e = b - g * (b - a), a + g * (b - a)
+        if f(c) >= f(e):
+            b = e
+        else:
+            a = c
+    u = 0.5 * (a + b)
+    best_j, best_b = (math.exp(u), f(u)) if f(u) > vals[k] else (grid[k], vals[k])
+    return float(best_j), float(best_b), float(vals.max())

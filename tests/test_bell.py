@@ -20,6 +20,7 @@ from cvbell import (
     small_j_slope,
 )
 from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _closed_bell, _coarse_best
+from cvbell.modes import NormalModes
 
 # frozen values at the J=0.01, r=1.5 reference point
 B_ANCHOR = 2.187452904044629
@@ -188,13 +189,22 @@ def test_surface_validates_grids():
         bell_surface(1.5, 0.0, np.array([-0.1, 0.2]), np.array([0.0, 1.0]))
 
 
-def _meshgrid_argmax(axes, free, fixed):
-    # oracle: the full meshgrid and the flat argmax (first maximum, i.e.
-    # the lexicographically smallest (J, r, d, nbar) cell)
-    mesh = dict(zip(free, np.meshgrid(*axes, indexing="ij")))
+def _meshgrid_argmax(axes, names, fixed, j_bounds):
+    # oracle: the full meshgrid of the free state parameters and the flat
+    # argmax (first maximum, i.e. the lexicographically smallest
+    # (r, d, nbar) cell); with J free each cell is the scalar closed form
+    # of max_J B, otherwise B at the fixed J from the coefficient triple
+    mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij")))
     point = {**fixed, **mesh}
-    c1, c2, h = coefficient_arrays(point["r"], point["d"], point["nbar"])
-    grid = _closed_bell(point["J"], c1, c2, h)
+    shape = tuple(len(a) for a in axes)
+    r, d, nbar = (np.broadcast_to(point[n], shape) for n in ("r", "d", "nbar"))
+    if j_bounds is None:
+        grid = _closed_bell(point["J"], *coefficient_arrays(r, d, nbar))
+    else:
+        grid = np.array([
+            NormalModes.of(SqueezedStateParams(*cell)).bell_optimum(*j_bounds)[1]
+            for cell in zip(r.ravel().tolist(), d.ravel().tolist(),
+                            nbar.ravel().tolist())]).reshape(shape)
     flat = int(np.argmax(grid))
     return np.unravel_index(flat, grid.shape), float(grid.flat[flat])
 
@@ -202,26 +212,31 @@ def _meshgrid_argmax(axes, free, fixed):
 @pytest.mark.parametrize("free", [("J", "r"), ("r", "nbar"), ("J", "d", "nbar"),
                                   ("r", "d", "nbar"), PARAM_ORDER])
 def test_coarse_stage_matches_meshgrid_argmax(free):
+    # J is never a grid axis: with J free the cells hold max_J B
     fixed = {n: v for n, v in {"J": 0.01, "r": 1.5, "d": 0.2,
                                "nbar": 0.1}.items() if n not in free}
-    axes = [np.geomspace(*DEFAULT_BOUNDS[n], 32) if n == "J"
-            else np.linspace(*DEFAULT_BOUNDS[n], 32) for n in free]
-    idx, val = _coarse_best(axes, free, fixed)
-    ref_idx, ref_val = _meshgrid_argmax(axes, free, fixed)
+    names = tuple(n for n in free if n != "J")
+    axes = [np.linspace(*DEFAULT_BOUNDS[n], 32) for n in names]
+    j_bounds = DEFAULT_BOUNDS["J"] if "J" in free else None
+    idx, val = _coarse_best(axes, names, fixed, j_bounds)
+    ref_idx, ref_val = _meshgrid_argmax(axes, names, fixed, j_bounds)
     assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
-    assert val == ref_val
+    if j_bounds is None:
+        assert val == ref_val
+    else:
+        assert abs(val - ref_val) <= 1e-15 * ref_val
 
 
 def test_coarse_stage_ties_go_to_smallest_cell():
-    # equal J nodes and d = 0 (nbar then has no effect) make every cell
-    # a tie; the first cell must win, as in the flat argmax
-    free = ("J", "nbar")
-    axes = [np.full(32, 0.01), np.linspace(0.0, 2.0, 32)]
-    fixed = {"r": 0.0, "d": 0.0}
-    idx, _ = _coarse_best(axes, free, fixed)
-    ref_idx, _ = _meshgrid_argmax(axes, free, fixed)
-    assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
-    assert int(idx[0]) == 0
+    # at d = 0, nbar has no effect, so every cell of an nbar axis ties;
+    # the first cell must win, as in the flat argmax, with J free or fixed
+    axes = [np.linspace(0.0, 2.0, 32)]
+    for fixed, j_bounds in (({"r": 0.5, "d": 0.0}, DEFAULT_BOUNDS["J"]),
+                            ({"J": 0.01, "r": 0.5, "d": 0.0}, None)):
+        idx, _ = _coarse_best(axes, ("nbar",), fixed, j_bounds)
+        ref_idx, _ = _meshgrid_argmax(axes, ("nbar",), fixed, j_bounds)
+        assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
+        assert int(idx[0]) == 0
 
 
 @pytest.mark.parametrize("bad", [

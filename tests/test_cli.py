@@ -175,15 +175,6 @@ def test_output_is_deterministic():
     assert first == second
 
 
-def test_thread_cap_does_not_change_output(monkeypatch):
-    baseline = run_cli("figure", "2")[1]
-    for threads in ("1", "7"):
-        monkeypatch.setenv("CVBELL_THREADS", threads)
-        assert run_cli("figure", "2")[1] == baseline
-    monkeypatch.delenv("CVBELL_THREADS")
-    assert run_cli("figure", "2")[1] == baseline
-
-
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli("separability", "--r", "1", "--d", "2",
@@ -200,6 +191,32 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "4,0,1" in proc.stdout.replace("\r", "")
+
+
+def test_slope_row_is_the_analytic_slope():
+    # both mixture components are flat at J = 0, so the slope is exactly
+    # 4 p sinh 2r (20.0357498548... at r = 1.5, p = 0.5)
+    for p, r in ((0.5, 1.5), (0.3, 0.3), (1.0, 8.0)):
+        code, out, _ = run_cli("phase-diffused", "--slope", "--p", str(p),
+                               "--r", str(r))
+        header, row = (l.split(",") for l in data_lines(out))
+        vals = dict(zip(header, row))
+        assert float(vals["slope"]) == 4.0 * p * math.sinh(2.0 * r)
+        assert float(vals["B0"]) == 2.0
+        assert vals["anchored"] == "true"
+
+
+def test_maximize_j_alone_is_the_closed_form():
+    code, out, _ = run_cli("maximize", "--free", "J", "--r", "1.5",
+                           "--d", "0", "--nbar", "0")
+    assert code == 0
+    header, row = (l.split(",") for l in data_lines(out))
+    vals = dict(zip(header, row))
+    # ln(2 s2/(s1 + s2)) / (3/s1 - 1/s2) with s1 = e^-3, s2 = e^3
+    assert float(vals["J"]) == pytest.approx(
+        math.log(2.0 / (1.0 + math.exp(-6.0))) / (3.0 * math.exp(3.0)
+                                                  - math.exp(-3.0)), rel=1e-15)
+    assert float(vals["B_max"]) == pytest.approx(2.189642883758868, rel=1e-15)
 
 
 def test_phase_diffused_slope_row_at_large_squeezing():

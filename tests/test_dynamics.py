@@ -200,3 +200,27 @@ def test_coefficient_arrays_float_path_matches_array_path():
                 assert all(_same(float(g), float(w[i]))
                            for g, w in zip(got, whole))
     assert not all(np.isfinite(c[-3]) for c in whole)
+
+
+def test_coefficients_overflow_is_a_value_error(recwarn):
+    # e^{2r} leaves the float range: the message names r and the
+    # overflow, as the normal-mode core's does, without numpy warnings
+    with pytest.raises(ValueError, match=r"overflow.*r=400\.0"):
+        evolve_coefficients(SqueezedStateParams(400.0, 0.0))
+    with pytest.raises(ValueError, match="overflow"):
+        evolve_coefficients(SqueezedStateParams(400.0, 1.0, 0.5))
+    assert len(recwarn) == 0
+
+
+def test_coefficient_h_matches_fifty_digits_at_large_squeezing():
+    # p1 + p2 rounded d by up to ulp(2r); this h was 6.4e-13 off (the
+    # state itself is beyond what a GaussianForm can hold: c1 = |c2|)
+    import mpmath
+
+    r, d, nbar = 18.5, 1.05e-3, 6e-3
+    mpmath.mp.dps = 50
+    R, D, NB = (mpmath.mpf(x) for x in (r, d, nbar))
+    s1, s2 = (mpmath.exp(-p) + (2 * NB + 1) * D * (-mpmath.expm1(-p) / p)
+              for p in (D + 2 * R, D - 2 * R))
+    h = coefficient_arrays(r, d, nbar)[2]
+    assert abs(h - s1 * s2) <= 1e-14 * s1 * s2

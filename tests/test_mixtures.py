@@ -24,6 +24,7 @@ from cvbell import (
     werner_violation_threshold,
 )
 from cvbell.mixtures import werner_wigner
+from cvbell.modes import mixture_slope
 
 from quad_helpers import marginal_by_quadrature
 
@@ -196,3 +197,52 @@ def test_threshold_default_grid_is_the_documented_grid(kind, low):
         explicit = werner_violation_threshold(
             r, J_grid=np.geomspace(low, 1.0, 200), kind=kind)
         assert default == explicit
+
+
+@pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
+@pytest.mark.parametrize("r", [0.3, 1.5, 3.0, 5.0, 8.0])
+def test_closed_slope_matches_the_probe(kind, r):
+    # the Richardson probe stays as the oracle of the closed slope
+    spec = MixtureSpec(p=0.5, r=r, kind=kind)
+    slope, b_zero = mixture_slope(spec)
+    assert slope == 4.0 * spec.p * math.sinh(2.0 * r)
+    probe = small_j_slope(mixture_evaluator(spec),
+                          j_probe=1e-6 / math.cosh(2.0 * r))
+    assert abs(probe.slope - slope) <= TOLERANCES.slope_rel * slope
+    assert b_zero == pytest.approx(probe.b_zero, rel=1e-12)
+
+
+def test_closed_slope_at_zero_budget():
+    # B(0) = 2 p + (1 - p) B_ref(0), with B_ref(0) = 2 for the phase
+    # average and 2 / cosh^2 2r for the product of the marginals
+    assert mixture_slope(MixtureSpec(0.3, 1.0, "phase-diffused"))[1] == 2.0
+    slope, b_zero = mixture_slope(MixtureSpec(0.3, 1.0, "werner-thermal"))
+    assert b_zero == pytest.approx(0.6 + 0.7 * 2.0 / math.cosh(2.0) ** 2,
+                                   rel=1e-15)
+    assert mixture_slope(MixtureSpec(0.0, 1.0, "werner-thermal"))[0] == 0.0
+    # 4 p sinh 2r beyond the float range is a domain error, not inf
+    with pytest.raises(ValueError, match="overflows"):
+        mixture_slope(MixtureSpec(1.0, 354.8, "phase-diffused"))
+
+
+@pytest.mark.parametrize("r", [200.0, 300.0])
+def test_product_curve_past_the_square_overflow(r, recwarn):
+    # cosh^2 2r overflows from r ~ 177 on; the product state's curve is
+    # then 0, and the threshold search reports no violation on its grid
+    # instead of an OverflowError traceback
+    J = np.geomspace(1e-4, 1.0, 200)
+    assert np.array_equal(component_bell_curve(J, r, "werner-thermal"),
+                          np.zeros_like(J))
+    rep = werner_violation_threshold(r)
+    assert rep.p_star is None and not rep.violated_at_unit_weight
+    assert len(recwarn) == 0
+
+
+def test_product_curve_square_is_unchanged_below_overflow():
+    # the guard keeps ** where the square is finite: c * c differs from
+    # c ** 2 in the last bit for some r
+    J = np.geomspace(1e-4, 1.0, 50)
+    for r in np.linspace(0.0, 176.0, 400).tolist():
+        c = math.cosh(2.0 * r)
+        want = (1.0 + 2.0 * np.exp(-2.0 * J / c) - np.exp(-4.0 * J / c)) / c ** 2
+        assert np.array_equal(component_bell_curve(J, r, "werner-thermal"), want)

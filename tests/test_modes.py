@@ -115,9 +115,8 @@ def test_core_matches_separability_map_cells(r):
 
 
 def test_core_matches_coefficient_arrays():
-    # coefficient_arrays forms p1 + p2 where the core uses 2d; for r >> d
-    # that sum rounds d by up to ulp(2r), an error that the noise term
-    # multiplies by 2 nbar + 1, so the scales carry that factor
+    # both use 2d (coefficient_arrays once formed p1 + p2, which rounds d
+    # by up to ulp(2r) and needed a tolerance 2 nbar + 1 times wider)
     rng = np.random.default_rng(5)
     for _ in range(2000):
         r = float(rng.uniform(0.0, 20.0))
@@ -125,10 +124,9 @@ def test_core_matches_coefficient_arrays():
         nbar = 0.0 if rng.random() < 0.2 else float(10 ** rng.uniform(-3, 1))
         modes = NormalModes.of(SqueezedStateParams(r, d, nbar))
         c1, c2, h = coefficient_arrays(r, d, nbar)
-        occ = 2.0 * nbar + 1.0
-        assert abs(c1 - modes.c1) <= 1e-15 * occ * modes.c1
-        assert abs(c2 - modes.c2) <= 1e-15 * occ * modes.c1
-        assert abs(h - modes.h) <= 1e-15 * occ * (1 + modes.s1) * (1 + modes.s2)
+        assert abs(c1 - modes.c1) <= 1e-15 * modes.c1
+        assert abs(c2 - modes.c2) <= 1e-15 * modes.c1
+        assert abs(h - modes.h) <= 1e-15 * (1 + modes.s1) * (1 + modes.s2)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -25,9 +25,16 @@ NUMPY_FREE_COMMANDS = [
     ["werner", "--r", "1.5", "--p", "0.95", "--J", "0.01"],
     ["werner", "--r", "1.5", "--finite-dim", "2"],
     ["figure", "1"],
+    ["maximize", "--free", "J", "--r", "1.5", "--d", "0", "--nbar", "0"],
+    ["maximize", "--free", "J", "--r", "1.5", "--d", "0.3", "--nbar", "0.2",
+     "--j-bounds", "1e-6", "0.5", "--format", "json"],
+    ["phase-diffused", "--slope", "--p", "0.5", "--r", "1.5"],
     # error paths too: exit 3 without numpy
     ["bell", "--J", "0.01", "--r", "400"],
     ["werner", "--r", "-1", "--p", "0.5", "--J", "0.01"],
+    ["maximize", "--free", "J", "--r", "400", "--d", "0", "--nbar", "0"],
+    ["maximize", "--free", "J", "--r", "1.5"],
+    ["phase-diffused", "--slope", "--p", "0.5", "--r", "400"],
 ]
 
 
@@ -55,8 +62,9 @@ def test_import_cvbell_loads_no_numpy():
         "import sys\n"
         "import cvbell\n"
         "from cvbell import (TOLERANCES, ConvergenceError, CrossCheckError,\n"
-        "    MixtureSpec, ReportRecord, SqueezedStateParams, Tolerances,\n"
-        "    finite_dim_werner_threshold, render)\n"
+        "    MaximizeResult, MixtureSpec, ReportRecord, SqueezedStateParams,\n"
+        "    Tolerances, finite_dim_werner_threshold, maximize_over_j,\n"
+        "    mixture_slope, render)\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     assert proc.returncode == 0, proc.stderr
 

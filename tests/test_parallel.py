@@ -1,15 +1,15 @@
-"""Block and pool scans are bit-identical to one whole-grid kernel call."""
+"""Block scans are bit-identical to one whole-grid kernel call."""
 
 from functools import partial
 
 import numpy as np
 import pytest
 
-from cvbell import parallel
+from cvbell import bell_surface, separability_map
 from cvbell.analysis import _margin_rows
 from cvbell.bell import _closed_bell
 from cvbell.dynamics import coefficient_arrays
-from cvbell.parallel import BLOCK_CELLS, PARALLEL_THRESHOLD, chunked_rows
+from cvbell.parallel import BLOCK_CELLS, chunked_rows
 
 
 def _map_block(n_rows, n_cols):
@@ -28,7 +28,7 @@ def _surface_block(n_rows, n_cols):
 SHAPES = [
     (333, 301),              # odd row count, several rows per block
     (3, BLOCK_CELLS + 7),    # rows wider than a block: one row per block
-    (17, 19),                # below the pool threshold
+    (17, 19),                # a single block
 ]
 
 
@@ -46,8 +46,7 @@ def test_chunked_rows_bit_identical_to_one_call(make, shape, workers):
 
 def test_chunked_rows_block_bounds():
     # every call covers at most BLOCK_CELLS cells (and at least one row),
-    # the calls tile the rows exactly, and the pool is used above the
-    # threshold
+    # and the calls tile the rows exactly, in order
     calls = []
 
     def block(lo, hi):
@@ -55,9 +54,7 @@ def test_chunked_rows_block_bounds():
         return np.full((hi - lo, 1), float(lo))  # broadcasts over the row
 
     n_rows, n_cols = 1001, 300
-    assert n_rows * n_cols >= PARALLEL_THRESHOLD
     out = chunked_rows(block, n_rows, n_cols, workers=2)
-    calls.sort()
     assert calls[0][0] == 0 and calls[-1][1] == n_rows
     assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
     assert all(1 <= hi - lo and (hi - lo) * n_cols <= BLOCK_CELLS
@@ -80,9 +77,18 @@ def test_chunked_rows_reraises_block_errors():
         chunked_rows(block, 1000, 400, workers=2)
 
 
-def test_worker_count_reads_environment(monkeypatch):
-    monkeypatch.setenv("CVBELL_THREADS", "3")
-    assert parallel.worker_count() == 3
-    monkeypatch.setenv("CVBELL_THREADS", "0")
-    with pytest.raises(ValueError):
-        parallel.worker_count()
+def test_workers_argument_is_ignored():
+    # workers= is still accepted by the scans, and every setting gives
+    # the same bits
+    d = np.linspace(0.0, 6.0, 301)
+    nbar = np.linspace(0.0, 3.0, 257)
+    J = np.geomspace(1e-5, 1.0, 263)
+    maps = [separability_map(1.5, d, nbar, workers=w) for w in (None, 1, 2)]
+    surfaces = [bell_surface(1.5, 0.2, J, d, workers=w) for w in (None, 1, 2)]
+    for m in maps[1:]:
+        assert np.array_equal(m.margin, maps[0].margin)
+        assert np.array_equal(m.separable, maps[0].separable)
+        assert np.array_equal(m.boundary_nbar, maps[0].boundary_nbar,
+                              equal_nan=True)
+    for s in surfaces[1:]:
+        assert np.array_equal(s.values, surfaces[0].values)
