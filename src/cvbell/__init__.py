@@ -39,10 +39,9 @@ _HOMES = {
     "modes": ("MaximizeResult", "MixtureSpec", "SqueezedStateParams",
               "finite_dim_werner_threshold", "maximize_over_j",
               "mixture_slope"),
-    "numerics": ("QuadratureRule", "bessel_i0", "bessel_i0_log",
-                 "gauss_legendre", "matrix_exp4", "nelder_mead_minimize",
-                 "one_minus_exp_over", "periodic_trapezoid", "rk4_lyapunov",
-                 "sym4_eigenvalues"),
+    "numerics": ("QuadratureRule", "bessel_i0_log", "gauss_legendre",
+                 "matrix_exp4", "nelder_mead_minimize", "one_minus_exp_over",
+                 "periodic_trapezoid", "rk4_lyapunov", "sym4_eigenvalues"),
     "phase_space": ("CovarianceMatrix", "GaussianForm", "TwoModePoint",
                     "covariance_xvec", "form_from_covariance_xvec",
                     "nm_from_v", "precision_xvec", "v_from_w",

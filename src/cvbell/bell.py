@@ -285,7 +285,9 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     in lexicographic (r, d, nbar) order so exact ties go to the
     smallest tuple, then Nelder-Mead refinement from the best cell
     until the simplex diameter is below ``TOLERANCES.simplex_diameter``.
-    The refined point is only adopted if strictly better than the scan.
+    Refined coordinates within that tolerance of a bound are moved onto
+    it unless that costs more than a few ulp of B, and the refined point
+    is only adopted if strictly better than the scan.
 
     Parameters
     ----------
@@ -340,6 +342,14 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     step = (hi_arr - lo_arr) / 64.0
     step = np.where(best_x + step > hi_arr, -step, step)
     refined_x, refined_neg = nelder_mead_minimize(objective, best_x, step)
+    # a coordinate within the simplex tolerance of a bound goes onto it
+    # unless B falls by more than rounding there
+    tol = TOLERANCES.simplex_diameter
+    snapped = np.array([lo if v - lo < tol else hi if hi - v < tol else v
+                        for (_, lo, hi), v in zip(box, refined_x.tolist())])
+    snapped_neg = objective(snapped)
+    if snapped_neg <= refined_neg + 4.0 * math.ulp(refined_neg):
+        refined_x, refined_neg = snapped, snapped_neg
     if -refined_neg > best_val:
         best_x, best_val = refined_x, -refined_neg
 

@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--J", type=float, default=None,
                        help="displacement intensity for a single Bell value")
         p.add_argument("--threshold", action="store_true",
-                       help="bisect for the smallest violating weight")
+                       help="smallest violating weight, to the bisection "
+                       "tolerance")
         if name == "werner":
             p.add_argument("--finite-dim", dest="finite_dim", type=int,
                            default=None, metavar="DIM",

@@ -12,11 +12,14 @@ Two one-parameter families interpolate between the pure squeezed state
 
 Both mixtures are convex, so every Bell combination is affine in p.
 The evaluators here feed the four-point assembly directly; closed
-component curves are kept alongside for fast threshold scans, and each
-single Bell value cross-checks the affine identity.  Both components of
-the Werner-type mixture are Gaussian, so its single Bell values come
-from the numpy-free normal-mode core (:func:`cvbell.modes.werner_bell`),
-where ``MixtureSpec`` and the finite-dimensional threshold live too.
+component curves are kept alongside, and each single Bell value
+cross-checks the affine identity.  The same affinity gives the
+violation threshold on a budget grid in one vector pass: the mixture
+violates exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node.
+Both components of the Werner-type mixture are Gaussian, so its single
+Bell values come from the numpy-free normal-mode core
+(:func:`cvbell.modes.werner_bell`), where ``MixtureSpec`` and the
+finite-dimensional threshold live too.
 """
 
 from __future__ import annotations
@@ -235,29 +238,55 @@ _DEFAULT_BUDGETS = {"werner-thermal": _budget_grid(1e-4),
                     "phase-diffused": _budget_grid(1e-6)}
 
 
+#: smallest accepted ``p_tol``: the bisection lattice 2^-n and its cell
+#: midpoints stay exact doubles in [0, 1] for n <= 52
+_MIN_P_TOL = 2.0 ** -52
+
+
 def werner_violation_threshold(r: float, J_grid=None,
                                kind: str = "werner-thermal",
                                p_tol: float | None = None) -> ThresholdReport:
-    """Bisect for the weight p at which the Bell ceiling is first beaten.
+    """Weight p at which the Bell ceiling is first beaten, to ``p_tol``.
 
     The violation predicate maxes B(p, J) over a fixed budget grid
     (default: 200 geometric points; the phase-diffused default reaches
     down to 1e-6 because its threshold sits at vanishing weight).  The
     reference states never violate, and B is affine in p, so the
-    predicate is monotone and bisection to ``p_tol`` (default
-    ``TOLERANCES.threshold_p_abs``) is exact bookkeeping.
+    predicate is monotone in p.  ``p_star`` is the value that bisection
+    of [0, 1] down to a width of at most ``p_tol`` (default
+    ``TOLERANCES.threshold_p_abs``) returns: the midpoint of the cell
+    [k w, (k + 1) w], w = 2^-n, whose ends the predicate separates.
+
+    That cell is found without bisecting [0, 1].  On the grid the
+    predicate is p > min R(J), R = (2 - B_ref) / (B_pure - B_ref) over
+    the nodes where B_pure > B_ref, so the guess is k = floor(min R / w).
+    The predicate itself is then evaluated at the cell's two ends; where
+    it disagrees with the guess (rounding near B = 2), the bracket grows
+    outwards by doubling steps and is bisected on the lattice.
+
+    Raises
+    ------
+    ValueError
+        On an unknown kind, a bad r, a grid that is not 1-D with finite
+        positive entries, or a ``p_tol`` that is not a finite number of
+        at least 2^-52 (below that, bisection never gets narrower).
     """
     if kind not in MIXTURE_KINDS:
         raise ValueError(f"unknown mixture kind {kind!r}")
     _require_squeezing(r)
     if p_tol is None:
         p_tol = TOLERANCES.threshold_p_abs
+    elif not (math.isfinite(p_tol) and p_tol >= _MIN_P_TOL):
+        raise ValueError(f"p_tol must be a finite number of at least 2**-52, "
+                         f"got {p_tol!r}")
     if J_grid is None:
         J_grid = _DEFAULT_BUDGETS[kind]
     else:
         J_grid = np.asarray(J_grid, dtype=float)
-        if J_grid.ndim != 1 or J_grid.size == 0 or np.any(J_grid <= 0):
-            raise ValueError("budget grid must be 1-D with positive entries")
+        if (J_grid.ndim != 1 or J_grid.size == 0
+                or not np.all(np.isfinite(J_grid) & (J_grid > 0))):
+            raise ValueError("budget grid must be 1-D with finite positive "
+                             "entries")
 
     b_pure = pure_bell_curve(J_grid, r)
     b_ref = component_bell_curve(J_grid, r, kind)
@@ -270,13 +299,39 @@ def werner_violation_threshold(r: float, J_grid=None,
         return ThresholdReport(kind=kind, r=float(r), p_star=None,
                                violated_at_unit_weight=False,
                                best_b_at_unit_weight=top)
-    lo, hi = 0.0, 1.0  # no violation at lo, violation at hi
-    while hi - lo > p_tol:
-        mid = 0.5 * (lo + hi)
-        if best_b(mid) > 2.0:
+    # bisection halves [0, 1] n times, down to the first width w <= p_tol
+    n = max(0, 1 - math.frexp(p_tol)[1])
+    w = math.ldexp(1.0, -n)
+    cells = 1 << n
+    gain = b_pure - b_ref
+    up = gain > 0.0
+    p_grid = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))
+
+    def violates(j: int) -> bool:
+        # at lattice point j w; bisection never evaluates p = 0, and
+        # p = 1 is ``top``
+        return j > 0 and (j == cells or best_b(j * w) > 2.0)
+
+    # lo and hi bracket the first violating lattice point.  Rounding
+    # near B = 2 can move the predicate's switch away from min R, by
+    # many cells when p_tol is tiny, so a wrong guess gallops outwards
+    # and the bracket is then bisected on the lattice.
+    lo = min(max(int(p_grid / w), 0), cells - 1)
+    hi = lo + 1
+    stride = 1
+    while violates(lo):
+        lo, hi = max(lo - stride, 0), lo
+        stride *= 2
+    stride = 1
+    while not violates(hi):
+        lo, hi = hi, min(hi + stride, cells)
+        stride *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if violates(mid):
             hi = mid
         else:
             lo = mid
-    return ThresholdReport(kind=kind, r=float(r), p_star=0.5 * (lo + hi),
+    return ThresholdReport(kind=kind, r=float(r), p_star=(lo + 0.5) * w,
                            violated_at_unit_weight=True,
                            best_b_at_unit_weight=top)

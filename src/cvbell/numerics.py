@@ -1,16 +1,16 @@
 """Self-contained numeric kernel: special functions, integrators, solvers.
 
 Everything in this module is implemented from scratch on top of plain
-ndarray arithmetic so that each algorithm is auditable and its accuracy
-can be stated explicitly.  The rest of the package builds its oracles out
-of these routines, so none of them may silently delegate to an external
-special-function or linear-algebra library.
+ndarray or float arithmetic so that each algorithm is auditable and its
+accuracy can be stated explicitly.  The rest of the package builds its
+oracles out of these routines, so none of them may silently delegate to
+an external special-function or linear-algebra library.
 
 Contents
 --------
-* modified Bessel function I0 (power series below x=15, asymptotic
-  expansion above; DLMF 10.25.2 and 10.40.1) plus a log-scale variant
-  that stays finite for arguments up to 1e8,
+* log I0(x) of the modified Bessel function (power series below x=15,
+  asymptotic expansion above; DLMF 10.25.2 and 10.40.1), as Horner
+  polynomials that stay finite for arguments up to 1e8,
 * the stabilised quotient (1 - exp(-p))/p with a Taylor branch near 0,
 * Gauss-Legendre and periodic trapezoidal quadrature rules,
 * a fixed-step RK4 integrator for the Lyapunov matrix equation
@@ -18,7 +18,7 @@ Contents
 * eigenvalues of symmetric 4x4 matrices: exact pair-splitting for the
   doubly degenerate anti-diagonal pattern, cyclic Jacobi otherwise,
 * matrix exponential by scaling and squaring of the truncated series,
-* a derivative-free Nelder-Mead minimiser.
+* a derivative-free Nelder-Mead minimiser on Python floats.
 
 All tolerances are compile-time constants collected in ``TOLERANCES``
 (defined in :mod:`cvbell.tolerances`, which needs no numpy).
@@ -39,7 +39,6 @@ __all__ = [
     "TOLERANCES",
     "Tolerances",
     "QuadratureRule",
-    "bessel_i0",
     "bessel_i0_log",
     "one_minus_exp_over",
     "gauss_legendre",
@@ -62,67 +61,39 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 
 
 # ----------------------------------------------------------------------
-# modified Bessel function of the first kind, order zero
+# log of the modified Bessel function of the first kind, order zero
 # ----------------------------------------------------------------------
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    # sum_k (x^2/4)^k / (k!)^2; at x = 15 the k = 40 tail is < 1e-16 relative
-    q = x * x / 4.0
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 41):
-        term = term * q / (k * k)
-        acc = acc + term
+#: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4; at x = 15 the
+#: k = 40 tail is < 1e-16 relative.  Python's int division rounds
+#: correctly, so each coefficient is the double nearest its exact value.
+_I0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(41))
+
+#: asymptotic coefficients a_k = a_{k-1} (2k-1)^2 / (8k) of
+#: I0(x) sqrt(2 pi x) e^{-x} in 1/x (DLMF 10.40.1); at the x = 15 switch
+#: point the first omitted term is 6e-15, under 1e-15 of log I0 there
+_I0_ASYMPTOTIC = tuple(
+    math.prod((2 * j - 1) ** 2 for j in range(1, k + 1))
+    / (8 ** k * math.factorial(k)) for k in range(25))
+
+
+def _horner_tail(t: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """sum_{k >= 1} coeffs[k] t^k by Horner's rule, in one buffer."""
+    acc = t * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= t
     return acc
-
-
-def _i0_asymptotic_tail(x: np.ndarray) -> np.ndarray:
-    # sum_k a_k / x^k with a_k = a_{k-1} (2k-1)^2 / (8k); 24 terms keep the
-    # truncation below 1e-13 relative at the x = 15 switch point
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, 25):
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        acc = acc + term
-    return acc
-
-
-def bessel_i0(x):
-    """Modified Bessel function I0(x) for x >= 0.
-
-    Power series below ``TOLERANCES.bessel_switch``, asymptotic expansion
-    above; the two branches agree to better than 1e-12 relative across
-    the switch.  Overflows to ``inf`` for x beyond ~709 (use
-    :func:`bessel_i0_log` there).
-
-    Parameters
-    ----------
-    x : float or ndarray
-        Nonnegative argument.
-
-    Returns
-    -------
-    float or ndarray
-    """
-    a, scalar = _as_array(x)
-    if np.any(a < 0.0):
-        raise ValueError("bessel_i0 requires a nonnegative argument")
-    out = np.empty_like(a)
-    small = a < TOLERANCES.bessel_switch
-    if np.any(small):
-        out[small] = _i0_series(a[small])
-    if np.any(~small):
-        xl = a[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = np.exp(xl) / np.sqrt(2.0 * np.pi * xl) * _i0_asymptotic_tail(xl)
-    return _maybe_scalar(out, scalar)
 
 
 def bessel_i0_log(x):
     """log I0(x), finite for all 0 <= x <= 1e8.
 
-    Uses log of the power series below the switch and
-    x - log(2 pi x)/2 + log(tail) above, so no intermediate overflows.
+    Below ``TOLERANCES.bessel_switch`` the power series, above it
+    x - log(2 pi x)/2 plus the log of the asymptotic series; each series
+    is a Horner polynomial whose constant term 1 is left out and added
+    back through ``log1p``, so nothing overflows and log I0(x) ~ x^2/4
+    keeps its relative accuracy down to tiny x.
     """
     a, scalar = _as_array(x)
     if np.any(a < 0.0):
@@ -130,10 +101,12 @@ def bessel_i0_log(x):
     out = np.empty_like(a)
     small = a < TOLERANCES.bessel_switch
     if np.any(small):
-        out[small] = np.log(_i0_series(a[small]))
-    if np.any(~small):
+        xs = a[small]
+        out[small] = np.log1p(_horner_tail(xs * xs / 4.0, _I0_SERIES))
+    if not np.all(small):
         xl = a[~small]
-        out[~small] = xl - 0.5 * np.log(2.0 * np.pi * xl) + np.log(_i0_asymptotic_tail(xl))
+        out[~small] = (xl - 0.5 * np.log(2.0 * np.pi * xl)
+                       + np.log1p(_horner_tail(1.0 / xl, _I0_ASYMPTOTIC)))
     return _maybe_scalar(out, scalar)
 
 
@@ -422,6 +395,13 @@ def matrix_exp4(A: np.ndarray, t: float = 1.0) -> np.ndarray:
 # Nelder-Mead
 # ----------------------------------------------------------------------
 
+def _square_distance(a: list, b: list) -> float:
+    d2 = 0.0
+    for x, y in zip(a, b):
+        d2 += (x - y) * (x - y)
+    return d2
+
+
 def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
                          diameter_tol: float = TOLERANCES.simplex_diameter,
                          max_iter: int = 2000):
@@ -430,39 +410,51 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
     Deterministic: the initial simplex is x0 plus one ``step``
     displacement per coordinate, and iteration stops once the simplex
     diameter (largest vertex-to-vertex distance) drops below
-    ``diameter_tol`` or ``max_iter`` iterations have run.
+    ``diameter_tol`` or ``max_iter`` iterations have run.  ``f`` is
+    called with a 1-D ndarray.
+
+    The simplex is kept in lists of Python floats, where numpy would
+    spend more time on its 3-vectors than the objective does.  Sums run
+    left to right as numpy's do on these few elements, the sort is
+    stable and ties in the final minimum go to the first vertex, so
+    the result is bit for bit that of the same algorithm on ndarrays.
 
     Returns
     -------
     (x, fx) : tuple of ndarray and float
         Best vertex found and its function value.
     """
-    x0 = np.asarray(x0, dtype=float)
-    ndim = x0.size
-    step = np.broadcast_to(np.asarray(step, dtype=float), (ndim,))
-    verts = [x0.copy()]
+    x0 = np.asarray(x0, dtype=float).tolist()
+    ndim = len(x0)
+    step = np.broadcast_to(np.asarray(step, dtype=float), (ndim,)).tolist()
+    verts = [x0]
     for i in range(ndim):
         v = x0.copy()
         v[i] += step[i]
         verts.append(v)
-    verts = np.array(verts)
-    vals = np.array([f(v) for v in verts])
+    vals = [float(f(np.array(v))) for v in verts]
+    pairs = [(i, j) for i in range(ndim + 1) for j in range(i + 1, ndim + 1)]
 
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
-        verts, vals = verts[order], vals[order]
-        # largest vertex-to-vertex distance, all pairs at once
-        d = verts[:, None, :] - verts[None, :, :]
-        diam = math.sqrt(float(np.max(np.sum(d * d, axis=-1))))
-        if diam < diameter_tol:
+        order = sorted(range(ndim + 1), key=vals.__getitem__)
+        verts = [verts[i] for i in order]
+        vals = [vals[i] for i in order]
+        # the diameter is below diameter_tol once every pair of vertices
+        # is closer than that; the first pair that is not settles it
+        if all(math.sqrt(_square_distance(verts[i], verts[j])) < diameter_tol
+               for i, j in pairs):
             break
-        centroid = np.mean(verts[:-1], axis=0)
-        xr = centroid + alpha * (centroid - verts[-1])
-        fr = f(xr)
+        centroid = verts[0].copy()
+        for v in verts[1:-1]:
+            centroid = [c + x for c, x in zip(centroid, v)]
+        centroid = [c / ndim for c in centroid]
+        worst = verts[-1]
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        fr = float(f(np.array(xr)))
         if fr < vals[0]:
-            xe = centroid + gamma * (xr - centroid)
-            fe = f(xe)
+            xe = [c + gamma * (x - c) for c, x in zip(centroid, xr)]
+            fe = float(f(np.array(xe)))
             if fe < fr:
                 verts[-1], vals[-1] = xe, fe
             else:
@@ -470,13 +462,15 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
         elif fr < vals[-2]:
             verts[-1], vals[-1] = xr, fr
         else:
-            xc = centroid + rho * (verts[-1] - centroid)
-            fc = f(xc)
+            xc = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+            fc = float(f(np.array(xc)))
             if fc < vals[-1]:
                 verts[-1], vals[-1] = xc, fc
             else:
+                best = verts[0]
                 for i in range(1, ndim + 1):
-                    verts[i] = verts[0] + sigma * (verts[i] - verts[0])
-                    vals[i] = f(verts[i])
-    best = int(np.argmin(vals))
-    return verts[best].copy(), float(vals[best])
+                    verts[i] = [b + sigma * (v - b)
+                                for b, v in zip(best, verts[i])]
+                    vals[i] = float(f(np.array(verts[i])))
+    best = vals.index(min(vals))
+    return np.array(verts[best]), vals[best]

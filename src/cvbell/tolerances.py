@@ -19,7 +19,7 @@ class Tolerances:
     reports embed them, so changing one here changes it everywhere.
     """
 
-    #: argument where bessel_i0 switches from power series to asymptotics
+    #: argument where bessel_i0_log switches from power series to asymptotics
     bessel_switch: float = 15.0
     #: |p| below which (1 - exp(-p))/p uses its 6-term Taylor polynomial
     taylor_cutoff: float = 1e-4

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from cvbell.mixtures import component_bell_curve, pure_bell_curve
+from cvbell.tolerances import TOLERANCES
+
 
 def nelder_mead_pairwise(f, x0, step, diameter_tol=1e-6, max_iter=2000):
     """Nelder-Mead with the simplex diameter taken pair by pair in a loop.
@@ -118,3 +121,90 @@ def max_bell_dense(s1, s2, lo, hi, nodes=4001, sections=200):
     u = 0.5 * (a + b)
     best_j, best_b = (math.exp(u), f(u)) if f(u) > vals[k] else (grid[k], vals[k])
     return float(best_j), float(best_b), float(vals.max())
+
+
+def i0_series(x):
+    """sum_k (x^2/4)^k / (k!)^2 term by term; at x = 15 the k = 40 tail
+    is < 1e-16 relative."""
+    q = x * x / 4.0
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
+    for k in range(1, 41):
+        term = term * q / (k * k)
+        acc = acc + term
+    return acc
+
+
+def i0_asymptotic_tail(x):
+    """sum_k a_k / x^k with a_k = a_{k-1} (2k-1)^2 / (8k), term by term;
+    24 terms keep the truncation below 1e-13 relative at x = 15."""
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
+    for k in range(1, 25):
+        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
+        acc = acc + term
+    return acc
+
+
+def bessel_i0(x):
+    """I0(x) for x >= 0: the power series below
+    ``TOLERANCES.bessel_switch``, the asymptotic expansion above.
+
+    Overflows to ``inf`` beyond x ~ 709.  The runtime keeps only
+    ``cvbell.numerics.bessel_i0_log``.
+    """
+    a = np.asarray(x, dtype=float)
+    if np.any(a < 0.0):
+        raise ValueError("bessel_i0 requires a nonnegative argument")
+    out = np.empty_like(a)
+    small = a < TOLERANCES.bessel_switch
+    if np.any(small):
+        out[small] = i0_series(a[small])
+    if np.any(~small):
+        xl = a[~small]
+        with np.errstate(over="ignore"):
+            out[~small] = (np.exp(xl) / np.sqrt(2.0 * np.pi * xl)
+                           * i0_asymptotic_tail(xl))
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_i0_log_loops(x):
+    """log I0(x) as ``cvbell.numerics.bessel_i0_log`` had it before its
+    Horner form: ``log`` of the term-by-term series."""
+    a = np.asarray(x, dtype=float)
+    out = np.empty_like(a)
+    small = a < TOLERANCES.bessel_switch
+    if np.any(small):
+        out[small] = np.log(i0_series(a[small]))
+    if np.any(~small):
+        xl = a[~small]
+        out[~small] = (xl - 0.5 * np.log(2.0 * np.pi * xl)
+                       + np.log(i0_asymptotic_tail(xl)))
+    return float(out) if out.ndim == 0 else out
+
+
+def threshold_bisection(r, J_grid, kind, p_tol):
+    """p* of ``cvbell.mixtures.werner_violation_threshold`` by bisection.
+
+    The form the runtime had before it located the bisection's final
+    cell directly: halve [0, 1] until its width is at most ``p_tol``,
+    keeping the predicate max_J B(p, J) > 2 true at the upper end.
+    Returns None when p = 1 does not violate.
+    """
+    J_grid = np.asarray(J_grid, dtype=float)
+    b_pure = pure_bell_curve(J_grid, r)
+    b_ref = component_bell_curve(J_grid, r, kind)
+
+    def best_b(p):
+        return float((p * b_pure + (1.0 - p) * b_ref).max())
+
+    if not best_b(1.0) > 2.0:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > p_tol:
+        mid = 0.5 * (lo + hi)
+        if best_b(mid) > 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

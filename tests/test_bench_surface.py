@@ -4,13 +4,15 @@
 drops a metric whose function is missing, so a function that leaves the
 package, changes its signature or stops returning from ``main`` would
 shrink or break that run.  This module imports the benchmark's files
-read only and checks their call surface against the package.
+read only and checks their call surface against the package, and runs
+one short traced run to its closing JSON line.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -58,3 +60,16 @@ def test_main_returns_in_process(argv):
         code = main(argv)
     assert code == 0
     assert buf.getvalue().count("\n") > 1
+
+
+def test_traced_run_ends_with_its_result_line():
+    # the traced run probes the package in process; a probe that breaks
+    # or prints must not displace the JSON result from the last line
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", "scans",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

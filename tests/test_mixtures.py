@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell import (
     ConvergenceError,
@@ -26,6 +28,7 @@ from cvbell import (
 from cvbell.mixtures import werner_wigner
 from cvbell.modes import mixture_slope
 
+from oracles import threshold_bisection
 from quad_helpers import marginal_by_quadrature
 
 # frozen: 2 / (pi cosh 3)
@@ -246,3 +249,66 @@ def test_product_curve_square_is_unchanged_below_overflow():
         c = math.cosh(2.0 * r)
         want = (1.0 + 2.0 * np.exp(-2.0 * J / c) - np.exp(-4.0 * J / c)) / c ** 2
         assert np.array_equal(component_bell_curve(J, r, "werner-thermal"), want)
+
+
+KINDS = ("werner-thermal", "phase-diffused")
+DEFAULT_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       r=st.floats(0.0, 9.0),
+       low=st.floats(-8.0, -1.0),
+       span=st.floats(0.5, 9.0),
+       size=st.integers(1, 300),
+       p_tol=st.floats(1e-6, 0.5),
+       default=st.booleans())
+def test_threshold_equals_the_bisection_oracle(kind, r, low, span, size,
+                                               p_tol, default):
+    # the lattice cell found from min R is the one bisection ends on
+    if default:
+        grid, tol = None, None
+        oracle_grid, oracle_tol = (np.geomspace(DEFAULT_LOW[kind], 1.0, 200),
+                                   TOLERANCES.threshold_p_abs)
+    else:
+        grid = oracle_grid = np.geomspace(10.0 ** low, 10.0 ** (low + span),
+                                          size)
+        tol = oracle_tol = p_tol
+    rep = werner_violation_threshold(r, grid, kind, tol)
+    assert rep.p_star == threshold_bisection(r, oracle_grid, kind, oracle_tol)
+    assert rep.violated_at_unit_weight == (rep.p_star is not None)
+
+
+@pytest.mark.parametrize("kind, r, p_tol", [
+    ("werner-thermal", 0.3, 2.0 ** -52),
+    ("werner-thermal", 4.0, 2.0 ** -52),
+    # rounding puts the predicate's switch below min R: the search must
+    # step down from its guess
+    ("werner-thermal", 1.9166066908589496, 2.0 ** -52),
+    ("werner-thermal", 2.6384328539636015, 2.0 ** -50),
+    # the switch sits thousands of cells above min R: the search gallops
+    ("phase-diffused", 0.3, 2.0 ** -52),
+    ("phase-diffused", 1.5, 2.0 ** -52),
+    ("phase-diffused", 4.0, 2.0 ** -52),
+])
+def test_threshold_on_fine_lattices_equals_bisection(kind, r, p_tol):
+    # 2^-52 is the smallest accepted p_tol; the oracle still terminates
+    rep = werner_violation_threshold(r, kind=kind, p_tol=p_tol)
+    assert rep.p_star == threshold_bisection(
+        r, np.geomspace(DEFAULT_LOW[kind], 1.0, 200), kind, p_tol)
+
+
+@pytest.mark.parametrize("p_tol", [0.0, -1.0, math.nan, math.inf, 1e-17])
+def test_threshold_rejects_a_tolerance_bisection_cannot_meet(p_tol):
+    # 0 and -1 used to loop forever, nan returned p* = 0.5 unasked
+    with pytest.raises(ValueError, match="p_tol"):
+        werner_violation_threshold(1.5, p_tol=p_tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+def test_threshold_rejects_a_grid_with_a_bad_budget(bad):
+    # a NaN budget used to report "no violation" with best B nan
+    grid = np.geomspace(1e-4, 1.0, 20)
+    grid[7] = bad
+    with pytest.raises(ValueError, match="finite positive"):
+        werner_violation_threshold(1.5, J_grid=grid)

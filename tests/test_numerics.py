@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell import (
     TOLERANCES,
-    bessel_i0,
     bessel_i0_log,
     diffusion_matrix,
     drift_matrix,
@@ -22,6 +24,7 @@ from cvbell import (
 )
 from cvbell.dynamics import SWAP_SIGN
 from cvbell.numerics import jacobi_eigenvalues
+from oracles import bessel_i0, bessel_i0_log_loops, nelder_mead_pairwise
 
 # Abramowitz & Stegun 9.8 reference values.
 I0_AT_1 = 1.2660658777520082
@@ -74,6 +77,35 @@ def test_bessel_i0_array_input():
     x = np.array([0.0, 1.0, 10.0])
     np.testing.assert_allclose(bessel_i0(x), [1.0, I0_AT_1, I0_AT_10],
                                rtol=1e-14)
+
+
+def test_bessel_i0_log_against_mpmath():
+    # relative accuracy from x = 1e-8, where log I0 ~ x^2/4 = 2.5e-17 and
+    # a log of 1 + tiny loses every digit, up to 1e6, on both sides of
+    # the switch
+    switch = TOLERANCES.bessel_switch
+    x = np.concatenate([np.geomspace(1e-8, 1e6, 400),
+                        np.linspace(switch - 0.5, switch + 0.5, 41)])
+    got = bessel_i0_log(x)
+    mpmath.mp.dps = 50
+    worst = 0.0
+    for xi, gi in zip(x.tolist(), got.tolist()):
+        want = mpmath.log(mpmath.besseli(0, mpmath.mpf(xi)))
+        worst = max(worst, float(abs(gi - want) / want))
+    assert worst <= 1e-14
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=20))
+def test_bessel_i0_log_horner_matches_the_term_loops(xs):
+    # the term-by-term oracle takes the log of 1 + tiny, which is only
+    # good to an ulp or so of 1, so ulps are counted on max(1, |log I0|)
+    x = np.array(xs)
+    got = bessel_i0_log(x)
+    want = bessel_i0_log_loops(x)
+    scale = np.spacing(np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(got - want) <= 4.0 * scale)
+    assert bessel_i0_log(xs[0]) == got[0]
 
 
 def test_one_minus_exp_over_basics():
@@ -247,9 +279,64 @@ TEST_FUNCTIONS = [
 
 @pytest.mark.parametrize("f, x0, step", TEST_FUNCTIONS)
 def test_nelder_mead_matches_pairwise_diameter_oracle(f, x0, step):
-    from oracles import nelder_mead_pairwise
-
     x, fx = nelder_mead_minimize(f, np.array(x0), step)
     x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), step)
+    assert np.array_equal(x, x_ref)
+    assert fx == fx_ref
+
+
+def _bowl(centre, weights, power):
+    # a separable bowl, steep or flat by power; mostly smooth, with kinks
+    # and ties at power 1
+    def f(z):
+        return float(sum(w * abs(zi - c) ** power
+                         for zi, c, w in zip(z, centre, weights)))
+    return f
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+    st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n),
+    st.lists(st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3),
+             min_size=n, max_size=n),
+    st.sampled_from([1.0, 2.0, 4.0]))))
+def test_float_nelder_mead_matches_the_ndarray_oracle(case):
+    x0, centre, weights, step, power = case
+    f = _bowl(centre, weights, power)
+    x, fx = nelder_mead_minimize(f, np.array(x0), step)
+    x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), step)
+    assert np.array_equal(x, x_ref)
+    assert fx == fx_ref
+
+
+@pytest.mark.parametrize("free, fixed", [
+    (("r",), {"J": 0.01, "d": 0.3, "nbar": 0.1}),
+    (("J", "r"), {"d": 0.5, "nbar": 1.0}),
+    (("r", "d"), {"J": 0.01, "nbar": 0.1}),
+    (("J", "d", "nbar"), {"r": 1.5}),
+    (("J", "r", "d", "nbar"), {}),
+    (("r", "d", "nbar"), {"J": 0.2}),
+])
+def test_float_nelder_mead_on_the_maximiser_objectives(monkeypatch, free,
+                                                       fixed):
+    # the maximiser's own objectives (1, 2 and 3 free state parameters),
+    # captured from its call and rerun through the ndarray oracle
+    import cvbell.bell as bell_module
+    from cvbell import maximize_bell
+
+    calls = []
+    real = bell_module.nelder_mead_minimize
+
+    def recording(f, x0, step):
+        calls.append((f, np.array(x0), np.array(step)))
+        return real(f, x0, step)
+
+    monkeypatch.setattr(bell_module, "nelder_mead_minimize", recording)
+    maximize_bell(free, fixed)
+    (f, x0, step), = calls
+    x, fx = real(f, x0, step)
+    x_ref, fx_ref = nelder_mead_pairwise(f, x0, step)
     assert np.array_equal(x, x_ref)
     assert fx == fx_ref

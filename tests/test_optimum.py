@@ -148,3 +148,31 @@ def test_maximum_with_j_free_beats_every_grid_state(free):
         B = _modes(state["r"], state["d"], state["nbar"]).bell_optimum(
             *DEFAULT_BOUNDS["J"])[1]
         assert res.b_max >= B
+
+
+def test_a_refinement_that_wins_by_rounding_is_not_adopted():
+    # regression: the simplex stopped at r = 2.9999999999911831,
+    # d = 2.3e-19, nbar = 0.00195, 1 ulp above the grid cell (3, 0, 0),
+    # which is the best state inside the bounds
+    res = maximize_bell(PARAM_ORDER, {})
+    assert [res.params[n] for n in ("r", "d", "nbar")] == [3.0, 0.0, 0.0]
+    best = maximize_over_j({"r": 3.0, "d": 0.0, "nbar": 0.0})
+    assert (res.params["J"], res.b_max) == (best.params["J"], best.b_max)
+
+
+@pytest.mark.parametrize("free, fixed, slot", [
+    (("r", "d"), {"J": 0.01, "nbar": 0.1}, "d"),
+    (("J", "r", "nbar"), {"d": 0.3}, "nbar"),
+])
+def test_refined_coordinates_next_to_a_bound_go_onto_it(free, fixed, slot):
+    # regression: the simplex stopped at d = 1.2e-14 (nbar = 4.1e-13),
+    # where B falls with the coordinate; the bound itself is reported,
+    # with its own B
+    res = maximize_bell(free, fixed)
+    assert res.params[slot] == 0.0
+    state = [res.params[n] for n in ("r", "d", "nbar")]
+    if "J" in free:
+        want = _modes(*state).bell_optimum(*DEFAULT_BOUNDS["J"])[1]
+    else:
+        want = bell_module._model_bell_scalar(fixed["J"], *state)
+    assert res.b_max == want
