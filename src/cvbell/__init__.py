@@ -8,8 +8,12 @@ everything as reproducible CSV/JSON reports.
 
 Names are loaded on first use (PEP 562): ``import cvbell`` alone
 imports no numpy, and neither do the numpy-free names (the errors,
-reports, tolerances and the single-point core of :mod:`cvbell.modes`,
-which includes the closed-form maximum over J and the small-J slope).
+reports, tolerances, the single-point core of :mod:`cvbell.modes`,
+which includes the closed-form maximum over J, the small-J slope and
+the mixtures' Bell values, and :mod:`cvbell.curves`, the float grids,
+curves and threshold search of the figures and thresholds).  Of the
+command-line paths only ``maximize`` with a state parameter free loads
+numpy.
 """
 
 import importlib
@@ -30,8 +34,9 @@ _HOMES = {
                  "covariance_ode_oracle", "diffusion_matrix",
                  "drift_eigenvalues", "drift_matrix", "evolve_coefficients",
                  "propagate_covariance", "propagate_green", "steady_state"),
+    "curves": ("ThresholdReport",),
     "errors": ("ConvergenceError", "CrossCheckError"),
-    "mixtures": ("ThresholdReport", "component_bell_curve", "mixture_bell",
+    "mixtures": ("component_bell_curve", "mixture_bell",
                  "mixture_bell_curve", "mixture_evaluator", "mixture_wigner",
                  "phase_average_quadrature_oracle", "phase_averaged_wigner",
                  "pure_bell_curve", "thermal_marginal",
@@ -51,9 +56,9 @@ _HOMES = {
     "tolerances": ("TOLERANCES", "Tolerances"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("analysis", "bell", "cli", "dynamics", "errors", "mixtures",
-               "modes", "numerics", "parallel", "phase_space", "reports",
-               "tolerances")
+_SUBMODULES = ("analysis", "bell", "cli", "curves", "dynamics", "errors",
+               "mixtures", "modes", "numerics", "parallel", "phase_space",
+               "reports", "tolerances")
 
 __all__ = sorted(_HOME_OF)
 

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
 from .numerics import TOLERANCES, one_minus_exp_over
-from .parallel import chunked_rows
+from .parallel import chunked_rows, scan_inputs
 from .phase_space import GaussianForm
 
 __all__ = [
@@ -175,24 +175,15 @@ def separability_map(r: float, d_grid, nbar_grid,
                      workers: int | None = None) -> SeparabilityMap:
     """Classify separability over a (d, nbar) grid at fixed r.
 
-    Grids must be ascending and nonnegative.  The margin
+    The arguments are checked as :func:`cvbell.bell.bell_surface`'s
+    (:func:`cvbell.parallel.scan_inputs`).  The margin
     (min(s1, s2) - 1)/2 comes from the normal-mode variances, with the
     closed-form pair asserted against it cell by cell; rows run in
     cache-sized blocks.  ``workers`` is accepted for compatibility and
     ignored.
     """
-    d_grid = np.asarray(d_grid, dtype=float)
-    nbar_grid = np.asarray(nbar_grid, dtype=float)
-    for name, g in (("d_grid", d_grid), ("nbar_grid", nbar_grid)):
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError(f"{name} must be a nonempty 1-D grid")
-        if np.any(g < 0):
-            raise ValueError(f"{name} must be nonnegative")
-        if g.size > 1 and np.any(np.diff(g) <= 0):
-            raise ValueError(f"{name} must be strictly ascending")
-    if float(r) < 0:
-        raise ValueError("r must be nonnegative")
-    r = float(r)
+    r, d_grid, nbar_grid = scan_inputs(r, None, d_grid=d_grid,
+                                       nbar_grid=nbar_grid)
 
     margin = chunked_rows(
         lambda lo, hi: _margin_rows(r, d_grid, nbar_grid, lo, hi),

@@ -38,7 +38,7 @@ from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
     maximize_over_j,
 )
 from .numerics import TOLERANCES, nelder_mead_minimize
-from .parallel import chunked_rows
+from .parallel import chunked_rows, scan_inputs
 from .phase_space import (
     GaussianForm,
     SqueezedStateParams,
@@ -169,16 +169,13 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     b = 4/s1 and h = s1 s2.  The column coefficients -a, -b and 1/h are
     computed once, and the rows run in cache-sized blocks.  ``workers``
     is accepted for compatibility and ignored.
+
+    Raises ``ValueError`` (:func:`cvbell.parallel.scan_inputs`) unless
+    r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
+    finite, nonnegative and ascending, and e^{2r - d} stays in the float
+    range at the smallest d.
     """
-    J_grid = np.asarray(J_grid, dtype=float)
-    d_grid = np.asarray(d_grid, dtype=float)
-    for name, g in (("J_grid", J_grid), ("d_grid", d_grid)):
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError(f"{name} must be a nonempty 1-D grid")
-        if np.any(g < 0):
-            raise ValueError(f"{name} must be nonnegative")
-        if g.size > 1 and np.any(np.diff(g) <= 0):
-            raise ValueError(f"{name} must be strictly ascending")
+    r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)
     neg_a = -(1.0 / s1 + 1.0 / s2)
     neg_b = -4.0 / s1

@@ -16,6 +16,14 @@ import argparse
 import sys
 from pathlib import Path
 
+from .curves import (
+    _geomspace,
+    _linspace,
+    component_bell_values,
+    mixed_values,
+    pure_bell_values,
+    violation_threshold,
+)
 from .errors import ConvergenceError, CrossCheckError
 from .modes import (
     MixtureSpec,
@@ -24,6 +32,7 @@ from .modes import (
     finite_dim_werner_threshold,
     maximize_over_j,
     mixture_slope,
+    phase_diffused_bell,
     steady_limit,
     werner_bell,
 )
@@ -49,18 +58,6 @@ def _meta(subcommand: str, **params) -> dict:
     return meta
 
 
-def _linspace(start: float, stop: float, num: int) -> list:
-    """``numpy.linspace(start, stop, num)`` for num >= 2, bit for bit."""
-    div = num - 1
-    step = (stop - start) / div
-    if step == 0:
-        values = [i / div * (stop - start) + start for i in range(num)]
-    else:
-        values = [i * step + start for i in range(num)]
-    values[-1] = stop
-    return values
-
-
 def _state_columns(params: SqueezedStateParams) -> tuple:
     """c1, c2, h, N, M, pure, margin of one state."""
     modes = NormalModes.of(params)
@@ -72,10 +69,10 @@ def _state_columns(params: SqueezedStateParams) -> tuple:
 # subcommand handlers
 # ----------------------------------------------------------------------
 #
-# The single-point handlers, ``maximize --free J`` and ``--slope`` run on
-# :mod:`cvbell.modes` and never import numpy; the grid, multi-parameter
-# maximiser, threshold and phase-diffused Bell handlers import the numpy
-# modules when they run.
+# Every handler runs on the numpy-free :mod:`cvbell.modes` and
+# :mod:`cvbell.curves`: the single-point values, the figures' grids, the
+# thresholds and the mixtures' Bell values.  Only ``maximize`` with a
+# state parameter free imports the numpy modules, when it runs.
 
 def cmd_coeffs(args) -> ReportRecord:
     scan = args.t_max is not None
@@ -120,47 +117,39 @@ def _figure_separability() -> ReportRecord:
                         rows=rows)
 
 
+def _column_modes(d_grid) -> list:
+    """The normal modes of each d column of a figure at r = 1.5, nbar = 0."""
+    return [NormalModes.of(SqueezedStateParams(r=FIGURE_SQUEEZING, d=d))
+            for d in d_grid]
+
+
 def _figure_bell_surface() -> ReportRecord:
-    import numpy as np
-
-    from .bell import bell_surface
-
-    j_grid = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 49)))
-    d_grid = np.linspace(0.0, 2.0, 41)
-    surface = bell_surface(FIGURE_SQUEEZING, 0.0, j_grid, d_grid)
-    rows = [(float(j_grid[i]), float(d_grid[k]), float(surface.values[i, k]))
-            for i in range(len(j_grid)) for k in range(len(d_grid))]
+    j_grid = [0.0] + _geomspace(1e-4, 1.0, 49)
+    d_grid = _linspace(0.0, 2.0, 41)
+    columns = [modes.bell_values(j_grid) for modes in _column_modes(d_grid)]
+    rows = [(j, d, column[i]) for i, j in enumerate(j_grid)
+            for d, column in zip(d_grid, columns)]
     meta = _meta("figure", index=2, r=FIGURE_SQUEEZING, nbar=0.0)
     return ReportRecord(meta=meta, columns=("J", "d", "B"), rows=rows)
 
 
 def _figure_bell_vs_diffusion() -> ReportRecord:
-    import numpy as np
-
-    from .bell import bell_surface
-
     # dense where the violation dies, coarse along the long tail to 50
-    d_grid = np.concatenate((np.linspace(0.0, 0.5, 51),
-                             np.linspace(0.6, 5.0, 45),
-                             np.linspace(6.0, 50.0, 45)))
+    d_grid = (_linspace(0.0, 0.5, 51) + _linspace(0.6, 5.0, 45)
+              + _linspace(6.0, 50.0, 45))
     j = 0.01
-    surface = bell_surface(FIGURE_SQUEEZING, 0.0, np.array([j]), d_grid)
-    rows = [(float(d), float(b)) for d, b in zip(d_grid, surface.values[0])]
+    rows = [(d, modes.bell_values((j,))[0])
+            for d, modes in zip(d_grid, _column_modes(d_grid))]
     meta = _meta("figure", index=3, r=FIGURE_SQUEEZING, nbar=0.0, J=j)
     return ReportRecord(meta=meta, columns=("d", "B"), rows=rows)
 
 
 def _figure_mixture_curves(index: int, kind: str, weights) -> ReportRecord:
-    import numpy as np
-
-    from .mixtures import mixture_bell_curve
-
-    j_grid = np.geomspace(1e-4, 1.0, 200)
-    curves = [mixture_bell_curve(MixtureSpec(p=p, r=FIGURE_SQUEEZING, kind=kind),
-                                 j_grid)
-              for p in weights]
-    rows = [tuple([float(j)] + [float(c[i]) for c in curves])
-            for i, j in enumerate(j_grid)]
+    j_grid = _geomspace(1e-4, 1.0, 200)
+    pure = pure_bell_values(j_grid, FIGURE_SQUEEZING)
+    reference = component_bell_values(j_grid, FIGURE_SQUEEZING, kind)
+    curves = [mixed_values(p, pure, reference) for p in weights]
+    rows = [(j,) + tuple(c[i] for c in curves) for i, j in enumerate(j_grid)]
     meta = _meta("figure", index=index, kind=kind, r=FIGURE_SQUEEZING,
                  weights=",".join(f"{p:g}" for p in weights))
     columns = ("J",) + tuple(f"B_p{p:.2f}" for p in weights)
@@ -250,9 +239,7 @@ def _mixture_record(args, kind: str) -> ReportRecord:
         return ReportRecord(meta=meta, columns=("dim", "p_threshold"),
                             rows=[(dim, finite_dim_werner_threshold(dim))])
     if args.threshold:
-        from .mixtures import werner_violation_threshold
-
-        report = werner_violation_threshold(args.r, kind=kind)
+        report = violation_threshold(args.r, kind=kind)
         p_star = float("nan") if report.p_star is None else report.p_star
         meta = _meta(kind, mode="threshold", r=args.r)
         return ReportRecord(
@@ -273,13 +260,8 @@ def _mixture_record(args, kind: str) -> ReportRecord:
                                    b_zero)])
     if args.J is None:
         args.parser.error(f"{name}: need --J (or --threshold / --slope)")
-    if kind == "werner-thermal":
-        B, correlations = werner_bell(spec, args.J)
-    else:
-        from .mixtures import mixture_bell
-
-        evaluation = mixture_bell(spec, args.J)
-        B, correlations = evaluation.B, evaluation.correlations
+    bell = werner_bell if kind == "werner-thermal" else phase_diffused_bell
+    B, correlations = bell(spec, args.J)
     meta = _meta(kind, mode="bell", p=args.p, r=args.r, J=args.J)
     return ReportRecord(meta=meta,
                         columns=("p", "r", "J", "B",
@@ -402,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--J", type=float, default=None,
                        help="displacement intensity for a single Bell value")
         p.add_argument("--threshold", action="store_true",
-                       help="smallest violating weight, to the bisection "
-                       "tolerance")
+                       help="smallest violating weight on the default "
+                            "budget grid, to the lattice of width 2^-14 "
+                            "(at most p_tol = 1e-4)")
         if name == "werner":
             p.add_argument("--finite-dim", dest="finite_dim", type=int,
                            default=None, metavar="DIM",

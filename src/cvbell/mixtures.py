@@ -11,33 +11,41 @@ Two one-parameter families interpolate between the pure squeezed state
   depends only on the moduli |a1|, |a2| and carries a Bessel I0 factor.
 
 Both mixtures are convex, so every Bell combination is affine in p.
-The evaluators here feed the four-point assembly directly; closed
-component curves are kept alongside, and each single Bell value
-cross-checks the affine identity.  The same affinity gives the
-violation threshold on a budget grid in one vector pass: the mixture
-violates exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node.
-Both components of the Werner-type mixture are Gaussian, so its single
-Bell values come from the numpy-free normal-mode core
-(:func:`cvbell.modes.werner_bell`), where ``MixtureSpec`` and the
-finite-dimensional threshold live too.
+The densities here feed the four-point assembly, which the tests use as
+the oracle of the closed forms.  Single Bell values come from the
+numpy-free core (:func:`cvbell.modes.werner_bell`,
+:func:`cvbell.modes.phase_diffused_bell`), where ``MixtureSpec`` and
+the finite-dimensional threshold live too; each cross-checks the affine
+identity against the closed component curves, which this module
+evaluates on budget arrays.  The same affinity gives the violation
+threshold on a budget grid in one vector pass: the mixture violates
+exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node
+(:mod:`cvbell.curves` holds the search).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bell import BellEvaluation, BellSettings, bell_combination
-from .errors import ConvergenceError, CrossCheckError
+from .bell import BellEvaluation, BellSettings
+from .curves import (  # ThresholdReport is re-exported
+    BUDGET_COUNT,
+    BUDGET_LOW,
+    ThresholdReport,
+    threshold_inputs,
+    threshold_search,
+)
+from .errors import ConvergenceError
 from .modes import (
     MIXTURE_KINDS,
     MixtureSpec,
-    _require_squeezing,
-    _square,
+    _pure_curve,
+    _reference_curve,
     finite_dim_werner_threshold,
+    phase_diffused_bell,
     werner_bell,
 )
 from .numerics import TOLERANCES, bessel_i0_log, periodic_trapezoid
@@ -151,8 +159,7 @@ def phase_average_quadrature_oracle(a1: float, a2: float, r: float,
 def pure_bell_curve(J, r: float):
     """B(J) of the pure squeezed state (closed form)."""
     J = np.asarray(J, dtype=float)
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    out = 1.0 + 2.0 * np.exp(-2.0 * c * J) - np.exp(-4.0 * (c + s) * J)
+    out = _pure_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), np.exp)
     return out if out.ndim else float(out)
 
 
@@ -163,15 +170,8 @@ def component_bell_curve(J, r: float, kind: str):
     state's curve is 0.
     """
     J = np.asarray(J, dtype=float)
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    if kind == "werner-thermal":
-        out = ((1.0 + 2.0 * np.exp(-2.0 * J / c) - np.exp(-4.0 * J / c))
-               / _square(c))
-    elif kind == "phase-diffused":
-        out = (1.0 + 2.0 * np.exp(-2.0 * c * J)
-               - np.exp(bessel_i0_log(4.0 * s * J) - 4.0 * c * J))
-    else:
-        raise ValueError(f"unknown mixture kind {kind!r}")
+    out = _reference_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), kind,
+                           np.exp, bessel_i0_log)
     return out if out.ndim else float(out)
 
 
@@ -184,63 +184,34 @@ def mixture_bell_curve(spec: MixtureSpec, J):
 def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
     """Four-point Bell combination of the mixture at budget J.
 
-    The Werner-type mixture is Gaussian in each component and comes
-    from :func:`cvbell.modes.werner_bell`.  The phase-diffused one is
-    assembled from density evaluations.  Either way B is cross-checked
-    against the affine combination of the closed component curves;
-    disagreement beyond ``TOLERANCES.affine_mix_rel`` raises
-    ``CrossCheckError``.
+    The correlations come from the numpy-free core,
+    :func:`cvbell.modes.werner_bell` or
+    :func:`cvbell.modes.phase_diffused_bell`, which mix those of the
+    two components and cross-check B against the affine combination of
+    the closed component curves (``CrossCheckError`` beyond
+    ``TOLERANCES.affine_mix_rel``).  The assembly from density
+    evaluations, ``bell_combination(mixture_evaluator(spec), J)``, is
+    the tests' oracle for both.
     """
-    label = f"{spec.kind} p={spec.p:g} r={spec.r:g}"
-    if spec.kind == "werner-thermal":
-        B, correlations = werner_bell(spec, J)
-        return BellEvaluation(B=B, correlations=correlations,
-                              settings=BellSettings(J=J), state_label=label)
-    evaluation = bell_combination(mixture_evaluator(spec), J, label)
-    affine = float(mixture_bell_curve(spec, float(J)))
-    scale = max(abs(affine), 1.0)
-    if abs(evaluation.B - affine) > TOLERANCES.affine_mix_rel * scale:
-        raise CrossCheckError(
-            f"assembled Bell value {evaluation.B!r} disagrees with affine "
-            f"component combination {affine!r} for {label}")
-    return evaluation
+    bell = werner_bell if spec.kind == "werner-thermal" else phase_diffused_bell
+    B, correlations = bell(spec, J)
+    return BellEvaluation(B=B, correlations=correlations,
+                          settings=BellSettings(J=J),
+                          state_label=f"{spec.kind} p={spec.p:g} r={spec.r:g}")
 
 
 # ----------------------------------------------------------------------
 # violation threshold in p
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Smallest squeezed-component weight that still violates B > 2.
-
-    ``p_star`` is None when even the unmixed state (p = 1) stays below
-    the ceiling on the scanned budget grid.
-    """
-
-    kind: str
-    r: float
-    p_star: float | None
-    violated_at_unit_weight: bool
-    best_b_at_unit_weight: float
-
-
 def _budget_grid(low: float) -> np.ndarray:
-    grid = np.geomspace(low, 1.0, 200)
+    grid = np.geomspace(low, 1.0, BUDGET_COUNT)
     grid.flags.writeable = False
     return grid
 
 
-#: default budget grids of the threshold search, built once; the
-#: phase-diffused one reaches down to 1e-6 because its threshold sits at
-#: vanishing weight
-_DEFAULT_BUDGETS = {"werner-thermal": _budget_grid(1e-4),
-                    "phase-diffused": _budget_grid(1e-6)}
-
-
-#: smallest accepted ``p_tol``: the bisection lattice 2^-n and its cell
-#: midpoints stay exact doubles in [0, 1] for n <= 52
-_MIN_P_TOL = 2.0 ** -52
+#: default budget grids of the threshold search, built once
+_DEFAULT_BUDGETS = {kind: _budget_grid(low) for kind, low in BUDGET_LOW.items()}
 
 
 def werner_violation_threshold(r: float, J_grid=None,
@@ -249,20 +220,15 @@ def werner_violation_threshold(r: float, J_grid=None,
     """Weight p at which the Bell ceiling is first beaten, to ``p_tol``.
 
     The violation predicate maxes B(p, J) over a fixed budget grid
-    (default: 200 geometric points; the phase-diffused default reaches
-    down to 1e-6 because its threshold sits at vanishing weight).  The
-    reference states never violate, and B is affine in p, so the
-    predicate is monotone in p.  ``p_star`` is the value that bisection
-    of [0, 1] down to a width of at most ``p_tol`` (default
-    ``TOLERANCES.threshold_p_abs``) returns: the midpoint of the cell
-    [k w, (k + 1) w], w = 2^-n, whose ends the predicate separates.
-
-    That cell is found without bisecting [0, 1].  On the grid the
-    predicate is p > min R(J), R = (2 - B_ref) / (B_pure - B_ref) over
-    the nodes where B_pure > B_ref, so the guess is k = floor(min R / w).
-    The predicate itself is then evaluated at the cell's two ends; where
-    it disagrees with the guess (rounding near B = 2), the bracket grows
-    outwards by doubling steps and is bisected on the lattice.
+    (default: 200 geometric points from 1e-4, or from 1e-6 for the
+    phase-diffused kind, to 1).  ``p_star`` is the value that bisection
+    of [0, 1] on it down to a width of at most ``p_tol`` (default
+    ``TOLERANCES.threshold_p_abs``) returns, found on the lattice of
+    that width by :func:`cvbell.curves.threshold_search` from
+    min R(J), R = (2 - B_ref) / (B_pure - B_ref) over the nodes where
+    B_pure > B_ref.  The curves are numpy arrays here;
+    :func:`cvbell.curves.violation_threshold` runs the same search on
+    Python floats over the default grid.
 
     Raises
     ------
@@ -271,14 +237,7 @@ def werner_violation_threshold(r: float, J_grid=None,
         positive entries, or a ``p_tol`` that is not a finite number of
         at least 2^-52 (below that, bisection never gets narrower).
     """
-    if kind not in MIXTURE_KINDS:
-        raise ValueError(f"unknown mixture kind {kind!r}")
-    _require_squeezing(r)
-    if p_tol is None:
-        p_tol = TOLERANCES.threshold_p_abs
-    elif not (math.isfinite(p_tol) and p_tol >= _MIN_P_TOL):
-        raise ValueError(f"p_tol must be a finite number of at least 2**-52, "
-                         f"got {p_tol!r}")
+    r, p_tol = threshold_inputs(r, kind, p_tol)
     if J_grid is None:
         J_grid = _DEFAULT_BUDGETS[kind]
     else:
@@ -290,48 +249,11 @@ def werner_violation_threshold(r: float, J_grid=None,
 
     b_pure = pure_bell_curve(J_grid, r)
     b_ref = component_bell_curve(J_grid, r, kind)
+    gain = b_pure - b_ref
+    up = gain > 0.0
+    min_r = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))
 
     def best_b(p: float) -> float:
         return float((p * b_pure + (1.0 - p) * b_ref).max())
 
-    top = best_b(1.0)
-    if not top > 2.0:
-        return ThresholdReport(kind=kind, r=float(r), p_star=None,
-                               violated_at_unit_weight=False,
-                               best_b_at_unit_weight=top)
-    # bisection halves [0, 1] n times, down to the first width w <= p_tol
-    n = max(0, 1 - math.frexp(p_tol)[1])
-    w = math.ldexp(1.0, -n)
-    cells = 1 << n
-    gain = b_pure - b_ref
-    up = gain > 0.0
-    p_grid = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))
-
-    def violates(j: int) -> bool:
-        # at lattice point j w; bisection never evaluates p = 0, and
-        # p = 1 is ``top``
-        return j > 0 and (j == cells or best_b(j * w) > 2.0)
-
-    # lo and hi bracket the first violating lattice point.  Rounding
-    # near B = 2 can move the predicate's switch away from min R, by
-    # many cells when p_tol is tiny, so a wrong guess gallops outwards
-    # and the bracket is then bisected on the lattice.
-    lo = min(max(int(p_grid / w), 0), cells - 1)
-    hi = lo + 1
-    stride = 1
-    while violates(lo):
-        lo, hi = max(lo - stride, 0), lo
-        stride *= 2
-    stride = 1
-    while not violates(hi):
-        lo, hi = hi, min(hi + stride, cells)
-        stride *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if violates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdReport(kind=kind, r=float(r), p_star=(lo + 0.5) * w,
-                           violated_at_unit_weight=True,
-                           best_b_at_unit_weight=top)
+    return threshold_search(kind, r, best_b, min_r, p_tol)

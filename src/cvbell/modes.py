@@ -24,11 +24,19 @@ of (s1, s2):
   (PRL 82, 2009, 1999);
 * the small-J slope 4 p sinh 2r of the mixtures.
 
+The mixtures' single Bell values come from the same place: the
+Werner-type mixture has two Gaussian components, and the phase-diffused
+reference state has the correlations [1, e^{-2cJ}, e^{-2cJ},
+I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), with log I0 as a Horner
+polynomial on one float (:func:`log_i0`).
+
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
-evaluate the same formulas on numpy arrays.  This module imports only
-the standard library, so the single-point command-line paths start
-without numpy.  Where a variance leaves the float range (e^{2r} at
-r > ~355) the constructors raise ``ValueError`` naming the parameters.
+evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
+on lists of floats for the figures and thresholds.  This module imports
+only the standard library, so every command-line path but the
+multi-parameter maximiser starts without numpy.  Where a variance
+leaves the float range (e^{2r} at r > ~355) the constructors raise
+``ValueError`` naming the parameters.
 """
 
 from __future__ import annotations
@@ -51,8 +59,11 @@ __all__ = [
     "separability_closed_pair",
     "exp_quotient",
     "finite_dim_werner_threshold",
+    "log_i0",
     "maximize_over_j",
     "mixture_slope",
+    "phase_diffused_bell",
+    "require_in_range",
     "steady_limit",
     "werner_bell",
 ]
@@ -112,6 +123,52 @@ def exp_quotient(p: float) -> float:
     return -math.expm1(-p) / p
 
 
+# ----------------------------------------------------------------------
+# log of the modified Bessel function I0, for the phase-diffused state
+# ----------------------------------------------------------------------
+
+#: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4; at x = 15 the
+#: k = 40 tail is < 1e-16 relative.  Python's int division rounds
+#: correctly, so each coefficient is the double nearest its exact value.
+_I0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(41))
+
+#: asymptotic coefficients a_k = a_{k-1} (2k-1)^2 / (8k) of
+#: I0(x) sqrt(2 pi x) e^{-x} in 1/x (DLMF 10.40.1); at the x = 15 switch
+#: point the first omitted term is 6e-15, under 1e-15 of log I0 there
+_I0_ASYMPTOTIC = tuple(
+    math.prod((2 * j - 1) ** 2 for j in range(1, k + 1))
+    / (8 ** k * math.factorial(k)) for k in range(25))
+
+
+def _horner_tail(t, coeffs: tuple):
+    """sum_{k >= 1} coeffs[k] t^k by Horner's rule.
+
+    On a numpy array the updates run in place, in one buffer; on a float
+    they rebind, with the same operations.
+    """
+    acc = t * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= t
+    return acc
+
+
+def log_i0(x: float) -> float:
+    """log I0(x) of a float x >= 0, finite while 2 pi x is (x < 2.8e307).
+
+    :func:`cvbell.numerics.bessel_i0_log` on one float: below
+    ``TOLERANCES.bessel_switch`` the power series, above it
+    x - log(2 pi x)/2 plus the log of the asymptotic series, each with
+    its constant term 1 added back through ``log1p``.
+    """
+    if x < 0.0:
+        raise ValueError("log_i0 requires a nonnegative argument")
+    if x < TOLERANCES.bessel_switch:
+        return math.log1p(_horner_tail(x * x / 4.0, _I0_SERIES))
+    return (x - 0.5 * math.log(2.0 * math.pi * x)
+            + math.log1p(_horner_tail(1.0 / x, _I0_ASYMPTOTIC)))
+
+
 @dataclass(frozen=True)
 class SqueezedStateParams:
     """Reduced parameters of the noisy squeezed state.
@@ -147,6 +204,16 @@ class SqueezedStateParams:
     @property
     def p2(self) -> float:
         return self.d - 2.0 * self.r
+
+
+def require_in_range(params: SqueezedStateParams) -> SqueezedStateParams:
+    """``params``, or ``ValueError`` naming them where e^{2r - d}, the
+    largest term of the variances, leaves the float range."""
+    try:
+        math.exp(-params.p2)
+    except OverflowError:
+        raise _overflow(_where(params)) from None
+    return params
 
 
 def separability_closed_pair(params: SqueezedStateParams) -> tuple:
@@ -273,6 +340,19 @@ class NormalModes:
         """
         corr = self.correlations(J)
         return corr[0] + corr[1] + corr[2] - corr[3], corr
+
+    def bell_values(self, budgets) -> list:
+        """B at each budget of a sequence, (1 + 2 e^-aJ - e^-bJ)/h.
+
+        -a, -b and 1/h are computed once, and each value takes the
+        operations of the :func:`cvbell.bell.bell_surface` kernel, for
+        the figures' grids without numpy.
+        """
+        neg_a = -(1.0 / self.s1 + 1.0 / self.s2)
+        neg_b = -4.0 / self.s1
+        inv_h = 1.0 / (self.s1 * self.s2)
+        return [(math.exp(J * neg_a) * 2.0 + 1.0 - math.exp(J * neg_b)) * inv_h
+                for J in budgets]
 
     def bell_optimum(self, lo: float, hi: float) -> tuple:
         """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
@@ -440,36 +520,6 @@ class MixtureSpec:
         object.__setattr__(self, "r", r)
 
 
-def werner_bell(spec: MixtureSpec, J: float) -> tuple:
-    """(B, correlations) of the Werner-type mixture at budget J.
-
-    Both components are Gaussian: the squeezed vacuum has variances
-    (e^-2r, e^2r), and the product of its thermal marginals has cosh 2r
-    twice.  The correlations are mixed with weights p and 1 - p, and B
-    is cross-checked against the affine combination of the closed
-    component curves in cosh/sinh form; a gap beyond
-    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.
-    """
-    if spec.kind != "werner-thermal":
-        raise ValueError(f"expected a werner-thermal spec, got {spec.kind!r}")
-    J = _require_budget(J)
-    p, r = spec.p, spec.r
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
-    product = NormalModes(c, c).correlations(J)
-    corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, product))
-    B = corr[0] + corr[1] + corr[2] - corr[3]
-    b_pure = 1.0 + 2.0 * math.exp(-2.0 * c * J) - math.exp(-4.0 * (c + s) * J)
-    b_product = (1.0 + 2.0 * math.exp(-2.0 * J / c)
-                 - math.exp(-4.0 * J / c)) / (c * c)
-    affine = p * b_pure + (1.0 - p) * b_product
-    if abs(B - affine) > TOLERANCES.affine_mix_rel * max(abs(affine), 1.0):
-        raise CrossCheckError(
-            f"assembled Bell value {B!r} disagrees with affine component "
-            f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")
-    return B, corr
-
-
 def _square(x: float) -> float:
     """x ** 2, or inf where the square leaves the float range (Python's
     ``**`` raises ``OverflowError`` there)."""
@@ -477,6 +527,93 @@ def _square(x: float) -> float:
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def _pure_curve(J, c: float, s: float, exp=math.exp):
+    """B(J) = 1 + 2 e^{-2cJ} - e^{-4(c + s)J} of the squeezed vacuum.
+
+    c = cosh 2r and s = sinh 2r.  ``exp`` is ``math.exp`` for a float J;
+    :func:`cvbell.mixtures.pure_bell_curve` passes ``numpy.exp`` and an
+    array.
+    """
+    return 1.0 + 2.0 * exp(-2.0 * c * J) - exp(-4.0 * (c + s) * J)
+
+
+def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
+                     log_i0=log_i0):
+    """B(J) of the p = 0 reference state of ``kind``, as
+    :func:`_pure_curve` (numpy passes its ``exp`` and ``bessel_i0_log``).
+
+    The product of the thermal marginals gives
+    (1 + 2 e^{-2J/c} - e^{-4J/c}) / c^2, which is 0 where c^2 leaves the
+    float range (r above ~177); the phase-diffused state gives
+    1 + 2 e^{-2cJ} - I0(4sJ) e^{-4cJ}.
+    """
+    if kind == "werner-thermal":
+        return (1.0 + 2.0 * exp(-2.0 * J / c) - exp(-4.0 * J / c)) / _square(c)
+    if kind == "phase-diffused":
+        return (1.0 + 2.0 * exp(-2.0 * c * J)
+                - exp(log_i0(4.0 * s * J) - 4.0 * c * J))
+    raise ValueError(f"unknown mixture kind {kind!r}")
+
+
+def _mixed_bell(spec: MixtureSpec, J: float, c: float, s: float,
+                reference: tuple) -> tuple:
+    """(B, correlations) of p (squeezed vacuum) + (1 - p) (reference).
+
+    The correlations of the two components at budget J are mixed with
+    weights p and 1 - p, and B is cross-checked against the affine
+    combination of the closed component curves; a gap beyond
+    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.
+    """
+    p, r = spec.p, spec.r
+    pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
+    corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, reference))
+    B = corr[0] + corr[1] + corr[2] - corr[3]
+    affine = (p * _pure_curve(J, c, s)
+              + (1.0 - p) * _reference_curve(J, c, s, spec.kind))
+    if abs(B - affine) > TOLERANCES.affine_mix_rel * max(abs(affine), 1.0):
+        raise CrossCheckError(
+            f"assembled Bell value {B!r} disagrees with affine component "
+            f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")
+    return B, corr
+
+
+def _require_kind(spec: MixtureSpec, kind: str) -> None:
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} spec, got {spec.kind!r}")
+
+
+def werner_bell(spec: MixtureSpec, J: float) -> tuple:
+    """(B, correlations) of the Werner-type mixture at budget J.
+
+    Both components are Gaussian: the squeezed vacuum has variances
+    (e^-2r, e^2r), and the product of its thermal marginals has cosh 2r
+    twice.  Mixed and cross-checked by :func:`_mixed_bell`.
+    """
+    _require_kind(spec, "werner-thermal")
+    J = _require_budget(J)
+    c, s = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+    return _mixed_bell(spec, J, c, s, NormalModes(c, c).correlations(J))
+
+
+def phase_diffused_bell(spec: MixtureSpec, J: float) -> tuple:
+    """(B, correlations) of the phase-diffused mixture at budget J.
+
+    The reference state is the squeezed vacuum averaged over the phase
+    of one arm.  Its density depends on the moduli only, and at the four
+    points of the test its correlations are
+    [1, e^{-2cJ}, e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r):
+    the Bessel factor is 1 wherever one modulus is 0.  Mixed and
+    cross-checked by :func:`_mixed_bell`; the tests compare it with the
+    four-point assembly of the mixture's density.
+    """
+    _require_kind(spec, "phase-diffused")
+    J = _require_budget(J)
+    c, s = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+    side = math.exp(-2.0 * c * J)
+    reference = (1.0, side, side, math.exp(log_i0(4.0 * s * J) - 4.0 * c * J))
+    return _mixed_bell(spec, J, c, s, reference)
 
 
 def mixture_slope(spec: MixtureSpec) -> tuple:

@@ -32,7 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import _exp_quotient_taylor
+from .modes import (  # the log I0 tables and Horner rule are shared
+    _I0_ASYMPTOTIC,
+    _I0_SERIES,
+    _exp_quotient_taylor,
+    _horner_tail,
+)
 from .tolerances import TOLERANCES, Tolerances
 
 __all__ = [
@@ -64,28 +69,6 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 # log of the modified Bessel function of the first kind, order zero
 # ----------------------------------------------------------------------
 
-#: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4; at x = 15 the
-#: k = 40 tail is < 1e-16 relative.  Python's int division rounds
-#: correctly, so each coefficient is the double nearest its exact value.
-_I0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(41))
-
-#: asymptotic coefficients a_k = a_{k-1} (2k-1)^2 / (8k) of
-#: I0(x) sqrt(2 pi x) e^{-x} in 1/x (DLMF 10.40.1); at the x = 15 switch
-#: point the first omitted term is 6e-15, under 1e-15 of log I0 there
-_I0_ASYMPTOTIC = tuple(
-    math.prod((2 * j - 1) ** 2 for j in range(1, k + 1))
-    / (8 ** k * math.factorial(k)) for k in range(25))
-
-
-def _horner_tail(t: np.ndarray, coeffs: tuple) -> np.ndarray:
-    """sum_{k >= 1} coeffs[k] t^k by Horner's rule, in one buffer."""
-    acc = t * coeffs[-1]
-    for c in coeffs[-2:0:-1]:
-        acc += c
-        acc *= t
-    return acc
-
-
 def bessel_i0_log(x):
     """log I0(x), finite for all 0 <= x <= 1e8.
 
@@ -93,7 +76,9 @@ def bessel_i0_log(x):
     x - log(2 pi x)/2 plus the log of the asymptotic series; each series
     is a Horner polynomial whose constant term 1 is left out and added
     back through ``log1p``, so nothing overflows and log I0(x) ~ x^2/4
-    keeps its relative accuracy down to tiny x.
+    keeps its relative accuracy down to tiny x.  The tables and the
+    Horner rule are those of :func:`cvbell.modes.log_i0`, its form on
+    one float.
     """
     a, scalar = _as_array(x)
     if np.any(a < 0.0):

@@ -1,10 +1,12 @@
-"""Block helper for grid scans.
+"""Input checks and block helper of the grid scans.
 
-Scans are numpy-vectorised and evaluated in row blocks of about
-``BLOCK_CELLS`` cells, so the temporaries of one block stay in the
-processor's L2 cache instead of streaming full-grid arrays through
-memory.  Each block is written into its own rows of one preallocated
-float output.
+:func:`scan_inputs` validates the arguments of both scans,
+:func:`cvbell.bell.bell_surface` and
+:func:`cvbell.analysis.separability_map`.  Scans are numpy-vectorised
+and evaluated in row blocks of about ``BLOCK_CELLS`` cells, so the
+temporaries of one block stay in the processor's L2 cache instead of
+streaming full-grid arrays through memory.  Each block is written into
+its own rows of one preallocated float output.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["chunked_rows"]
+from .modes import SqueezedStateParams, require_in_range
+
+__all__ = ["chunked_rows", "scan_inputs"]
 
 #: cells per ``row_block`` call: 256 kB per float temporary, which keeps
 #: a block's working set in L2 cache
@@ -37,3 +41,31 @@ def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
         hi = min(lo + rows, n_rows)
         out[lo:hi] = row_block(lo, hi)
     return out
+
+
+def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
+    """(r as a float, then the ``grids`` as float arrays, in their order).
+
+    Each grid must be a nonempty 1-D array of finite nonnegative values
+    in strictly ascending order.  r, the smallest entry of ``d_grid``
+    and ``nbar`` (None takes the smallest entry of ``nbar_grid``) are
+    checked as one state: finite and nonnegative, with e^{2r - d}, the
+    largest term of the variances, in the float range at that smallest
+    d.  Every failure raises ``ValueError`` before a cell is computed,
+    at the cost of a few passes over the 1-D grids.
+    """
+    checked = {}
+    for name, g in grids.items():
+        g = np.asarray(g, dtype=float)
+        if g.ndim != 1 or g.size == 0:
+            raise ValueError(f"{name} must be a nonempty 1-D grid")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise ValueError(f"{name} must be finite and nonnegative")
+        if g.size > 1 and np.any(np.diff(g) <= 0):
+            raise ValueError(f"{name} must be strictly ascending")
+        checked[name] = g
+    if nbar is None:
+        nbar = checked["nbar_grid"][0]
+    corner = require_in_range(
+        SqueezedStateParams(r, checked["d_grid"][0], nbar))
+    return (corner.r, *checked.values())

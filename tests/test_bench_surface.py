@@ -62,11 +62,12 @@ def test_main_returns_in_process(argv):
     assert buf.getvalue().count("\n") > 1
 
 
-def test_traced_run_ends_with_its_result_line():
+@pytest.mark.parametrize("workload", ["scans", "cli-cold"])
+def test_traced_run_ends_with_its_result_line(workload):
     # the traced run probes the package in process; a probe that breaks
     # or prints must not displace the JSON result from the last line
     proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", "scans",
+        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
-"""The package and its single-point commands start without numpy.
+"""The package and every command but the multi-parameter maximiser start
+without numpy.
 
 Each check runs in a fresh interpreter, because this test process has
 numpy loaded already.
@@ -38,6 +39,33 @@ NUMPY_FREE_COMMANDS = [
 ]
 
 
+#: (argv, exit code) of the figure, threshold and phase-diffused Bell
+#: commands, which run on the float curves of ``cvbell.curves``
+CURVE_COMMANDS = [
+    (["werner", "--threshold", "--r", "1.5"], 0),
+    (["werner", "--threshold", "--r", "4.5", "--format", "json"], 0),
+    (["phase-diffused", "--threshold", "--r", "1.5"], 0),
+    (["phase-diffused", "--threshold", "--r", "0.3", "--format", "json"], 0),
+    (["phase-diffused", "--r", "1.5", "--p", "0.5", "--J", "0.01"], 0),
+    (["phase-diffused", "--r", "0.3", "--p", "0.9", "--J", "0.5",
+      "--format", "json"], 0),
+    (["figure", "2"], 0),
+    (["figure", "3"], 0),
+    (["figure", "4"], 0),
+    (["figure", "5"], 0),
+    (["figure", "2", "--format", "json"], 0),
+    (["figure", "3", "--format", "json"], 0),
+    (["figure", "4", "--format", "json"], 0),
+    (["figure", "5", "--format", "json"], 0),
+    # domain errors exit 3 without numpy too
+    (["werner", "--threshold", "--r", "-1"], 3),
+    (["phase-diffused", "--threshold", "--r", "-1"], 3),
+    (["werner", "--threshold", "--r", "400"], 3),
+    (["phase-diffused", "--threshold", "--r", "400"], 3),
+    (["phase-diffused", "--r", "400", "--p", "0.5", "--J", "0.01"], 3),
+]
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -53,6 +81,21 @@ def test_single_point_command_loads_no_numpy(argv):
         "from cvbell.cli import main\n"
         f"code = main({argv!r})\n"
         "assert code in (0, 3), code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, expected", CURVE_COMMANDS,
+                         ids=[" ".join(a) for a, _ in CURVE_COMMANDS])
+def test_curve_command_loads_no_numpy(argv, expected):
+    proc = run_python(
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from cvbell.cli import main\n"
+        "with redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        f"assert code == {expected}, code\n"
+        "assert (out.getvalue().count('\\n') > 1) == (code == 0)\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     assert proc.returncode == 0, proc.stderr
 
@@ -95,3 +138,17 @@ def test_unknown_attribute_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         cvbell.nonexistent
+
+
+def test_curves_and_mixture_values_load_no_numpy():
+    proc = run_python(
+        "import sys\n"
+        "from cvbell import ThresholdReport\n"
+        "from cvbell.curves import violation_threshold\n"
+        "from cvbell.modes import MixtureSpec, log_i0, phase_diffused_bell\n"
+        "report = violation_threshold(1.5, kind='phase-diffused')\n"
+        "assert isinstance(report, ThresholdReport)\n"
+        "phase_diffused_bell(MixtureSpec(0.5, 1.5, 'phase-diffused'), 0.01)\n"
+        "assert log_i0(20.0) > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Block scans are bit-identical to one whole-grid kernel call."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -92,3 +93,46 @@ def test_workers_argument_is_ignored():
                               equal_nan=True)
     for s in surfaces[1:]:
         assert np.array_equal(s.values, surfaces[0].values)
+
+
+J_AXIS = np.geomspace(1e-4, 1.0, 5)
+D_AXIS = np.linspace(0.0, 2.0, 5)
+NBAR_AXIS = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("scan, match", [
+    (lambda: bell_surface(-1.0, 0.0, J_AXIS, D_AXIS), "r must be nonnegative"),
+    (lambda: bell_surface(1.5, -1.0, J_AXIS, D_AXIS),
+     "nbar must be nonnegative"),
+    (lambda: bell_surface(np.nan, 0.0, J_AXIS, D_AXIS), "r must be finite"),
+    (lambda: bell_surface(1.5, np.inf, J_AXIS, D_AXIS), "nbar must be finite"),
+    (lambda: bell_surface(400.0, 0.0, J_AXIS, D_AXIS), "overflow.*r=400.0"),
+    (lambda: bell_surface(1.5, 0.0, [np.nan], D_AXIS),
+     "J_grid must be finite"),
+    (lambda: separability_map(np.nan, D_AXIS, NBAR_AXIS), "r must be finite"),
+    (lambda: separability_map(-1.0, D_AXIS, NBAR_AXIS),
+     "r must be nonnegative"),
+    (lambda: separability_map(400.0, D_AXIS, NBAR_AXIS), "overflow.*r=400.0"),
+    (lambda: separability_map(1.5, D_AXIS, [0.0, np.inf]),
+     "nbar_grid must be finite"),
+], ids=["surface r<0", "surface nbar<0", "surface r nan", "surface nbar inf",
+        "surface r=400", "surface J nan", "map r nan", "map r<0",
+        "map r=400", "map nbar inf"])
+def test_scans_reject_bad_arguments_before_computing(scan, match):
+    # a true ValueError, and no numpy warning from a cell computed first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            scan()
+
+
+def test_scans_accept_large_squeezing_with_enough_diffusion():
+    # e^{2r - d} is in range once the smallest d is large enough, so the
+    # state is legal and the scans return finite values
+    d = np.array([100.0, 200.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surface = bell_surface(400.0, 0.0, J_AXIS, d)
+        margins = separability_map(400.0, d, NBAR_AXIS).margin
+    assert np.all(np.isfinite(surface.values))
+    assert np.all(np.isfinite(margins))
