@@ -172,8 +172,8 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
 
     Raises ``ValueError`` (:func:`cvbell.parallel.scan_inputs`) unless
     r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
-    finite, nonnegative and ascending, and e^{2r - d} stays in the float
-    range at the smallest d.
+    finite, nonnegative and ascending, and c1 and h of every column stay
+    in the float range.
     """
     r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)

@@ -42,7 +42,6 @@ from .modes import (
     _overflow,
     _require_finite,
     _where,
-    require_in_range,
     steady_limit,
 )
 from .numerics import TOLERANCES, one_minus_exp_over, rk4_lyapunov
@@ -163,9 +162,12 @@ def evolve_coefficients(params: SqueezedStateParams) -> GaussianForm:
     A state whose coefficients leave the float range (e^{2r} at r above
     ~355) raises ``ValueError`` naming the parameters.
     """
-    # e^{2r - d} is the largest factor: past the float range numpy would
-    # warn before the check below raises
-    require_in_range(params)
+    try:
+        # e^{2r - d}, the largest factor: past the float range numpy would
+        # warn before the check below raises
+        math.exp(-params.p2)
+    except OverflowError:
+        raise _overflow(_where(params)) from None
     c1, c2, h = coefficient_arrays(params.r, params.d, params.nbar)
     if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(h)):
         raise _overflow(_where(params))

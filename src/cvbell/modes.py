@@ -63,7 +63,6 @@ __all__ = [
     "maximize_over_j",
     "mixture_slope",
     "phase_diffused_bell",
-    "require_in_range",
     "steady_limit",
     "werner_bell",
 ]
@@ -204,16 +203,6 @@ class SqueezedStateParams:
     @property
     def p2(self) -> float:
         return self.d - 2.0 * self.r
-
-
-def require_in_range(params: SqueezedStateParams) -> SqueezedStateParams:
-    """``params``, or ``ValueError`` naming them where e^{2r - d}, the
-    largest term of the variances, leaves the float range."""
-    try:
-        math.exp(-params.p2)
-    except OverflowError:
-        raise _overflow(_where(params)) from None
-    return params
 
 
 def separability_closed_pair(params: SqueezedStateParams) -> tuple:

@@ -11,11 +11,13 @@ its own rows of one preallocated float output.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .modes import SqueezedStateParams, require_in_range
+from .dynamics import variance_arrays
+from .modes import SqueezedStateParams, _overflow, _where
 
 __all__ = ["chunked_rows", "scan_inputs"]
 
@@ -47,12 +49,13 @@ def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
     """(r as a float, then the ``grids`` as float arrays, in their order).
 
     Each grid must be a nonempty 1-D array of finite nonnegative values
-    in strictly ascending order.  r, the smallest entry of ``d_grid``
-    and ``nbar`` (None takes the smallest entry of ``nbar_grid``) are
-    checked as one state: finite and nonnegative, with e^{2r - d}, the
-    largest term of the variances, in the float range at that smallest
-    d.  Every failure raises ``ValueError`` before a cell is computed,
-    at the cost of a few passes over the 1-D grids.
+    in strictly ascending order, and r and ``nbar`` (None takes the
+    largest entry of ``nbar_grid``) finite and nonnegative.  The
+    variances grow with nbar, so the d column at the largest nbar bounds
+    every cell: there c1 = 2(s1 + s2) and h = s1 s2 must stay in the
+    float range, as :class:`cvbell.modes.NormalModes` requires of one
+    state.  Every failure raises ``ValueError`` before a cell is
+    computed, at the cost of a few passes over the 1-D grids.
     """
     checked = {}
     for name, g in grids.items():
@@ -64,8 +67,32 @@ def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
         if g.size > 1 and np.any(np.diff(g) <= 0):
             raise ValueError(f"{name} must be strictly ascending")
         checked[name] = g
-    if nbar is None:
-        nbar = checked["nbar_grid"][0]
-    corner = require_in_range(
-        SqueezedStateParams(r, checked["d_grid"][0], nbar))
-    return (corner.r, *checked.values())
+    d_grid = checked["d_grid"]
+    top = SqueezedStateParams(
+        r, d_grid[0], checked["nbar_grid"][-1] if nbar is None else nbar)
+    if not _variances_bounded(top.r, 2.0 * top.nbar + 1.0):
+        # past the float range numpy would only warn; the check raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1, s2 = variance_arrays(top.r, d_grid, top.nbar)
+            in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
+        if not in_range.all():
+            d = float(d_grid[np.argmin(in_range)])
+            raise _overflow(_where(SqueezedStateParams(top.r, d, top.nbar)))
+    return (top.r, *checked.values())
+
+
+def _variances_bounded(r: float, occ: float) -> bool:
+    """Whether c1 and h stay in the float range at every d, by a bound.
+
+    d E(p1) <= 1, and d E(p2) <= max(e^2r / e, 1 + 2r), so
+    s1 <= 1 + occ and s2 <= e^2r (1 + occ) + occ (1 + 2r) with
+    occ = 2 nbar + 1.  The bounds on c1 and h exceed their largest
+    values by a factor of at least about 1.4, far beyond rounding, so
+    the exact check of the d column runs only near the float range.
+    """
+    try:
+        s2 = math.exp(2.0 * r) * (1.0 + occ) + occ * (1.0 + 2.0 * r)
+    except OverflowError:
+        return False
+    s1 = 1.0 + occ
+    return math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)

@@ -115,9 +115,14 @@ NBAR_AXIS = np.linspace(0.0, 1.0, 5)
     (lambda: separability_map(400.0, D_AXIS, NBAR_AXIS), "overflow.*r=400.0"),
     (lambda: separability_map(1.5, D_AXIS, [0.0, np.inf]),
      "nbar_grid must be finite"),
+    # 2 nbar + 1 overflows, or the product s1 s2 of the variances does
+    (lambda: separability_map(1.5, D_AXIS, [0.0, 1e308]),
+     "overflow.*d=0.0, nbar=1e\\+308"),
+    (lambda: bell_surface(1.5, 1e300, J_AXIS, D_AXIS),
+     "overflow.*d=0.5, nbar=1e\\+300"),
 ], ids=["surface r<0", "surface nbar<0", "surface r nan", "surface nbar inf",
         "surface r=400", "surface J nan", "map r nan", "map r<0",
-        "map r=400", "map nbar inf"])
+        "map r=400", "map nbar inf", "map nbar=1e308", "surface nbar=1e300"])
 def test_scans_reject_bad_arguments_before_computing(scan, match):
     # a true ValueError, and no numpy warning from a cell computed first
     with warnings.catch_warnings():
