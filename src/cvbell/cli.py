@@ -126,7 +126,8 @@ def _column_modes(d_grid) -> list:
 def _figure_bell_surface() -> ReportRecord:
     j_grid = [0.0] + _geomspace(1e-4, 1.0, 49)
     d_grid = _linspace(0.0, 2.0, 41)
-    columns = [modes.bell_values(j_grid) for modes in _column_modes(d_grid)]
+    columns = [[modes.bell(j)[0] for j in j_grid]
+               for modes in _column_modes(d_grid)]
     rows = [(j, d, column[i]) for i, j in enumerate(j_grid)
             for d, column in zip(d_grid, columns)]
     meta = _meta("figure", index=2, r=FIGURE_SQUEEZING, nbar=0.0)
@@ -138,7 +139,7 @@ def _figure_bell_vs_diffusion() -> ReportRecord:
     d_grid = (_linspace(0.0, 0.5, 51) + _linspace(0.6, 5.0, 45)
               + _linspace(6.0, 50.0, 45))
     j = 0.01
-    rows = [(d, modes.bell_values((j,))[0])
+    rows = [(d, modes.bell(j)[0])
             for d, modes in zip(d_grid, _column_modes(d_grid))]
     meta = _meta("figure", index=3, r=FIGURE_SQUEEZING, nbar=0.0, J=j)
     return ReportRecord(meta=meta, columns=("d", "B"), rows=rows)

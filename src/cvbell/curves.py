@@ -194,10 +194,11 @@ def threshold_search(kind: str, r: float, best_b, min_r: float,
                            best_b_at_unit_weight=top)
 
 
-def violation_threshold(r: float, kind: str = "werner-thermal",
-                        p_tol: float | None = None) -> ThresholdReport:
+def violation_threshold(r: float,
+                        kind: str = "werner-thermal") -> ThresholdReport:
     """:func:`cvbell.mixtures.werner_violation_threshold` on its default
-    budget grid, with Python floats in place of numpy arrays.
+    budget grid and ``p_tol``, with Python floats in place of numpy
+    arrays.
 
     The grid is :func:`_geomspace`, within 1 ulp per node of the
     library's ``numpy.geomspace``, and the curves round like numpy's in
@@ -205,7 +206,7 @@ def violation_threshold(r: float, kind: str = "werner-thermal",
     library's ``p_star`` for r in [0, 9] and at points up to r = 354,
     and the best B at p = 1 within 4 ulp of it.
     """
-    r, p_tol = threshold_inputs(r, kind, p_tol)
+    r, p_tol = threshold_inputs(r, kind, None)
     budgets = _geomspace(BUDGET_LOW[kind], 1.0, BUDGET_COUNT)
     pure = pure_bell_values(budgets, r)
     reference = component_bell_values(budgets, r, kind)

@@ -330,19 +330,6 @@ class NormalModes:
         corr = self.correlations(J)
         return corr[0] + corr[1] + corr[2] - corr[3], corr
 
-    def bell_values(self, budgets) -> list:
-        """B at each budget of a sequence, (1 + 2 e^-aJ - e^-bJ)/h.
-
-        -a, -b and 1/h are computed once, and each value takes the
-        operations of the :func:`cvbell.bell.bell_surface` kernel, for
-        the figures' grids without numpy.
-        """
-        neg_a = -(1.0 / self.s1 + 1.0 / self.s2)
-        neg_b = -4.0 / self.s1
-        inv_h = 1.0 / (self.s1 * self.s2)
-        return [(math.exp(J * neg_a) * 2.0 + 1.0 - math.exp(J * neg_b)) * inv_h
-                for J in budgets]
-
     def bell_optimum(self, lo: float, hi: float) -> tuple:
         """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
 
@@ -594,8 +581,11 @@ def phase_diffused_bell(spec: MixtureSpec, J: float) -> tuple:
     points of the test its correlations are
     [1, e^{-2cJ}, e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r):
     the Bessel factor is 1 wherever one modulus is 0.  Mixed and
-    cross-checked by :func:`_mixed_bell`; the tests compare it with the
-    four-point assembly of the mixture's density.
+    cross-checked by :func:`_mixed_bell`.  That check compares the
+    squeezed component's correlations with its closed curve; the
+    reference correlations are the terms of :func:`_reference_curve`
+    itself, so only the tests check them, against the four-point
+    assembly of the mixture's density (r <= 3).
     """
     _require_kind(spec, "phase-diffused")
     J = _require_budget(J)

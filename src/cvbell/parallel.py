@@ -11,7 +11,6 @@ its own rows of one preallocated float output.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -70,29 +69,11 @@ def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
     d_grid = checked["d_grid"]
     top = SqueezedStateParams(
         r, d_grid[0], checked["nbar_grid"][-1] if nbar is None else nbar)
-    if not _variances_bounded(top.r, 2.0 * top.nbar + 1.0):
-        # past the float range numpy would only warn; the check raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            s1, s2 = variance_arrays(top.r, d_grid, top.nbar)
-            in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
-        if not in_range.all():
-            d = float(d_grid[np.argmin(in_range)])
-            raise _overflow(_where(SqueezedStateParams(top.r, d, top.nbar)))
+    # past the float range numpy would only warn; the check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = variance_arrays(top.r, d_grid, top.nbar)
+        in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
+    if not in_range.all():
+        d = float(d_grid[np.argmin(in_range)])
+        raise _overflow(_where(SqueezedStateParams(top.r, d, top.nbar)))
     return (top.r, *checked.values())
-
-
-def _variances_bounded(r: float, occ: float) -> bool:
-    """Whether c1 and h stay in the float range at every d, by a bound.
-
-    d E(p1) <= 1, and d E(p2) <= max(e^2r / e, 1 + 2r), so
-    s1 <= 1 + occ and s2 <= e^2r (1 + occ) + occ (1 + 2r) with
-    occ = 2 nbar + 1.  The bounds on c1 and h exceed their largest
-    values by a factor of at least about 1.4, far beyond rounding, so
-    the exact check of the d column runs only near the float range.
-    """
-    try:
-        s2 = math.exp(2.0 * r) * (1.0 + occ) + occ * (1.0 + 2.0 * r)
-    except OverflowError:
-        return False
-    s1 = 1.0 + occ
-    return math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)

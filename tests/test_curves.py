@@ -73,7 +73,6 @@ def test_cli_threshold_at_the_documented_points(kind, r):
     ((math.nan,), "nonnegative"),
     ((400.0,), "r=400.0 overflows"),
     ((1.5, "nope"), "unknown mixture kind"),
-    ((1.5, "werner-thermal", 0.0), "p_tol"),
 ])
 def test_cli_threshold_rejects_what_the_library_rejects(args, match):
     with pytest.raises(ValueError, match=match):
@@ -199,12 +198,15 @@ def test_phase_diffused_bell_is_the_density_assembly(r, p, J):
     assert (evaluation.B, evaluation.correlations) == (B, correlations)
 
 
-def test_phase_diffused_bell_affine_check_catches_a_corrupted_factor(
+def test_phase_diffused_bell_affine_check_catches_a_corrupted_correlation(
         monkeypatch):
-    import cvbell.modes as modes
+    # the squeezed component's correlations against its closed curve
+    from cvbell.modes import NormalModes
 
-    real = modes.log_i0
-    monkeypatch.setattr(modes, "log_i0", lambda x: real(x) + 1e-6)
+    real = NormalModes.correlations
+    monkeypatch.setattr(NormalModes, "correlations",
+                        lambda self, J: tuple(1.000001 * c
+                                              for c in real(self, J)))
     with pytest.raises(CrossCheckError, match="affine"):
         phase_diffused_bell(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
                             0.01)
