@@ -31,27 +31,22 @@ _HOMES = {
              "bell_combination", "bell_surface", "maximize_bell",
              "model_evaluator", "parity_correlation", "small_j_slope"),
     "dynamics": ("SteadyStateReport", "coefficient_arrays",
-                 "covariance_ode_oracle", "diffusion_matrix",
-                 "drift_eigenvalues", "drift_matrix", "evolve_coefficients",
-                 "propagate_covariance", "propagate_green", "steady_state"),
+                 "evolve_coefficients", "steady_state"),
     "curves": ("ThresholdReport",),
     "errors": ("ConvergenceError", "CrossCheckError"),
     "mixtures": ("component_bell_curve", "mixture_bell",
                  "mixture_bell_curve", "mixture_evaluator", "mixture_wigner",
-                 "phase_average_quadrature_oracle", "phase_averaged_wigner",
-                 "pure_bell_curve", "thermal_marginal",
-                 "werner_violation_threshold", "werner_wigner"),
+                 "phase_averaged_wigner", "pure_bell_curve",
+                 "thermal_marginal", "werner_violation_threshold",
+                 "werner_wigner"),
     "modes": ("MaximizeResult", "MixtureSpec", "SqueezedStateParams",
               "finite_dim_werner_threshold", "maximize_over_j",
               "mixture_slope"),
-    "numerics": ("QuadratureRule", "bessel_i0_log", "gauss_legendre",
-                 "matrix_exp4", "nelder_mead_minimize", "one_minus_exp_over",
-                 "periodic_trapezoid", "rk4_lyapunov", "sym4_eigenvalues"),
+    "numerics": ("bessel_i0_log", "nelder_mead_minimize",
+                 "one_minus_exp_over", "sym4_eigenvalues"),
     "phase_space": ("CovarianceMatrix", "GaussianForm", "TwoModePoint",
-                    "covariance_xvec", "form_from_covariance_xvec",
-                    "nm_from_v", "precision_xvec", "v_from_w",
-                    "w_matrix_from_form", "wigner_gaussian_eval",
-                    "wigner_pure_2mss"),
+                    "nm_from_v", "v_from_w", "w_matrix_from_form",
+                    "wigner_gaussian_eval", "wigner_pure_2mss"),
     "reports": ("ReportRecord", "parse_csv", "render", "to_csv", "to_json"),
     "tolerances": ("TOLERANCES", "Tolerances"),
 }

@@ -16,8 +16,12 @@ coefficient triples it collapses to
 
 where the last displacement pair (sqrt J, -sqrt J) flips the sign of the
 cross term, so the exponent carries c1 - c2 (with c2 < 0 this is what
-makes the violation survive).  The closed form is tested against the
-assembly and used for grid scans.
+makes the violation survive).  The tests pin this closed form to the
+assembly.  In the normal-mode variances, c1 = 2(s1 + s2),
+c2 = 2(s1 - s2) and h = s1 s2, it reads
+B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2 and b = 4/s1,
+which is what the grid scans and the maximiser evaluate
+(:meth:`cvbell.modes.NormalModes.bell` on one state).
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import coefficient_arrays, evolve_coefficients, variance_arrays
+from .dynamics import evolve_coefficients, variance_arrays
 from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
     DEFAULT_BOUNDS,
     PARAM_ORDER,
     MaximizeResult,
     NormalModes,
     _maximize_inputs,
+    _require_budget,
     maximize_over_j,
 )
 from .numerics import TOLERANCES, nelder_mead_minimize
@@ -72,10 +77,7 @@ class BellSettings:
     J: float
 
     def __post_init__(self):
-        j = float(self.J)
-        if not math.isfinite(j) or j < 0:
-            raise ValueError(f"J must be a nonnegative real, got {self.J!r}")
-        object.__setattr__(self, "J", j)
+        object.__setattr__(self, "J", _require_budget(self.J))
 
     def points(self) -> tuple:
         """The four probed phase-space points, in combination order."""
@@ -148,9 +150,7 @@ def _closed_bell(J, c1, c2, h):
 
 def bell_closed_form(form: GaussianForm, J: float) -> float:
     """Closed form of the four-point combination for a Gaussian triple."""
-    if not math.isfinite(float(J)) or J < 0:
-        raise ValueError(f"J must be a nonnegative real, got {J!r}")
-    return float(_closed_bell(float(J), form.c1, form.c2, form.h))
+    return float(_closed_bell(_require_budget(J), form.c1, form.c2, form.h))
 
 
 def model_evaluator(params: SqueezedStateParams) -> Callable[[TwoModePoint], float]:
@@ -203,22 +203,26 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
 # maximisation
 # ----------------------------------------------------------------------
 
-def _model_bell_scalar(J, r, d, nbar) -> float:
-    c1, c2, h = coefficient_arrays(r, d, nbar)
-    return float(_closed_bell(J, c1, c2, h))
+#: linear nodes per free state parameter of the maximiser's coarse scan
+_GRID_POINTS = 32
 
 
 def _modes(r, d, nbar) -> NormalModes:
     return NormalModes.of(SqueezedStateParams(r, d, nbar))
 
 
+def _bell_of_variances(J, s1, s2):
+    """:meth:`NormalModes.bell` on arrays: B at budget J per cell."""
+    h = s1 * s2
+    side = np.exp(-J * (1.0 / s1 + 1.0 / s2)) / h
+    return 1.0 / h + side + side - np.exp(-4.0 * J / s1) / h
+
+
 def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
     """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
     J = s1 * np.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
     np.clip(J, lo, hi, out=J)
-    h = s1 * s2
-    side = np.exp(-J * (1.0 / s1 + 1.0 / s2)) / h
-    return J, 1.0 / h + side + side - np.exp(-4.0 * J / s1) / h
+    return J, _bell_of_variances(J, s1, s2)
 
 
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
@@ -231,7 +235,8 @@ def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
     dimension and broadcasts, so nothing is computed on a full meshgrid
     that depends on fewer parameters.  With ``j_bounds`` the value of a
     cell is max_J B over that interval in closed form
-    (:func:`_bell_optimum`); otherwise J is ``fixed["J"]``.  The first
+    (:func:`_bell_optimum`); otherwise it is B at ``fixed["J"]``
+    (:func:`_bell_of_variances`).  The first
     maximum wins (the flat ``np.argmax``), so exact ties go to the
     lexicographically smallest (r, d, nbar) cell.  A non-finite cell
     raises ``ValueError``.
@@ -243,10 +248,11 @@ def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
     state = (arrays["r"], arrays["d"], arrays["nbar"])
     # an overflowing cell raises below; numpy's warnings would only repeat it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s1, s2 = variance_arrays(*state)
         if j_bounds is None:
-            values = _closed_bell(arrays["J"], *coefficient_arrays(*state))
+            values = _bell_of_variances(arrays["J"], s1, s2)
         else:
-            values = _bell_optimum(*variance_arrays(*state), *j_bounds)[1]
+            values = _bell_optimum(s1, s2, *j_bounds)[1]
     if not np.isfinite(values).all():
         raise ValueError("B is not finite on part of the coarse grid (the "
                          "coefficients overflow there); narrow the bounds")
@@ -265,8 +271,7 @@ def _point(base: list, box: list, x: list):
 
 
 def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
-                  bounds: Mapping[str, tuple] | None = None,
-                  grid_points: int = 32) -> MaximizeResult:
+                  bounds: Mapping[str, tuple] | None = None) -> MaximizeResult:
     """Maximise B over a subset of (J, r, d, nbar).
 
     At a fixed state, max_J B has a closed form
@@ -278,13 +283,15 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     * state parameters only: the objective is B at the fixed J.
 
     The state parameters get a deterministic two-stage search: a coarse
-    scan with ``grid_points`` linear nodes per free parameter, iterated
-    in lexicographic (r, d, nbar) order so exact ties go to the
+    scan on the variances with 32 linear nodes per free parameter,
+    iterated in lexicographic (r, d, nbar) order so exact ties go to the
     smallest tuple, then Nelder-Mead refinement from the best cell
     until the simplex diameter is below ``TOLERANCES.simplex_diameter``.
     Refined coordinates within that tolerance of a bound are moved onto
     it unless that costs more than a few ulp of B, and the refined point
-    is only adopted if strictly better than the scan.
+    is only adopted if strictly better than the scan.  Every reported
+    B is that of :class:`cvbell.modes.NormalModes` at the reported
+    point.
 
     Parameters
     ----------
@@ -304,15 +311,13 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
         somewhere on the coarse grid (e.g. r bounds so large that the
         variances overflow).
     """
-    if grid_points < 32:
-        raise ValueError("coarse scan needs at least 32 points per dimension")
     if tuple(free) == ("J",):
         return maximize_over_j(fixed, bounds)
     free_ordered, fixed_values, limits = _maximize_inputs(free, fixed, bounds)
     j_bounds = limits.pop("J", None)
     names = tuple(limits)
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in limits.values()]
-    best_idx, best_val = _coarse_best(axes, names, fixed_values, j_bounds)
+    axes = [np.linspace(lo, hi, _GRID_POINTS) for lo, hi in limits.values()]
+    best_idx = _coarse_best(axes, names, fixed_values, j_bounds)[0]
     best_x = np.array([axes[i][best_idx[i]] for i in range(len(names))])
 
     # the objective sees Python floats only: a full (r, d, nbar) list with
@@ -320,15 +325,16 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     slots = [("r", "d", "nbar").index(n) for n in names]
     box = [(slot,) + limits[n] for slot, n in zip(slots, names)]
     base = [fixed_values.get(n, 0.0) for n in ("r", "d", "nbar")]
-    if j_bounds is None:
-        def value(r, d, nbar):
-            return _model_bell_scalar(fixed_values["J"], r, d, nbar)
-    else:
-        def value(r, d, nbar):
-            return _modes(r, d, nbar).bell_optimum(*j_bounds)[1]
-        # the scalar closed form of the adopted cell, which the refinement
-        # must beat and which the result reports
-        best_val = value(*_point(base, box, best_x.tolist()))
+
+    def value(r, d, nbar):
+        modes = _modes(r, d, nbar)
+        if j_bounds is None:
+            return modes.bell(fixed_values["J"])[0]
+        return modes.bell_optimum(*j_bounds)[1]
+
+    # the scalar closed form of the adopted cell, which the refinement
+    # must beat and which the result reports
+    best_val = value(*_point(base, box, best_x.tolist()))
 
     def objective(x: np.ndarray) -> float:
         point = _point(base, box, x.tolist())

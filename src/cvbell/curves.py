@@ -6,8 +6,8 @@ mixture violates B > 2 exactly when p > R(J) = (2 - B_ref)/(B_pure - B_ref)
 at a node where B_pure > B_ref.  :func:`threshold_search` turns min R
 into the weight that bisection of [0, 1] on the predicate would report;
 :func:`cvbell.mixtures.werner_violation_threshold` calls it with numpy
-curves on any grid, :func:`violation_threshold` with Python floats on
-the default grid.  The grids and curves here are those of the figures
+curves, :func:`violation_threshold` with Python floats, both on the
+same fixed budget grid.  The grids and curves here are those of the figures
 and the thresholds, built without numpy so that those command-line
 paths start without it:
 
@@ -48,9 +48,9 @@ __all__ = [
 BUDGET_COUNT = 200
 BUDGET_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
 
-#: smallest accepted ``p_tol``: the bisection lattice 2^-n and its cell
-#: midpoints stay exact doubles in [0, 1] for n <= 52
-_MIN_P_TOL = 2.0 ** -52
+#: bisection of [0, 1] halves it n times, down to the first width
+#: w = 2^-n <= ``TOLERANCES.threshold_p_abs`` (n = 14)
+_LATTICE_BITS = 1 - math.frexp(TOLERANCES.threshold_p_abs)[1]
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
@@ -117,78 +117,56 @@ class ThresholdReport:
     best_b_at_unit_weight: float
 
 
-def threshold_inputs(r: float, kind: str, p_tol: float | None) -> tuple:
-    """(r, p_tol) of a threshold search, with ``TOLERANCES.threshold_p_abs``
-    for a ``p_tol`` of None.
+def threshold_inputs(r: float, kind: str) -> float:
+    """r of a threshold search as a float.
 
-    ``ValueError`` on an unknown kind, a bad r (see
-    :class:`cvbell.modes.MixtureSpec`), or a ``p_tol`` that is not a
-    finite number of at least 2^-52 (below that, bisection never gets
-    narrower).
+    ``ValueError`` on an unknown kind or a bad r (see
+    :class:`cvbell.modes.MixtureSpec`).
     """
     if kind not in MIXTURE_KINDS:
         raise ValueError(f"unknown mixture kind {kind!r}")
-    r = _require_squeezing(r)
-    if p_tol is None:
-        return r, TOLERANCES.threshold_p_abs
-    if not (math.isfinite(p_tol) and p_tol >= _MIN_P_TOL):
-        raise ValueError(f"p_tol must be a finite number of at least 2**-52, "
-                         f"got {p_tol!r}")
-    return r, p_tol
+    return _require_squeezing(r)
 
 
-def threshold_search(kind: str, r: float, best_b, min_r: float,
-                     p_tol: float) -> ThresholdReport:
+def threshold_search(kind: str, r: float, best_b,
+                     min_r: float) -> ThresholdReport:
     """The weight that bisection of [0, 1] on ``best_b(p) > 2`` reports.
 
     ``best_b(p)`` is max_J B over the budget grid, and ``min_r`` the
     minimum of 1 and of R over its nodes.  The reference states never
     violate, and B is affine in p, so the predicate is monotone in p.
     ``p_star`` is the value that bisection of [0, 1] down to a width of
-    at most ``p_tol`` returns: the midpoint of the cell [k w, (k + 1) w],
-    w = 2^-n, whose ends the predicate separates.
+    at most ``TOLERANCES.threshold_p_abs`` returns: the midpoint of the
+    cell [k w, (k + 1) w], w = 2^-14, whose ends the predicate separates.
 
-    That cell is found without bisecting [0, 1]: on the grid the
-    predicate is p > min R, so the guess is k = floor(min R / w).  The
-    predicate itself is then evaluated at the cell's two ends; where it
-    disagrees with the guess (rounding near B = 2), the bracket grows
-    outwards by doubling steps and is bisected on the lattice.
+    On the grid the predicate is p > min R, so the cell is guessed as
+    k = floor(min R / w), and the predicate is evaluated at its two
+    ends.  Where rounding near B = 2 moved the switch off the guess,
+    the whole lattice is bisected from [0, 2^14]: 14 more evaluations,
+    at the midpoints bisection of [0, 1] takes.
     """
     top = best_b(1.0)
     if not top > 2.0:
         return ThresholdReport(kind=kind, r=float(r), p_star=None,
                                violated_at_unit_weight=False,
                                best_b_at_unit_weight=top)
-    # bisection halves [0, 1] n times, down to the first width w <= p_tol
-    n = max(0, 1 - math.frexp(p_tol)[1])
-    w = math.ldexp(1.0, -n)
-    cells = 1 << n
+    w = math.ldexp(1.0, -_LATTICE_BITS)
+    cells = 1 << _LATTICE_BITS
 
     def violates(j: int) -> bool:
         # at lattice point j w; bisection never evaluates p = 0, and
         # p = 1 is ``top``
         return j > 0 and (j == cells or best_b(j * w) > 2.0)
 
-    # lo and hi bracket the first violating lattice point.  Rounding
-    # near B = 2 can move the predicate's switch away from min R, by
-    # many cells when p_tol is tiny, so a wrong guess gallops outwards
-    # and the bracket is then bisected on the lattice.
     lo = min(max(int(min_r / w), 0), cells - 1)
-    hi = lo + 1
-    stride = 1
-    while violates(lo):
-        lo, hi = max(lo - stride, 0), lo
-        stride *= 2
-    stride = 1
-    while not violates(hi):
-        lo, hi = hi, min(hi + stride, cells)
-        stride *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if violates(mid):
-            hi = mid
-        else:
-            lo = mid
+    if violates(lo) or not violates(lo + 1):
+        lo, hi = 0, cells
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if violates(mid):
+                hi = mid
+            else:
+                lo = mid
     return ThresholdReport(kind=kind, r=float(r), p_star=(lo + 0.5) * w,
                            violated_at_unit_weight=True,
                            best_b_at_unit_weight=top)
@@ -196,9 +174,8 @@ def threshold_search(kind: str, r: float, best_b, min_r: float,
 
 def violation_threshold(r: float,
                         kind: str = "werner-thermal") -> ThresholdReport:
-    """:func:`cvbell.mixtures.werner_violation_threshold` on its default
-    budget grid and ``p_tol``, with Python floats in place of numpy
-    arrays.
+    """:func:`cvbell.mixtures.werner_violation_threshold` with Python
+    floats in place of numpy arrays.
 
     The grid is :func:`_geomspace`, within 1 ulp per node of the
     library's ``numpy.geomspace``, and the curves round like numpy's in
@@ -206,11 +183,11 @@ def violation_threshold(r: float,
     library's ``p_star`` for r in [0, 9] and at points up to r = 354,
     and the best B at p = 1 within 4 ulp of it.
     """
-    r, p_tol = threshold_inputs(r, kind, None)
+    r = threshold_inputs(r, kind)
     budgets = _geomspace(BUDGET_LOW[kind], 1.0, BUDGET_COUNT)
     pure = pure_bell_values(budgets, r)
     reference = component_bell_values(budgets, r, kind)
     min_r = min([1.0] + [(2.0 - b) / (a - b)
                          for a, b in zip(pure, reference) if a - b > 0.0])
     return threshold_search(
-        kind, r, lambda p: max(mixed_values(p, pure, reference)), min_r, p_tol)
+        kind, r, lambda p: max(mixed_values(p, pure, reference)), min_r)

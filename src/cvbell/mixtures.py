@@ -11,15 +11,16 @@ Two one-parameter families interpolate between the pure squeezed state
   depends only on the moduli |a1|, |a2| and carries a Bessel I0 factor.
 
 Both mixtures are convex, so every Bell combination is affine in p.
-The densities here feed the four-point assembly, which the tests use as
-the oracle of the closed forms.  Single Bell values come from the
+The densities here feed the four-point assembly, which the tests use,
+beside a brute-force phase average of the pure density, as the oracle
+of the closed forms.  Single Bell values come from the
 numpy-free core (:func:`cvbell.modes.werner_bell`,
 :func:`cvbell.modes.phase_diffused_bell`), where ``MixtureSpec`` and
 the finite-dimensional threshold live too; each cross-checks the affine
 identity against the closed component curves, which this module
 evaluates on budget arrays.  The same affinity gives the violation
-threshold on a budget grid in one vector pass: the mixture violates
-exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node
+threshold on the fixed budget grid in one vector pass: the mixture
+violates exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node
 (:mod:`cvbell.curves` holds the search).
 """
 
@@ -38,17 +39,17 @@ from .curves import (  # ThresholdReport is re-exported
     threshold_inputs,
     threshold_search,
 )
-from .errors import ConvergenceError
 from .modes import (
     MIXTURE_KINDS,
     MixtureSpec,
     _pure_curve,
     _reference_curve,
+    _require_squeezing,
     finite_dim_werner_threshold,
     phase_diffused_bell,
     werner_bell,
 )
-from .numerics import TOLERANCES, bessel_i0_log, periodic_trapezoid
+from .numerics import bessel_i0_log
 from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "phase_averaged_wigner",
     "mixture_wigner",
     "mixture_evaluator",
-    "phase_average_quadrature_oracle",
     "pure_bell_curve",
     "component_bell_curve",
     "mixture_bell_curve",
@@ -75,9 +75,7 @@ def thermal_marginal(alpha, r: float):
     A thermal state of mean occupation sinh(r)^2, so a Gaussian of
     width set by cosh(2r).  Accepts complex arrays.
     """
-    if r < 0 or not math.isfinite(float(r)):
-        raise ValueError(f"squeezing must be nonnegative, got {r!r}")
-    c = math.cosh(2.0 * r)
+    c = math.cosh(2.0 * _require_squeezing(r))
     mag2 = np.abs(np.asarray(alpha)) ** 2
     out = (2.0 / (math.pi * c)) * np.exp(-2.0 * mag2 / c)
     return out if out.ndim else float(out)
@@ -99,8 +97,7 @@ def phase_averaged_wigner(point: TwoModePoint, r: float):
     into a Bessel I0.  Evaluated in log space so that huge Bessel
     arguments and tiny envelopes cancel instead of overflowing.
     """
-    if r < 0 or not math.isfinite(float(r)):
-        raise ValueError(f"squeezing must be nonnegative, got {r!r}")
+    r = _require_squeezing(r)
     a1 = np.abs(np.asarray(point.alpha1))
     a2 = np.abs(np.asarray(point.alpha2))
     log_w = (LOG_PREFACTOR
@@ -121,35 +118,6 @@ def mixture_wigner(point: TwoModePoint, spec: MixtureSpec):
 def mixture_evaluator(spec: MixtureSpec) -> Callable[[TwoModePoint], float]:
     """Point evaluator for ``spec``, suitable for the Bell assembly."""
     return lambda point: mixture_wigner(point, spec)
-
-
-def phase_average_quadrature_oracle(a1: float, a2: float, r: float,
-                                    nodes: int = 128) -> float:
-    """Phase-diffused density by brute-force double phase average.
-
-    Trapezoid over both arm phases of the pure density at moduli
-    (a1, a2); periodic smooth integrand, so convergence is spectral.
-    A node-doubled pass must agree to ``TOLERANCES.phase_average_abs``
-    or the routine refuses the answer.
-    """
-    if nodes < 8:
-        raise ValueError("need at least 8 phase nodes")
-
-    def averaged(n: int) -> float:
-        rule = periodic_trapezoid(n)
-        phi1 = rule.nodes[:, None]
-        phi2 = rule.nodes[None, :]
-        vals = wigner_pure_2mss(
-            TwoModePoint(a1 * np.exp(1j * phi1), a2 * np.exp(1j * phi2)), r)
-        w = rule.weights
-        return float(w @ vals @ w) / (2.0 * math.pi) ** 2
-
-    coarse, fine = averaged(nodes), averaged(2 * nodes)
-    if abs(fine - coarse) > TOLERANCES.phase_average_abs:
-        raise ConvergenceError(
-            f"phase average not settled: {nodes} vs {2 * nodes} nodes "
-            f"differ by {abs(fine - coarse):.3e}")
-    return fine
 
 
 # ----------------------------------------------------------------------
@@ -214,39 +182,29 @@ def _budget_grid(low: float) -> np.ndarray:
 _DEFAULT_BUDGETS = {kind: _budget_grid(low) for kind, low in BUDGET_LOW.items()}
 
 
-def werner_violation_threshold(r: float, J_grid=None,
-                               kind: str = "werner-thermal",
-                               p_tol: float | None = None) -> ThresholdReport:
-    """Weight p at which the Bell ceiling is first beaten, to ``p_tol``.
+def werner_violation_threshold(r: float,
+                               kind: str = "werner-thermal") -> ThresholdReport:
+    """Weight p at which the Bell ceiling is first beaten, to
+    ``TOLERANCES.threshold_p_abs``.
 
-    The violation predicate maxes B(p, J) over a fixed budget grid
-    (default: 200 geometric points from 1e-4, or from 1e-6 for the
-    phase-diffused kind, to 1).  ``p_star`` is the value that bisection
-    of [0, 1] on it down to a width of at most ``p_tol`` (default
-    ``TOLERANCES.threshold_p_abs``) returns, found on the lattice of
-    that width by :func:`cvbell.curves.threshold_search` from
-    min R(J), R = (2 - B_ref) / (B_pure - B_ref) over the nodes where
+    The violation predicate maxes B(p, J) over a fixed budget grid of
+    200 geometric points from 1e-4 (from 1e-6 for the phase-diffused
+    kind) to 1.  ``p_star`` is the value that bisection of [0, 1] on it
+    down to a width of at most ``TOLERANCES.threshold_p_abs`` returns,
+    found on the lattice of that width by
+    :func:`cvbell.curves.threshold_search` from min R(J),
+    R = (2 - B_ref) / (B_pure - B_ref) over the nodes where
     B_pure > B_ref.  The curves are numpy arrays here;
     :func:`cvbell.curves.violation_threshold` runs the same search on
-    Python floats over the default grid.
+    Python floats.
 
     Raises
     ------
     ValueError
-        On an unknown kind, a bad r, a grid that is not 1-D with finite
-        positive entries, or a ``p_tol`` that is not a finite number of
-        at least 2^-52 (below that, bisection never gets narrower).
+        On an unknown kind or a bad r.
     """
-    r, p_tol = threshold_inputs(r, kind, p_tol)
-    if J_grid is None:
-        J_grid = _DEFAULT_BUDGETS[kind]
-    else:
-        J_grid = np.asarray(J_grid, dtype=float)
-        if (J_grid.ndim != 1 or J_grid.size == 0
-                or not np.all(np.isfinite(J_grid) & (J_grid > 0))):
-            raise ValueError("budget grid must be 1-D with finite positive "
-                             "entries")
-
+    r = threshold_inputs(r, kind)
+    J_grid = _DEFAULT_BUDGETS[kind]
     b_pure = pure_bell_curve(J_grid, r)
     b_ref = component_bell_curve(J_grid, r, kind)
     gain = b_pure - b_ref
@@ -256,4 +214,4 @@ def werner_violation_threshold(r: float, J_grid=None,
     def best_b(p: float) -> float:
         return float((p * b_pure + (1.0 - p) * b_ref).max())
 
-    return threshold_search(kind, r, best_b, min_r, p_tol)
+    return threshold_search(kind, r, best_b, min_r)

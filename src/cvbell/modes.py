@@ -89,10 +89,16 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_nonnegative(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _check_rates(gamma: float, kappa: float, nbar: float = 0.0):
     for name, v in (("gamma", gamma), ("kappa", kappa), ("nbar", nbar)):
-        if _require_finite(name, v) < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
+        _require_nonnegative(name, v)
 
 
 def _where(params) -> str:
@@ -183,17 +189,14 @@ class SqueezedStateParams:
 
     def __post_init__(self):
         for name in ("r", "d", "nbar"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name,
+                               _require_nonnegative(name, getattr(self, name)))
 
     @classmethod
     def from_rates(cls, kappa: float, gamma: float, t: float,
                    nbar: float = 0.0) -> "SqueezedStateParams":
         for name, v in (("kappa", kappa), ("gamma", gamma), ("t", t)):
-            if _require_finite(name, v) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+            _require_nonnegative(name, v)
         return cls(r=kappa * t, d=gamma * t, nbar=nbar)
 
     @property

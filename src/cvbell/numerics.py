@@ -1,10 +1,11 @@
-"""Self-contained numeric kernel: special functions, integrators, solvers.
+"""Self-contained numeric kernel: special functions, eigenvalues, simplex.
 
 Everything in this module is implemented from scratch on top of plain
 ndarray or float arithmetic so that each algorithm is auditable and its
-accuracy can be stated explicitly.  The rest of the package builds its
-oracles out of these routines, so none of them may silently delegate to
-an external special-function or linear-algebra library.
+accuracy can be stated explicitly; none of it delegates to an external
+special-function or linear-algebra library.  The grid scans use the
+two array kernels, the maximiser the simplex, and the 4x4 eigenvalue
+routines serve the W -> V route of :mod:`cvbell.phase_space`.
 
 Contents
 --------
@@ -12,12 +13,8 @@ Contents
   asymptotic expansion above; DLMF 10.25.2 and 10.40.1), as Horner
   polynomials that stay finite for arguments up to 1e8,
 * the stabilised quotient (1 - exp(-p))/p with a Taylor branch near 0,
-* Gauss-Legendre and periodic trapezoidal quadrature rules,
-* a fixed-step RK4 integrator for the Lyapunov matrix equation
-  dS/dt = A S + S A^T + D,
 * eigenvalues of symmetric 4x4 matrices: exact pair-splitting for the
   doubly degenerate anti-diagonal pattern, cyclic Jacobi otherwise,
-* matrix exponential by scaling and squaring of the truncated series,
 * a derivative-free Nelder-Mead minimiser on Python floats.
 
 All tolerances are compile-time constants collected in ``TOLERANCES``
@@ -27,7 +24,6 @@ All tolerances are compile-time constants collected in ``TOLERANCES``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,15 +39,10 @@ from .tolerances import TOLERANCES, Tolerances
 __all__ = [
     "TOLERANCES",
     "Tolerances",
-    "QuadratureRule",
     "bessel_i0_log",
     "one_minus_exp_over",
-    "gauss_legendre",
-    "periodic_trapezoid",
-    "rk4_lyapunov",
     "sym4_eigenvalues",
     "jacobi_eigenvalues",
-    "matrix_exp4",
     "nelder_mead_minimize",
 ]
 
@@ -120,147 +111,6 @@ def one_minus_exp_over(p):
     direct = -np.expm1(-safe) / safe
     out = np.where(small, _exp_quotient_taylor(a), direct)
     return _maybe_scalar(out, scalar)
-
-
-# ----------------------------------------------------------------------
-# quadrature rules
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a 1-D quadrature rule.
-
-    ``domain`` is the integration interval (a, b); ``periodic`` marks
-    rules on the circle of circumference b - a (right endpoint omitted
-    from the nodes).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain: tuple
-    periodic: bool = False
-
-    def integrate(self, f: Callable) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
-    @property
-    def measure(self) -> float:
-        """Total weight the rule should carry (length of the domain)."""
-        a, b = self.domain
-        return float(b - a)
-
-
-def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` nodes on [a, b].
-
-    Nodes are the roots of the Legendre polynomial P_n, found by Newton
-    iteration on the three-term recurrence; exact for polynomials of
-    degree <= 2n - 1.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if not b > a:
-        raise ValueError("empty integration interval")
-    k = np.arange(n)
-    # Tricomi-style initial guess, then Newton on P_n
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p_prev = np.zeros_like(x)
-        p = np.ones_like(x)
-        for j in range(1, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    for j in range(1, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x[::-1]
-    weights = 0.5 * (b - a) * w[::-1]
-    return QuadratureRule(nodes=nodes, weights=weights, domain=(a, b))
-
-
-def periodic_trapezoid(n: int, period: float = 2.0 * np.pi) -> QuadratureRule:
-    """Equispaced trapezoidal rule on a period; spectrally accurate for
-    smooth periodic integrands."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    nodes = np.arange(n) * (period / n)
-    weights = np.full(n, period / n)
-    return QuadratureRule(nodes=nodes, weights=weights, domain=(0.0, period),
-                          periodic=True)
-
-
-# ----------------------------------------------------------------------
-# Lyapunov RK4
-# ----------------------------------------------------------------------
-
-def rk4_lyapunov(A: np.ndarray, D: np.ndarray, sigma0: np.ndarray, t: float,
-                 steps: int) -> np.ndarray:
-    """Integrate dS/dt = A S + S A^T + D with classical RK4.
-
-    Fixed step h = t/steps; the iterate is re-symmetrised after every
-    step so roundoff cannot accumulate asymmetry.  Because the equation
-    is linear with constant coefficients, each step adds the same affine
-    function of S; it is built once from the RK4 formula and then iterated.
-
-    Parameters
-    ----------
-    A, D : ndarray
-        Drift and (symmetric) diffusion matrices.
-    sigma0 : ndarray
-        Initial second-moment matrix.
-    t : float
-        Final time, t >= 0.
-    steps : int
-        Number of RK4 steps, >= 1.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if t < 0:
-        raise ValueError("cannot integrate backwards")
-    A = np.asarray(A, dtype=float)
-    At = A.T
-    D = np.asarray(D, dtype=float)
-    S = np.array(sigma0, dtype=float, copy=True)
-    if t == 0:
-        return S
-    h = t / steps
-
-    def increment(M, F):
-        # symmetrised RK4 increment of dM/dt = A M + M A^T + F
-        def rhs(X):
-            return A @ X + X @ At + F
-
-        k1 = rhs(M)
-        k2 = rhs(M + 0.5 * h * k1)
-        k3 = rhs(M + 0.5 * h * k2)
-        k4 = rhs(M + h * k3)
-        dM = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return 0.5 * (dM + dM.T)
-
-    # The increment is affine in S: increment(S, D) = increment(S, 0) +
-    # increment(0, D).  It is read off once as a matrix G on the flattened
-    # S, and each step is then S + G S + c: about 2 us per step instead of
-    # about 25 us for the twenty small-matrix operations of the formula.
-    # The increment of an antisymmetric part is zero, so symmetrising S
-    # first gives the same iterates; they then stay exactly symmetric.
-    # Adding the small increment to S, rather than iterating I + G, keeps
-    # the rounding of G from compounding over the steps.
-    n = S.shape[0]
-    zero = np.zeros((n, n))
-    basis = np.eye(n * n).reshape(n * n, n, n)
-    G = np.stack([increment(E, zero).ravel() for E in basis], axis=1)
-    c = increment(zero, D).ravel()
-    v = (0.5 * (S + S.T)).ravel()
-    for _ in range(steps):
-        v = v + (G @ v + c)
-    return v.reshape(n, n)
 
 
 # ----------------------------------------------------------------------
@@ -345,38 +195,6 @@ def sym4_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# matrix exponential
-# ----------------------------------------------------------------------
-
-def matrix_exp4(A: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(A t) by scaling and squaring of the truncated Taylor series.
-
-    The argument is scaled by 2^-s until its infinity norm is below 1/2,
-    the series is summed until terms fall under ``TOLERANCES.expm_series``
-    relative, and the result is squared s times.
-    """
-    B = np.asarray(A, dtype=float) * t
-    if B.shape[0] != B.shape[1]:
-        raise ValueError("matrix must be square")
-    norm = float(np.max(np.sum(np.abs(B), axis=1)))
-    s = 0
-    if norm > 0.5:
-        s = int(math.ceil(math.log2(norm / 0.5)))
-        B = B / (2.0 ** s)
-    n = B.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ B / k
-        out = out + term
-        if float(np.max(np.abs(term))) <= TOLERANCES.expm_series * float(np.max(np.abs(out))):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
-# ----------------------------------------------------------------------
 # Nelder-Mead
 # ----------------------------------------------------------------------
 
@@ -387,16 +205,18 @@ def _square_distance(a: list, b: list) -> float:
     return d2
 
 
-def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
-                         diameter_tol: float = TOLERANCES.simplex_diameter,
-                         max_iter: int = 2000):
+#: iteration cap of the simplex search
+_MAX_ITER = 2000
+
+
+def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
     """Minimise ``f`` with the Nelder-Mead simplex method.
 
     Deterministic: the initial simplex is x0 plus one ``step``
     displacement per coordinate, and iteration stops once the simplex
     diameter (largest vertex-to-vertex distance) drops below
-    ``diameter_tol`` or ``max_iter`` iterations have run.  ``f`` is
-    called with a 1-D ndarray.
+    ``TOLERANCES.simplex_diameter`` or ``_MAX_ITER``
+    iterations have run.  ``f`` is called with a 1-D ndarray.
 
     The simplex is kept in lists of Python floats, where numpy would
     spend more time on its 3-vectors than the objective does.  Sums run
@@ -420,8 +240,9 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step,
     vals = [float(f(np.array(v))) for v in verts]
     pairs = [(i, j) for i in range(ndim + 1) for j in range(i + 1, ndim + 1)]
 
+    diameter_tol = TOLERANCES.simplex_diameter
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         order = sorted(range(ndim + 1), key=vals.__getitem__)
         verts = [verts[i] for i in order]
         vals = [vals[i] for i in order]

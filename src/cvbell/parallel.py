@@ -26,15 +26,14 @@ BLOCK_CELLS = 32768
 
 
 def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
-                 n_cols: int, workers: int | None = None) -> np.ndarray:
+                 n_cols: int) -> np.ndarray:
     """Evaluate ``row_block(lo, hi)`` over contiguous row ranges.
 
     ``row_block`` must return the ``(hi - lo, n_cols)`` block of rows
     [lo, hi) of an elementwise kernel.  It is called in order on blocks
     of about ``BLOCK_CELLS`` cells (at least one row each), and every
     block is written into a preallocated float ``(n_rows, n_cols)``
-    output.  ``workers`` is accepted for compatibility and ignored: the
-    blocks always run serially.
+    output.
     """
     out = np.empty((n_rows, n_cols))
     rows = max(1, BLOCK_CELLS // max(1, n_cols))

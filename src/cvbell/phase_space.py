@@ -2,11 +2,12 @@
 
 A two-mode Gaussian state is handled in two coordinate systems:
 
-* the real vector x = (Re a1, Im a1, Re a2, Im a2), used for Wigner
-  densities and moment matrices,
+* the complex point (a1, a2), at which the Wigner densities are
+  evaluated,
 * the analytic vector (a1, a1*, a2, a2*), used for the W and V matrices,
   an independent 4x4 route to the spectrum and to (N, M) that the
-  normal-mode core of :mod:`cvbell.modes` is tested against.
+  normal-mode core of :mod:`cvbell.modes` is tested against.  The
+  real-coordinate moment matrices live in the test suite's oracles.
 
 Every state of the family has a Wigner function
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import SqueezedStateParams, _require_finite
+from .modes import SqueezedStateParams, _require_finite, _require_squeezing
 from .numerics import TOLERANCES, sym4_eigenvalues
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
     "w_matrix_from_form",
     "v_from_w",
     "nm_from_v",
-    "precision_xvec",
-    "covariance_xvec",
-    "form_from_covariance_xvec",
 ]
 
 LOG_PREFACTOR = math.log(4.0 / math.pi ** 2)
@@ -154,9 +152,7 @@ def wigner_pure_2mss(point: TwoModePoint, r: float):
     Strictly positive, bounded by (2/pi)^2, and invariant under joint
     conjugation of both arguments and under mode swap.
     """
-    r = _require_finite("r", r)
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    r = _require_squeezing(r)
     radial, cross = _quadratic_invariants(point)
     log_w = LOG_PREFACTOR - 2.0 * math.cosh(2.0 * r) * radial \
         + 2.0 * math.sinh(2.0 * r) * cross
@@ -247,65 +243,3 @@ def nm_from_v(v: CovarianceMatrix):
             f"V matrix does not have the doubly degenerate structure "
             f"(defect {defect:.3e})")
     return float(a - 0.5), float(b)
-
-
-# ----------------------------------------------------------------------
-# real-coordinate second moments
-# ----------------------------------------------------------------------
-
-def precision_xvec(form: GaussianForm) -> np.ndarray:
-    """Precision (inverse covariance) matrix over x = (Re a1, Im a1,
-    Re a2, Im a2) implied by a coefficient triple."""
-    c1, c2, h = form.c1, form.c2, form.h
-    return np.array([
-        [c1, 0.0, c2, 0.0],
-        [0.0, c1, 0.0, -c2],
-        [c2, 0.0, c1, 0.0],
-        [0.0, -c2, 0.0, c1],
-    ]) / h
-
-
-def covariance_xvec(form: GaussianForm) -> np.ndarray:
-    """Second-moment matrix over x = (Re a1, Im a1, Re a2, Im a2).
-
-    Analytic block inverse of :func:`precision_xvec`: with
-    q = c1^2 - c2^2, the variances are h c1 / q and the only covariances
-    are +-(h c2 / q) between Re a1, Re a2 and Im a1, Im a2.
-    """
-    c1, c2, h = form.c1, form.c2, form.h
-    q = c1 * c1 - c2 * c2
-    v0 = h * c1 / q
-    cu = -h * c2 / q
-    return np.array([
-        [v0, 0.0, cu, 0.0],
-        [0.0, v0, 0.0, -cu],
-        [cu, 0.0, v0, 0.0],
-        [0.0, -cu, 0.0, v0],
-    ])
-
-
-def form_from_covariance_xvec(sigma: np.ndarray) -> GaussianForm:
-    """Recover the coefficient triple from a model covariance matrix.
-
-    Inverts :func:`covariance_xvec` using the normalisation identity
-    c1^2 - c2^2 = 16 h: c1 = 16 Sigma[0,0], c2 = -16 Sigma[0,2],
-    h = 16 (Sigma[0,0]^2 - Sigma[0,2]^2).  Raises if the input does not
-    carry the model's correlation structure.
-    """
-    s = np.asarray(sigma, dtype=float)
-    if s.shape != (4, 4):
-        raise ValueError("expected a 4x4 covariance matrix")
-    v0 = float(s[0, 0])
-    cu = float(s[0, 2])
-    model = np.array([
-        [v0, 0.0, cu, 0.0],
-        [0.0, v0, 0.0, -cu],
-        [cu, 0.0, v0, 0.0],
-        [0.0, -cu, 0.0, v0],
-    ])
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if np.max(np.abs(s - model)) > TOLERANCES.pattern_abs * scale:
-        raise ValueError("covariance matrix is outside the model family "
-                         "(correlation structure violated)")
-    return GaussianForm(c1=16.0 * v0, c2=-16.0 * cu,
-                        h=16.0 * (v0 * v0 - cu * cu))

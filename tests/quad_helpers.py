@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from cvbell import GaussianForm, TwoModePoint, gauss_legendre, wigner_pure_2mss
+from cvbell import GaussianForm, TwoModePoint, wigner_pure_2mss
+from oracles import gauss_legendre
 
 SQRT_HALF = math.sqrt(0.5)
 

@@ -18,8 +18,6 @@ from cvbell import (
     TwoModePoint,
     bell_closed_form,
     bell_combination,
-    covariance_ode_oracle,
-    covariance_xvec,
     evolve_coefficients,
     is_pure,
     maximize_bell,
@@ -28,7 +26,6 @@ from cvbell import (
     model_evaluator,
     nm_from_v,
     one_minus_exp_over,
-    phase_average_quadrature_oracle,
     phase_averaged_wigner,
     separability_eigenvalues,
     separability_map,
@@ -41,6 +38,11 @@ from cvbell import (
 )
 from cvbell.phase_space import w_matrix_from_form, wigner_gaussian_eval
 
+from oracles import (
+    covariance_ode_oracle,
+    covariance_xvec,
+    phase_average_quadrature_oracle,
+)
 from quad_helpers import (
     form_normalization,
     marginal_by_quadrature,

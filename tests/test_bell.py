@@ -19,7 +19,8 @@ from cvbell import (
     parity_correlation,
     small_j_slope,
 )
-from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _closed_bell, _coarse_best
+from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _coarse_best
+from cvbell.dynamics import variance_arrays
 from cvbell.modes import NormalModes
 
 # frozen values at the J=0.01, r=1.5 reference point
@@ -193,13 +194,17 @@ def _meshgrid_argmax(axes, names, fixed, j_bounds):
     # oracle: the full meshgrid of the free state parameters and the flat
     # argmax (first maximum, i.e. the lexicographically smallest
     # (r, d, nbar) cell); with J free each cell is the scalar closed form
-    # of max_J B, otherwise B at the fixed J from the coefficient triple
+    # of max_J B, otherwise B at the fixed J from the variances of the
+    # full meshgrid, in the arithmetic of NormalModes.bell
     mesh = dict(zip(names, np.meshgrid(*axes, indexing="ij")))
     point = {**fixed, **mesh}
     shape = tuple(len(a) for a in axes)
     r, d, nbar = (np.broadcast_to(point[n], shape) for n in ("r", "d", "nbar"))
     if j_bounds is None:
-        grid = _closed_bell(point["J"], *coefficient_arrays(r, d, nbar))
+        s1, s2 = variance_arrays(r, d, nbar)
+        h = s1 * s2
+        side = np.exp(-point["J"] * (1.0 / s1 + 1.0 / s2)) / h
+        grid = 1.0 / h + side + side - np.exp(-4.0 * point["J"] / s1) / h
     else:
         grid = np.array([
             NormalModes.of(SqueezedStateParams(*cell)).bell_optimum(*j_bounds)[1]

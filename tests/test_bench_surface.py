@@ -11,6 +11,7 @@ one short traced run to its closing JSON line.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,15 +63,24 @@ def test_main_returns_in_process(argv):
     assert buf.getvalue().count("\n") > 1
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("workload", ["scans", "cli-cold"])
 def test_traced_run_ends_with_its_result_line(workload):
-    # the traced run probes the package in process; a probe that breaks
-    # or prints must not displace the JSON result from the last line
+    # the traced run probes the package in process; a probe that breaks,
+    # prints or goes missing must not displace the JSON result from the
+    # last line, and every metric in it is a finite number
     proc = subprocess.run(
         [sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.5", "--trace", "1"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1],
+                        parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
+    assert all(math.isfinite(m["value"]) for m in result["metrics"].values())
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("absent:")] == []

@@ -78,7 +78,7 @@ def test_cli_threshold_rejects_what_the_library_rejects(args, match):
     with pytest.raises(ValueError, match=match):
         violation_threshold(*args)
     with pytest.raises(ValueError, match=match):
-        werner_violation_threshold(args[0], None, *args[1:])
+        werner_violation_threshold(*args)
 
 
 # ----------------------------------------------------------------------

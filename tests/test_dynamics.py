@@ -9,19 +9,21 @@ from cvbell import (
     ConvergenceError,
     SqueezedStateParams,
     coefficient_arrays,
-    covariance_ode_oracle,
-    covariance_xvec,
-    drift_eigenvalues,
     evolve_coefficients,
-    matrix_exp4,
     nm_from_v,
-    propagate_covariance,
-    propagate_green,
     steady_state,
     v_from_w,
 )
-from cvbell.dynamics import drift_matrix
 from cvbell.phase_space import w_matrix_from_form
+from oracles import (
+    covariance_ode_oracle,
+    covariance_xvec,
+    drift_eigenvalues,
+    drift_matrix,
+    matrix_exp4,
+    propagate_covariance,
+    propagate_green,
+)
 
 # frozen against a 200k-step scratch RK4 of the covariance ODE
 ANCHOR = SqueezedStateParams(r=1.5, d=1.0, nbar=0.0)
@@ -183,9 +185,9 @@ def _same(a, b):
 
 
 def test_coefficient_arrays_float_path_matches_array_path():
-    # three floats skip the array conversion; every value must be the one
-    # the array path gives, including inf/NaN once the exponentials
-    # overflow (r = 400), which must not raise ZeroDivisionError
+    # floats and numpy scalars give the values of the array path,
+    # including inf/NaN once the exponentials overflow (r = 400), which
+    # must not raise ZeroDivisionError
     rng = np.random.default_rng(17)
     r = np.concatenate([rng.uniform(0.0, 3.0, 300), [400.0, 400.0, 0.0]])
     d = np.concatenate([rng.uniform(0.0, 6.0, 300), [0.0, 1.0, 0.0]])

@@ -18,17 +18,18 @@ from cvbell import (
     mixture_bell_curve,
     mixture_evaluator,
     mixture_wigner,
-    phase_average_quadrature_oracle,
     phase_averaged_wigner,
     pure_bell_curve,
     small_j_slope,
     thermal_marginal,
     werner_violation_threshold,
+    wigner_pure_2mss,
 )
+from cvbell.curves import threshold_search
 from cvbell.mixtures import werner_wigner
 from cvbell.modes import mixture_slope
 
-from oracles import threshold_bisection
+from oracles import phase_average_quadrature_oracle, threshold_bisection
 from quad_helpers import marginal_by_quadrature
 
 # frozen: 2 / (pi cosh 3)
@@ -66,6 +67,19 @@ def test_thermal_marginal_against_quadrature(alpha1, r):
     direct = thermal_marginal(alpha1, r)
     quad = marginal_by_quadrature(alpha1, r)
     assert abs(direct - quad) < 1e-8
+
+
+@pytest.mark.parametrize("density", [
+    lambda r: thermal_marginal(0.1, r),
+    lambda r: wigner_pure_2mss(TwoModePoint(0.1 + 0j, -0.1 + 0j), r),
+    lambda r: phase_averaged_wigner(TwoModePoint(0.1 + 0j, -0.1 + 0j), r),
+], ids=["thermal_marginal", "wigner_pure_2mss", "phase_averaged_wigner"])
+def test_densities_reject_squeezing_beyond_the_float_range(density):
+    # regression: cosh 2r at r = 400 raised OverflowError from math.cosh
+    with pytest.raises(ValueError, match="r=400.0 overflows"):
+        density(400.0)
+    with pytest.raises(ValueError, match="squeezing must be nonnegative"):
+        density(math.nan)
 
 
 def test_phase_average_frozen_point():
@@ -193,13 +207,14 @@ def test_small_j_slope_with_scaled_probe(kind, r):
 @pytest.mark.parametrize("kind, low", [("werner-thermal", 1e-4),
                                        ("phase-diffused", 1e-6)])
 def test_threshold_default_grid_is_the_documented_grid(kind, low):
-    # the default budget grids are built once; passing the same grid
-    # explicitly must give the same report, bit for bit
+    # the budget grid is built once; bisection on the documented grid
+    # must give the same report, bit for bit
+    grid = np.geomspace(low, 1.0, 200)
     for r in (0.3, 1.5, 2.7):
-        default = werner_violation_threshold(r, kind=kind)
-        explicit = werner_violation_threshold(
-            r, J_grid=np.geomspace(low, 1.0, 200), kind=kind)
-        assert default == explicit
+        rep = werner_violation_threshold(r, kind=kind)
+        assert rep.p_star == threshold_bisection(r, grid, kind,
+                                                 TOLERANCES.threshold_p_abs)
+        assert rep.best_b_at_unit_weight == float(pure_bell_curve(grid, r).max())
 
 
 @pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
@@ -255,60 +270,50 @@ KINDS = ("werner-thermal", "phase-diffused")
 DEFAULT_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
 
 
+def _default_grid(kind):
+    return np.geomspace(DEFAULT_LOW[kind], 1.0, 200)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(kind=st.sampled_from(KINDS),
-       r=st.floats(0.0, 9.0),
-       low=st.floats(-8.0, -1.0),
-       span=st.floats(0.5, 9.0),
-       size=st.integers(1, 300),
-       p_tol=st.floats(1e-6, 0.5),
-       default=st.booleans())
-def test_threshold_equals_the_bisection_oracle(kind, r, low, span, size,
-                                               p_tol, default):
+@given(kind=st.sampled_from(KINDS), r=st.floats(0.0, 9.0))
+def test_threshold_equals_the_bisection_oracle(kind, r):
     # the lattice cell found from min R is the one bisection ends on
-    if default:
-        grid, tol = None, None
-        oracle_grid, oracle_tol = (np.geomspace(DEFAULT_LOW[kind], 1.0, 200),
-                                   TOLERANCES.threshold_p_abs)
-    else:
-        grid = oracle_grid = np.geomspace(10.0 ** low, 10.0 ** (low + span),
-                                          size)
-        tol = oracle_tol = p_tol
-    rep = werner_violation_threshold(r, grid, kind, tol)
-    assert rep.p_star == threshold_bisection(r, oracle_grid, kind, oracle_tol)
+    rep = werner_violation_threshold(r, kind=kind)
+    assert rep.p_star == threshold_bisection(r, _default_grid(kind), kind,
+                                             TOLERANCES.threshold_p_abs)
     assert rep.violated_at_unit_weight == (rep.p_star is not None)
 
 
-@pytest.mark.parametrize("kind, r, p_tol", [
-    ("werner-thermal", 0.3, 2.0 ** -52),
-    ("werner-thermal", 4.0, 2.0 ** -52),
-    # rounding puts the predicate's switch below min R: the search must
-    # step down from its guess
-    ("werner-thermal", 1.9166066908589496, 2.0 ** -52),
-    ("werner-thermal", 2.6384328539636015, 2.0 ** -50),
-    # the switch sits thousands of cells above min R: the search gallops
-    ("phase-diffused", 0.3, 2.0 ** -52),
-    ("phase-diffused", 1.5, 2.0 ** -52),
-    ("phase-diffused", 4.0, 2.0 ** -52),
+@pytest.mark.parametrize("kind, r", [
+    ("werner-thermal", 0.3),
+    ("werner-thermal", 4.0),
+    ("werner-thermal", 1.9166066908589496),
+    ("werner-thermal", 2.6384328539636015),
+    ("phase-diffused", 0.3),
+    ("phase-diffused", 1.5),
+    ("phase-diffused", 4.0),
 ])
-def test_threshold_on_fine_lattices_equals_bisection(kind, r, p_tol):
-    # 2^-52 is the smallest accepted p_tol; the oracle still terminates
-    rep = werner_violation_threshold(r, kind=kind, p_tol=p_tol)
-    assert rep.p_star == threshold_bisection(
-        r, np.geomspace(DEFAULT_LOW[kind], 1.0, 200), kind, p_tol)
+def test_threshold_search_bisects_the_lattice_after_a_wrong_guess(kind, r):
+    # a min R whose cell the predicate does not bracket sends the search
+    # to bisection of the whole 2^-14 lattice: 14 more predicate calls,
+    # and the cell bisection of [0, 1] ends on
+    grid = _default_grid(kind)
+    b_pure = pure_bell_curve(grid, r)
+    b_ref = component_bell_curve(grid, r, kind)
+    want = threshold_bisection(r, grid, kind, TOLERANCES.threshold_p_abs)
+    calls = []
 
+    def best_b(p):
+        calls.append(p)
+        return float((p * b_pure + (1.0 - p) * b_ref).max())
 
-@pytest.mark.parametrize("p_tol", [0.0, -1.0, math.nan, math.inf, 1e-17])
-def test_threshold_rejects_a_tolerance_bisection_cannot_meet(p_tol):
-    # 0 and -1 used to loop forever, nan returned p* = 0.5 unasked
-    with pytest.raises(ValueError, match="p_tol"):
-        werner_violation_threshold(1.5, p_tol=p_tol)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
-def test_threshold_rejects_a_grid_with_a_bad_budget(bad):
-    # a NaN budget used to report "no violation" with best B nan
-    grid = np.geomspace(1e-4, 1.0, 20)
-    grid[7] = bad
-    with pytest.raises(ValueError, match="finite positive"):
-        werner_violation_threshold(1.5, J_grid=grid)
+    cells = 2 ** 14
+    guesses = [p for p in (0.0, 1.0, want - 3.0 / cells, want + 3.0 / cells)
+               if min(max(int(p * cells), 0), cells - 1) != int(want * cells)]
+    assert len(guesses) >= 2
+    for wrong in guesses:
+        calls.clear()
+        rep = threshold_search(kind, r, best_b, wrong)
+        assert rep.p_star == want
+        # p = 1, one or two ends of the guessed cell, 14 bisection steps
+        assert len(calls) - 14 in (2, 3)

@@ -21,8 +21,11 @@ from cvbell import (
     mixture_evaluator,
     separability_map,
 )
+from cvbell.bell import maximize_bell
 from cvbell.cli import _linspace, main
+from cvbell.dynamics import evolve_coefficients, variance_arrays
 from cvbell.modes import NormalModes, steady_limit, werner_bell
+from oracles import coefficient_triple
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -115,18 +118,53 @@ def test_core_matches_separability_map_cells(r):
 
 
 def test_core_matches_coefficient_arrays():
-    # both use 2d (coefficient_arrays once formed p1 + p2, which rounds d
-    # by up to ulp(2r) and needed a tolerance 2 nbar + 1 times wider)
+    # the triple written out in p1 and p2 is the independent reference;
+    # both use 2d (p1 + p2 rounds d by up to ulp(2r) and needed a
+    # tolerance 2 nbar + 1 times wider)
     rng = np.random.default_rng(5)
     for _ in range(2000):
         r = float(rng.uniform(0.0, 20.0))
         d = 0.0 if rng.random() < 0.2 else float(10 ** rng.uniform(-3, 1.3))
         nbar = 0.0 if rng.random() < 0.2 else float(10 ** rng.uniform(-3, 1))
         modes = NormalModes.of(SqueezedStateParams(r, d, nbar))
-        c1, c2, h = coefficient_arrays(r, d, nbar)
+        c1, c2, h = coefficient_triple(r, d, nbar)
         assert abs(c1 - modes.c1) <= 1e-15 * modes.c1
         assert abs(c2 - modes.c2) <= 1e-15 * modes.c1
         assert abs(h - modes.h) <= 1e-15 * (1 + modes.s1) * (1 + modes.s2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(states, st.sampled_from([("r",), ("d",), ("nbar",), ("r", "d"),
+                                ("d", "nbar"), ("r", "d", "nbar")]),
+       st.floats(0.0, 1.0))
+def test_every_runtime_route_is_the_normal_mode_core(state, free, J):
+    # one state route: the Wigner coefficients of one state and the B
+    # the maximiser reports at fixed J are the core's, bit for bit; the
+    # array view shares its formula but numpy's exp and expm1 may differ
+    # from the C library's in the last bit
+    params = SqueezedStateParams(*state)
+    modes = NormalModes.of(params)
+    core = (modes.c1, modes.c2, modes.h)
+    try:
+        form = evolve_coefficients(params)
+    except ValueError:
+        # the pure limit at large r: c1 = |c2| in floats
+        assert core[0] <= abs(core[1])
+    else:
+        assert (form.c1, form.c2, form.h) == core
+    s1, s2 = (float(s) for s in variance_arrays(*state))
+    view = tuple(float(x) for x in coefficient_arrays(*state))
+    assert view == (2.0 * (s1 + s2), 2.0 * (s1 - s2), s1 * s2)
+    # the triple written out in p1, p2, and numpy's view, within the
+    # bounds of test_core_matches_coefficient_arrays
+    for c1, c2, h in (view, coefficient_triple(*state)):
+        assert abs(c1 - modes.c1) <= 1e-15 * modes.c1
+        assert abs(c2 - modes.c2) <= 1e-15 * modes.c1
+        assert abs(h - modes.h) <= 1e-15 * (1 + modes.s1) * (1 + modes.s2)
+    fixed = {n: v for n, v in zip(("r", "d", "nbar"), state) if n not in free}
+    res = maximize_bell(free, {**fixed, "J": J})
+    best = SqueezedStateParams(*(res.params[n] for n in ("r", "d", "nbar")))
+    assert res.b_max == NormalModes.of(best).bell(J)[0]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

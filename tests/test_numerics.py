@@ -11,20 +11,24 @@ from hypothesis import strategies as st
 from cvbell import (
     TOLERANCES,
     bessel_i0_log,
+    nelder_mead_minimize,
+    one_minus_exp_over,
+    sym4_eigenvalues,
+)
+from cvbell.numerics import jacobi_eigenvalues
+from oracles import (
+    SWAP_SIGN,
+    bessel_i0,
+    bessel_i0_log_loops,
     diffusion_matrix,
     drift_matrix,
     gauss_legendre,
     matrix_exp4,
-    nelder_mead_minimize,
-    one_minus_exp_over,
+    nelder_mead_pairwise,
     periodic_trapezoid,
     propagate_covariance,
     rk4_lyapunov,
-    sym4_eigenvalues,
 )
-from cvbell.dynamics import SWAP_SIGN
-from cvbell.numerics import jacobi_eigenvalues
-from oracles import bessel_i0, bessel_i0_log_loops, nelder_mead_pairwise
 
 # Abramowitz & Stegun 9.8 reference values.
 I0_AT_1 = 1.2660658777520082

@@ -174,5 +174,5 @@ def test_refined_coordinates_next_to_a_bound_go_onto_it(free, fixed, slot):
     if "J" in free:
         want = _modes(*state).bell_optimum(*DEFAULT_BOUNDS["J"])[1]
     else:
-        want = bell_module._model_bell_scalar(fixed["J"], *state)
+        want = _modes(*state).bell(fixed["J"])[0]
     assert res.b_max == want

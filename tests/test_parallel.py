@@ -35,12 +35,11 @@ SHAPES = [
 
 @pytest.mark.parametrize("make", [_map_block, _surface_block])
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunked_rows_bit_identical_to_one_call(make, shape, workers):
+def test_chunked_rows_bit_identical_to_one_call(make, shape):
     n_rows, n_cols = shape
     block = make(n_rows, n_cols)
     whole = block(0, n_rows)
-    got = chunked_rows(block, n_rows, n_cols, workers=workers)
+    got = chunked_rows(block, n_rows, n_cols)
     assert got.dtype == np.float64
     assert np.array_equal(got, whole)
 
@@ -55,7 +54,7 @@ def test_chunked_rows_block_bounds():
         return np.full((hi - lo, 1), float(lo))  # broadcasts over the row
 
     n_rows, n_cols = 1001, 300
-    out = chunked_rows(block, n_rows, n_cols, workers=2)
+    out = chunked_rows(block, n_rows, n_cols)
     assert calls[0][0] == 0 and calls[-1][1] == n_rows
     assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
     assert all(1 <= hi - lo and (hi - lo) * n_cols <= BLOCK_CELLS
@@ -64,7 +63,7 @@ def test_chunked_rows_block_bounds():
         assert np.all(out[lo:hi] == lo)
 
     calls.clear()
-    chunked_rows(block, 2, BLOCK_CELLS * 3, workers=1)
+    chunked_rows(block, 2, BLOCK_CELLS * 3)
     assert calls == [(0, 1), (1, 2)]
 
 
@@ -75,7 +74,7 @@ def test_chunked_rows_reraises_block_errors():
         return np.zeros((hi - lo, 400))
 
     with pytest.raises(ValueError, match="bad block"):
-        chunked_rows(block, 1000, 400, workers=2)
+        chunked_rows(block, 1000, 400)
 
 
 def test_workers_argument_is_ignored():

@@ -10,15 +10,13 @@ from cvbell import (
     GaussianForm,
     SqueezedStateParams,
     TwoModePoint,
-    covariance_xvec,
     evolve_coefficients,
-    form_from_covariance_xvec,
     nm_from_v,
-    precision_xvec,
     v_from_w,
     wigner_pure_2mss,
 )
 from cvbell.phase_space import w_matrix_from_form, wigner_gaussian_eval
+from oracles import covariance_xvec, form_from_covariance_xvec, precision_xvec
 
 FOUR_OVER_PI_SQ = 4.0 / math.pi ** 2
 # frozen: alpha1=0.1, alpha2=-0.1 puts 0.2/sqrt2 on the narrow axis, so the
