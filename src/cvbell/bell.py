@@ -226,20 +226,17 @@ def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
 
 
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
-                 fixed: Mapping[str, float],
-                 j_bounds: tuple | None = None) -> tuple:
-    """Grid index and value of the best coarse cell.
+                 fixed: Mapping[str, float], j_bounds: tuple) -> list:
+    """Coordinates of the best coarse cell, as floats.
 
     ``axes`` are the grids of the free state parameters ``names`` (a
     subset of r, d, nbar, in that order); each lies along its own
     dimension and broadcasts, so nothing is computed on a full meshgrid
-    that depends on fewer parameters.  With ``j_bounds`` the value of a
-    cell is max_J B over that interval in closed form
-    (:func:`_bell_optimum`); otherwise it is B at ``fixed["J"]``
-    (:func:`_bell_of_variances`).  The first
-    maximum wins (the flat ``np.argmax``), so exact ties go to the
-    lexicographically smallest (r, d, nbar) cell.  A non-finite cell
-    raises ``ValueError``.
+    that depends on fewer parameters.  The value of a cell is max_J B
+    over ``j_bounds`` in closed form (:func:`_bell_optimum`); a fixed J
+    is the interval (J, J).  The first maximum wins (the flat
+    ``np.argmax``), so exact ties go to the lexicographically smallest
+    (r, d, nbar) cell.  A non-finite cell raises ``ValueError``.
     """
     k = len(names)
     arrays = dict(fixed)
@@ -249,15 +246,12 @@ def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
     # an overflowing cell raises below; numpy's warnings would only repeat it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s1, s2 = variance_arrays(*state)
-        if j_bounds is None:
-            values = _bell_of_variances(arrays["J"], s1, s2)
-        else:
-            values = _bell_optimum(s1, s2, *j_bounds)[1]
+        values = _bell_optimum(s1, s2, *j_bounds)[1]
     if not np.isfinite(values).all():
         raise ValueError("B is not finite on part of the coarse grid (the "
                          "coefficients overflow there); narrow the bounds")
-    flat = int(np.argmax(values))
-    return np.unravel_index(flat, values.shape), float(values.flat[flat])
+    idx = np.unravel_index(int(np.argmax(values)), values.shape)
+    return [float(axis[i]) for axis, i in zip(axes, idx)]
 
 
 def _point(base: list, box: list, x: list):
@@ -280,7 +274,7 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     * J alone: the closed form of the fixed state, with no grid and no
       simplex (:func:`cvbell.modes.maximize_over_j`);
     * J and state parameters: the objective is max_J B of the state;
-    * state parameters only: the objective is B at the fixed J.
+    * state parameters only: the same on the interval (J, J), i.e. B(J).
 
     The state parameters get a deterministic two-stage search: a coarse
     scan on the variances with 32 linear nodes per free parameter,
@@ -314,11 +308,10 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     if tuple(free) == ("J",):
         return maximize_over_j(fixed, bounds)
     free_ordered, fixed_values, limits = _maximize_inputs(free, fixed, bounds)
-    j_bounds = limits.pop("J", None)
+    j_bounds = limits.pop("J", None) or (fixed_values["J"],) * 2
     names = tuple(limits)
     axes = [np.linspace(lo, hi, _GRID_POINTS) for lo, hi in limits.values()]
-    best_idx = _coarse_best(axes, names, fixed_values, j_bounds)[0]
-    best_x = np.array([axes[i][best_idx[i]] for i in range(len(names))])
+    best_x = _coarse_best(axes, names, fixed_values, j_bounds)
 
     # the objective sees Python floats only: a full (r, d, nbar) list with
     # the free slots overwritten, and out-of-bounds points rejected
@@ -327,29 +320,25 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     base = [fixed_values.get(n, 0.0) for n in ("r", "d", "nbar")]
 
     def value(r, d, nbar):
-        modes = _modes(r, d, nbar)
-        if j_bounds is None:
-            return modes.bell(fixed_values["J"])[0]
-        return modes.bell_optimum(*j_bounds)[1]
+        return _modes(r, d, nbar).bell_optimum(*j_bounds)[1]
 
     # the scalar closed form of the adopted cell, which the refinement
     # must beat and which the result reports
-    best_val = value(*_point(base, box, best_x.tolist()))
+    best_val = value(*_point(base, box, best_x))
 
-    def objective(x: np.ndarray) -> float:
-        point = _point(base, box, x.tolist())
+    def objective(x: list) -> float:
+        point = _point(base, box, x)
         return math.inf if point is None else -value(*point)
 
-    lo_arr = np.array([b[1] for b in box])
-    hi_arr = np.array([b[2] for b in box])
-    step = (hi_arr - lo_arr) / 64.0
-    step = np.where(best_x + step > hi_arr, -step, step)
+    step = [(hi - lo) / 64.0 for _, lo, hi in box]
+    step = [-s if x + s > hi else s
+            for x, s, (_, _, hi) in zip(best_x, step, box)]
     refined_x, refined_neg = nelder_mead_minimize(objective, best_x, step)
     # a coordinate within the simplex tolerance of a bound goes onto it
     # unless B falls by more than rounding there
     tol = TOLERANCES.simplex_diameter
-    snapped = np.array([lo if v - lo < tol else hi if hi - v < tol else v
-                        for (_, lo, hi), v in zip(box, refined_x.tolist())])
+    snapped = [lo if v - lo < tol else hi if hi - v < tol else v
+               for (_, lo, hi), v in zip(box, refined_x)]
     snapped_neg = objective(snapped)
     if snapped_neg <= refined_neg + 4.0 * math.ulp(refined_neg):
         refined_x, refined_neg = snapped, snapped_neg
@@ -357,10 +346,9 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
         best_x, best_val = refined_x, -refined_neg
 
     params = dict(fixed_values)
-    params.update(zip(names, best_x.tolist()))
-    if j_bounds is not None:
-        params["J"] = _modes(params["r"], params["d"],
-                             params["nbar"]).bell_optimum(*j_bounds)[0]
+    params.update(zip(names, best_x))
+    params["J"] = _modes(params["r"], params["d"],
+                         params["nbar"]).bell_optimum(*j_bounds)[0]
     return MaximizeResult(params=params, b_max=best_val, free=free_ordered)
 
 

@@ -24,7 +24,7 @@ from .curves import (
     pure_bell_values,
     violation_threshold,
 )
-from .errors import ConvergenceError, CrossCheckError
+from .errors import CrossCheckError
 from .modes import (
     MixtureSpec,
     NormalModes,
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         record = args.handler(args)
-    except (ValueError, ConvergenceError, CrossCheckError) as exc:
+    except (ValueError, CrossCheckError) as exc:
         print(f"cvbell: error: {exc}", file=sys.stderr)
         return 3
     text = render(record, args.format)

@@ -158,19 +158,23 @@ def _horner_tail(t, coeffs: tuple):
     return acc
 
 
+#: log(2 pi), added to log x apart so that 2 pi x never overflows
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
 def log_i0(x: float) -> float:
-    """log I0(x) of a float x >= 0, finite while 2 pi x is (x < 2.8e307).
+    """log I0(x) of a float x >= 0, finite for every finite x.
 
     :func:`cvbell.numerics.bessel_i0_log` on one float: below
     ``TOLERANCES.bessel_switch`` the power series, above it
-    x - log(2 pi x)/2 plus the log of the asymptotic series, each with
-    its constant term 1 added back through ``log1p``.
+    x - (log 2 pi + log x)/2 plus the log of the asymptotic series, each
+    with its constant term 1 added back through ``log1p``.
     """
     if x < 0.0:
         raise ValueError("log_i0 requires a nonnegative argument")
     if x < TOLERANCES.bessel_switch:
         return math.log1p(_horner_tail(x * x / 4.0, _I0_SERIES))
-    return (x - 0.5 * math.log(2.0 * math.pi * x)
+    return (x - 0.5 * (_LOG_2PI + math.log(x))
             + math.log1p(_horner_tail(1.0 / x, _I0_ASYMPTOTIC)))
 
 

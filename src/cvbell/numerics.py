@@ -4,18 +4,18 @@ Everything in this module is implemented from scratch on top of plain
 ndarray or float arithmetic so that each algorithm is auditable and its
 accuracy can be stated explicitly; none of it delegates to an external
 special-function or linear-algebra library.  The grid scans use the
-two array kernels, the maximiser the simplex, and the 4x4 eigenvalue
-routines serve the W -> V route of :mod:`cvbell.phase_space`.
+two array kernels, the maximiser the simplex, and the 4x4 eigenvalues
+serve the W -> V route of :mod:`cvbell.phase_space`.
 
 Contents
 --------
 * log I0(x) of the modified Bessel function (power series below x=15,
   asymptotic expansion above; DLMF 10.25.2 and 10.40.1), as Horner
-  polynomials that stay finite for arguments up to 1e8,
+  polynomials that stay finite for every finite x >= 0,
 * the stabilised quotient (1 - exp(-p))/p with a Taylor branch near 0,
-* eigenvalues of symmetric 4x4 matrices: exact pair-splitting for the
-  doubly degenerate anti-diagonal pattern, cyclic Jacobi otherwise,
-* a derivative-free Nelder-Mead minimiser on Python floats.
+* eigenvalues of the model's 4x4 matrices, which all have the doubly
+  degenerate cross pattern and split into pairs exactly,
+* a derivative-free Nelder-Mead minimiser on lists of Python floats.
 
 All tolerances are compile-time constants collected in ``TOLERANCES``
 (defined in :mod:`cvbell.tolerances`, which needs no numpy).
@@ -31,6 +31,7 @@ import numpy as np
 from .modes import (  # the log I0 tables and Horner rule are shared
     _I0_ASYMPTOTIC,
     _I0_SERIES,
+    _LOG_2PI,
     _exp_quotient_taylor,
     _horner_tail,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "bessel_i0_log",
     "one_minus_exp_over",
     "sym4_eigenvalues",
-    "jacobi_eigenvalues",
     "nelder_mead_minimize",
 ]
 
@@ -61,12 +61,12 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 # ----------------------------------------------------------------------
 
 def bessel_i0_log(x):
-    """log I0(x), finite for all 0 <= x <= 1e8.
+    """log I0(x), finite for every finite x >= 0.
 
     Below ``TOLERANCES.bessel_switch`` the power series, above it
-    x - log(2 pi x)/2 plus the log of the asymptotic series; each series
-    is a Horner polynomial whose constant term 1 is left out and added
-    back through ``log1p``, so nothing overflows and log I0(x) ~ x^2/4
+    x - (log 2 pi + log x)/2 plus the log of the asymptotic series; each
+    series is a Horner polynomial whose constant term 1 is left out and
+    added back through ``log1p``, so nothing overflows and log I0 ~ x^2/4
     keeps its relative accuracy down to tiny x.  The tables and the
     Horner rule are those of :func:`cvbell.modes.log_i0`, its form on
     one float.
@@ -81,7 +81,7 @@ def bessel_i0_log(x):
         out[small] = np.log1p(_horner_tail(xs * xs / 4.0, _I0_SERIES))
     if not np.all(small):
         xl = a[~small]
-        out[~small] = (xl - 0.5 * np.log(2.0 * np.pi * xl)
+        out[~small] = (xl - 0.5 * (_LOG_2PI + np.log(xl))
                        + np.log1p(_horner_tail(1.0 / xl, _I0_ASYMPTOTIC)))
     return _maybe_scalar(out, scalar)
 
@@ -97,14 +97,9 @@ def one_minus_exp_over(p):
     Taylor polynomial 1 - p/2 + p^2/6 - p^3/24 + p^4/120 - p^5/720 is
     used; elsewhere the direct quotient via expm1.  The branches agree to
     1e-15 relative at the switch.  Positive and strictly decreasing on
-    the real line.  A Python or numpy float (or int) takes a scalar
-    branch with the same operations and returns a ``float``.
+    the real line.  A 0-d input returns a ``float``; the float core has
+    its own form, :func:`cvbell.modes.exp_quotient`.
     """
-    if isinstance(p, (float, int)):
-        t = float(p)
-        if abs(t) < TOLERANCES.taylor_cutoff:
-            return _exp_quotient_taylor(t)
-        return float(-np.expm1(-t) / t)
     a, scalar = _as_array(p)
     small = np.abs(a) < TOLERANCES.taylor_cutoff
     safe = np.where(small, 1.0, a)
@@ -114,46 +109,8 @@ def one_minus_exp_over(p):
 
 
 # ----------------------------------------------------------------------
-# symmetric 4x4 eigenvalues
+# eigenvalues of the model's 4x4 matrices
 # ----------------------------------------------------------------------
-
-def jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below
-    ``TOLERANCES.jacobi_residual`` (relative to the matrix norm).
-    Returns the eigenvalues sorted ascending.
-    """
-    A = np.array(M, dtype=float, copy=True)
-    n = A.shape[0]
-    scale = max(1.0, math.sqrt(float(np.sum(A * A))))
-    for _ in range(60):
-        off = math.sqrt(max(0.0, float(np.sum(A * A) - np.sum(np.diag(A) ** 2))))
-        if off <= TOLERANCES.jacobi_residual * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # theta^2 would overflow; tan collapses to 1/(2 theta)
-                    tt = 0.5 / theta
-                else:
-                    tt = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(tt * tt + 1.0)
-                s = tt * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    return np.sort(np.diag(A))
-
 
 def _matches_cross_pattern(M: np.ndarray, tol: float) -> bool:
     a = M[0, 0]
@@ -168,18 +125,18 @@ def _matches_cross_pattern(M: np.ndarray, tol: float) -> bool:
 
 
 def sym4_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a symmetric 4x4 matrix.
+    """Eigenvalues (ascending) of a model 4x4 matrix.
 
-    Matrices of the doubly degenerate cross pattern
-    [[a,0,0,b],[0,a,b,0],[0,b,a,0],[b,0,0,a]] are split exactly into
-    {a - |b|, a - |b|, a + |b|, a + |b|}; anything else falls back to the
-    cyclic Jacobi iteration.
+    Every W and V matrix of the model has the doubly degenerate cross
+    pattern [[a,0,0,b],[0,a,b,0],[0,b,a,0],[b,0,0,a]], which splits
+    exactly into {a - |b|, a - |b|, a + |b|, a + |b|}.
 
     Raises
     ------
     ValueError
-        If the input is not 4x4 or not symmetric within
-        ``TOLERANCES.symmetry_abs``.
+        If the input is not 4x4, not symmetric within
+        ``TOLERANCES.symmetry_abs``, or off the pattern by more than
+        1e-12 of its largest entry (or of 1, if that is larger).
     """
     A = np.asarray(M, dtype=float)
     if A.shape != (4, 4):
@@ -187,11 +144,11 @@ def sym4_eigenvalues(M: np.ndarray) -> np.ndarray:
     if np.max(np.abs(A - A.T)) > TOLERANCES.symmetry_abs:
         raise ValueError("matrix is not symmetric to working tolerance")
     scale = max(1.0, float(np.max(np.abs(A))))
-    if _matches_cross_pattern(A, 1e-12 * scale):
-        a = float(np.mean(np.diag(A)))
-        b = abs(float((A[0, 3] + A[1, 2]) / 2.0))
-        return np.array([a - b, a - b, a + b, a + b])
-    return jacobi_eigenvalues(A)
+    if not _matches_cross_pattern(A, 1e-12 * scale):
+        raise ValueError("matrix is off the model's cross pattern")
+    a = float(np.mean(np.diag(A)))
+    b = abs(float((A[0, 3] + A[1, 2]) / 2.0))
+    return np.array([a - b, a - b, a + b, a + b])
 
 
 # ----------------------------------------------------------------------
@@ -209,14 +166,14 @@ def _square_distance(a: list, b: list) -> float:
 _MAX_ITER = 2000
 
 
-def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
+def nelder_mead_minimize(f: Callable, x0: list, step: list):
     """Minimise ``f`` with the Nelder-Mead simplex method.
 
-    Deterministic: the initial simplex is x0 plus one ``step``
-    displacement per coordinate, and iteration stops once the simplex
-    diameter (largest vertex-to-vertex distance) drops below
+    Deterministic: the initial simplex is the list ``x0`` plus one
+    ``step[i]`` displacement per coordinate i, and iteration stops once
+    the simplex diameter (largest vertex-to-vertex distance) drops below
     ``TOLERANCES.simplex_diameter`` or ``_MAX_ITER``
-    iterations have run.  ``f`` is called with a 1-D ndarray.
+    iterations have run.  ``f`` is called with a list of floats.
 
     The simplex is kept in lists of Python floats, where numpy would
     spend more time on its 3-vectors than the objective does.  Sums run
@@ -226,18 +183,16 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
 
     Returns
     -------
-    (x, fx) : tuple of ndarray and float
+    (x, fx) : tuple of list and float
         Best vertex found and its function value.
     """
-    x0 = np.asarray(x0, dtype=float).tolist()
     ndim = len(x0)
-    step = np.broadcast_to(np.asarray(step, dtype=float), (ndim,)).tolist()
     verts = [x0]
     for i in range(ndim):
         v = x0.copy()
         v[i] += step[i]
         verts.append(v)
-    vals = [float(f(np.array(v))) for v in verts]
+    vals = [float(f(v)) for v in verts]
     pairs = [(i, j) for i in range(ndim + 1) for j in range(i + 1, ndim + 1)]
 
     diameter_tol = TOLERANCES.simplex_diameter
@@ -257,10 +212,10 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
         centroid = [c / ndim for c in centroid]
         worst = verts[-1]
         xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        fr = float(f(np.array(xr)))
+        fr = float(f(xr))
         if fr < vals[0]:
             xe = [c + gamma * (x - c) for c, x in zip(centroid, xr)]
-            fe = float(f(np.array(xe)))
+            fe = float(f(xe))
             if fe < fr:
                 verts[-1], vals[-1] = xe, fe
             else:
@@ -269,7 +224,7 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
             verts[-1], vals[-1] = xr, fr
         else:
             xc = [c + rho * (w - c) for c, w in zip(centroid, worst)]
-            fc = float(f(np.array(xc)))
+            fc = float(f(xc))
             if fc < vals[-1]:
                 verts[-1], vals[-1] = xc, fc
             else:
@@ -277,6 +232,6 @@ def nelder_mead_minimize(f: Callable, x0: np.ndarray, step):
                 for i in range(1, ndim + 1):
                     verts[i] = [b + sigma * (v - b)
                                 for b, v in zip(best, verts[i])]
-                    vals[i] = float(f(np.array(verts[i])))
+                    vals[i] = float(f(verts[i]))
     best = vals.index(min(vals))
-    return np.array(verts[best]), vals[best]
+    return verts[best], vals[best]

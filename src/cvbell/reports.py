@@ -75,15 +75,9 @@ def _format_cell(value) -> str:
     return FLOAT_FORMAT % float(value)
 
 
-def _format_meta_value(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FORMAT % value
-    return _format_cell(value)
-
-
 def to_csv(record: ReportRecord) -> str:
     """Render as CSV with ``# key=value`` metadata comment lines."""
-    lines = [f"# {key}={_format_meta_value(value)}"
+    lines = [f"# {key}={_format_cell(value)}"
              for key, value in record.meta.items()]
     lines.append(",".join(record.columns))
     lines.extend(",".join(_format_cell(v) for v in row)

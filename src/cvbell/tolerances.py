@@ -27,7 +27,7 @@ class Tolerances:
     branch_continuity: float = 1e-15
     #: absolute symmetry requirement on eigensolver input
     symmetry_abs: float = 1e-12
-    #: off-diagonal Frobenius residual at which Jacobi iteration stops
+    #: off-diagonal Frobenius residual at which the tests' Jacobi oracle stops
     jacobi_residual: float = 1e-12
     #: relative size at which the matrix-exponential series is truncated
     expm_series: float = 1e-18

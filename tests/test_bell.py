@@ -214,6 +214,19 @@ def _meshgrid_argmax(axes, names, fixed, j_bounds):
     return np.unravel_index(flat, grid.shape), float(grid.flat[flat])
 
 
+def _cell_value(cell, names, fixed, j_bounds):
+    # B of one cell in the oracle's arithmetic: the variances of 1-element
+    # arrays for a fixed J, the scalar closed form of max_J B otherwise
+    point = {**fixed, **dict(zip(names, cell))}
+    state = [point[n] for n in ("r", "d", "nbar")]
+    if j_bounds is not None:
+        return NormalModes.of(SqueezedStateParams(*state)).bell_optimum(*j_bounds)[1]
+    s1, s2 = variance_arrays(*(np.array([v]) for v in state))
+    h = s1 * s2
+    side = np.exp(-point["J"] * (1.0 / s1 + 1.0 / s2)) / h
+    return float((1.0 / h + side + side - np.exp(-4.0 * point["J"] / s1) / h)[0])
+
+
 @pytest.mark.parametrize("free", [("J", "r"), ("r", "nbar"), ("J", "d", "nbar"),
                                   ("r", "d", "nbar"), PARAM_ORDER])
 def test_coarse_stage_matches_meshgrid_argmax(free):
@@ -223,13 +236,12 @@ def test_coarse_stage_matches_meshgrid_argmax(free):
     names = tuple(n for n in free if n != "J")
     axes = [np.linspace(*DEFAULT_BOUNDS[n], 32) for n in names]
     j_bounds = DEFAULT_BOUNDS["J"] if "J" in free else None
-    idx, val = _coarse_best(axes, names, fixed, j_bounds)
+    # a fixed J is the interval (J, J)
+    cell = _coarse_best(axes, names, fixed, j_bounds or (fixed.get("J"),) * 2)
     ref_idx, ref_val = _meshgrid_argmax(axes, names, fixed, j_bounds)
-    assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
-    if j_bounds is None:
-        assert val == ref_val
-    else:
-        assert abs(val - ref_val) <= 1e-15 * ref_val
+    assert cell == [float(a[i]) for a, i in zip(axes, ref_idx)]
+    assert all(type(v) is float for v in cell)
+    assert _cell_value(cell, names, fixed, j_bounds) == ref_val
 
 
 def test_coarse_stage_ties_go_to_smallest_cell():
@@ -238,10 +250,11 @@ def test_coarse_stage_ties_go_to_smallest_cell():
     axes = [np.linspace(0.0, 2.0, 32)]
     for fixed, j_bounds in (({"r": 0.5, "d": 0.0}, DEFAULT_BOUNDS["J"]),
                             ({"J": 0.01, "r": 0.5, "d": 0.0}, None)):
-        idx, _ = _coarse_best(axes, ("nbar",), fixed, j_bounds)
+        cell = _coarse_best(axes, ("nbar",), fixed,
+                            j_bounds or (fixed.get("J"),) * 2)
         ref_idx, _ = _meshgrid_argmax(axes, ("nbar",), fixed, j_bounds)
-        assert tuple(int(i) for i in idx) == tuple(int(i) for i in ref_idx)
-        assert int(idx[0]) == 0
+        assert int(ref_idx[0]) == 0
+        assert cell == [0.0]
 
 
 @pytest.mark.parametrize("bad", [
@@ -274,3 +287,7 @@ def test_maximize_rejects_overflowing_coarse_grid():
         with np.errstate(over="ignore", invalid="ignore"):
             maximize_bell(("r",), {"J": 0.01, "d": 0.0, "nbar": 0.0},
                           bounds={"r": (0.0, 400.0)})
+    # also at a fixed J with d > 0, where the finite cells reach B > 2
+    with pytest.raises(ValueError, match="not finite"):
+        maximize_bell(("r",), {"J": 0.01, "d": 1.0, "nbar": 0.0},
+                      bounds={"r": (0.0, 400.0)})

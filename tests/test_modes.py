@@ -163,6 +163,7 @@ def test_every_runtime_route_is_the_normal_mode_core(state, free, J):
         assert abs(h - modes.h) <= 1e-15 * (1 + modes.s1) * (1 + modes.s2)
     fixed = {n: v for n, v in zip(("r", "d", "nbar"), state) if n not in free}
     res = maximize_bell(free, {**fixed, "J": J})
+    assert res.params["J"] == J
     best = SqueezedStateParams(*(res.params[n] for n in ("r", "d", "nbar")))
     assert res.b_max == NormalModes.of(best).bell(J)[0]
 

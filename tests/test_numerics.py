@@ -15,7 +15,8 @@ from cvbell import (
     one_minus_exp_over,
     sym4_eigenvalues,
 )
-from cvbell.numerics import jacobi_eigenvalues
+from cvbell.modes import log_i0
+from cvbell.phase_space import CovarianceMatrix, v_from_w
 from oracles import (
     SWAP_SIGN,
     bessel_i0,
@@ -23,6 +24,7 @@ from oracles import (
     diffusion_matrix,
     drift_matrix,
     gauss_legendre,
+    jacobi_eigenvalues,
     matrix_exp4,
     nelder_mead_pairwise,
     periodic_trapezoid,
@@ -75,6 +77,17 @@ def test_bessel_i0_log_huge_argument():
     x = 1e8
     assert bessel_i0_log(x) == pytest.approx(x - 0.5 * math.log(2 * math.pi * x),
                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e308, 1.7e308])
+def test_log_i0_past_the_overflow_of_2_pi_x(x):
+    # 2 pi x overflows from x ~ 2.8e307 on; log I0(x) ~ x stays finite
+    with mpmath.workdps(50):
+        want = float(mpmath.log(mpmath.besseli(0, mpmath.mpf(x))))
+    for got in (bessel_i0_log(x), float(bessel_i0_log(np.array([x]))[0]),
+                log_i0(x)):
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_bessel_i0_array_input():
@@ -200,14 +213,35 @@ def test_rk4_affine_iteration_matches_stepwise_formula():
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _cross_pattern(a, b):
+    return np.array([[a, 0.0, 0.0, b], [0.0, a, b, 0.0],
+                     [0.0, b, a, 0.0], [b, 0.0, 0.0, a]])
+
+
 def test_sym4_matches_jacobi_on_random_symmetric():
+    # random symmetric matrices of the model's cross pattern, exact and
+    # with a symmetric perturbation inside the 1e-12 pattern tolerance
     rng = np.random.default_rng(42)
     for _ in range(20):
+        a, b = rng.normal(size=2) * 5.0
+        exact = _cross_pattern(a, b)
+        raw = rng.uniform(-1.0, 1.0, size=(4, 4))
+        # entries up to 4e-13 of the scale, so no two differ by 1e-12
+        noise = 0.2e-12 * max(1.0, abs(a), abs(b)) * (raw + raw.T)
+        for sym in (exact, exact + noise):
+            np.testing.assert_allclose(sym4_eigenvalues(sym),
+                                       jacobi_eigenvalues(sym), atol=1e-10)
+
+
+def test_sym4_and_v_from_w_reject_matrices_off_the_pattern():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
         raw = rng.normal(size=(4, 4))
-        sym = (raw + raw.T) / 2.0
-        np.testing.assert_allclose(np.sort(sym4_eigenvalues(sym)),
-                                   np.sort(jacobi_eigenvalues(sym)),
-                                   atol=1e-10)
+        sym = (raw + raw.T) / 2.0 + 4.0 * np.eye(4)
+        with pytest.raises(ValueError, match="cross pattern"):
+            sym4_eigenvalues(sym)
+        with pytest.raises(ValueError, match="cross pattern"):
+            v_from_w(CovarianceMatrix(entries=sym, convention="W"))
 
 
 def test_sym4_rejects_asymmetric():
@@ -246,7 +280,8 @@ def test_nelder_mead_minimizes_quadratic():
     target = np.array([1.2, -0.7])
     x, fx = nelder_mead_minimize(
         lambda z: (z[0] - target[0]) ** 2 + 3.0 * (z[1] - target[1]) ** 2,
-        np.array([0.0, 0.0]), step=0.5)
+        [0.0, 0.0], [0.5, 0.5])
+    assert type(x) is list and type(fx) is float
     np.testing.assert_allclose(x, target, atol=1e-5)
     assert fx < 1e-10
 
@@ -276,14 +311,17 @@ TEST_FUNCTIONS = [
      [0.0, 0.0], 0.5),
     (lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
      + (z[2] - 0.3) ** 2, [-1.0, 1.5, 0.0], [0.2, 0.1, 0.3]),
-    (lambda z: float(np.sum(np.cos(3.0 * z)) + np.sum(z * z)),
+    (lambda z: float(np.sum(np.cos(3.0 * np.asarray(z)))
+                     + np.sum(np.square(z))),
      [0.4, -0.2, 1.0, 0.1], 0.25),
 ]
 
 
 @pytest.mark.parametrize("f, x0, step", TEST_FUNCTIONS)
 def test_nelder_mead_matches_pairwise_diameter_oracle(f, x0, step):
-    x, fx = nelder_mead_minimize(f, np.array(x0), step)
+    # a scalar step is the same displacement along every coordinate
+    steps = np.broadcast_to(step, len(x0)).tolist()
+    x, fx = nelder_mead_minimize(f, x0, steps)
     x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), step)
     assert np.array_equal(x, x_ref)
     assert fx == fx_ref
@@ -309,8 +347,8 @@ def _bowl(centre, weights, power):
 def test_float_nelder_mead_matches_the_ndarray_oracle(case):
     x0, centre, weights, step, power = case
     f = _bowl(centre, weights, power)
-    x, fx = nelder_mead_minimize(f, np.array(x0), step)
-    x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), step)
+    x, fx = nelder_mead_minimize(f, x0, step)
+    x_ref, fx_ref = nelder_mead_pairwise(f, np.array(x0), np.array(step))
     assert np.array_equal(x, x_ref)
     assert fx == fx_ref
 
@@ -334,13 +372,15 @@ def test_float_nelder_mead_on_the_maximiser_objectives(monkeypatch, free,
     real = bell_module.nelder_mead_minimize
 
     def recording(f, x0, step):
-        calls.append((f, np.array(x0), np.array(step)))
+        calls.append((f, list(x0), list(step)))
         return real(f, x0, step)
 
     monkeypatch.setattr(bell_module, "nelder_mead_minimize", recording)
     maximize_bell(free, fixed)
     (f, x0, step), = calls
     x, fx = real(f, x0, step)
-    x_ref, fx_ref = nelder_mead_pairwise(f, x0, step)
+    # the oracle calls f with ndarrays, the objective takes lists
+    x_ref, fx_ref = nelder_mead_pairwise(lambda v: f(v.tolist()),
+                                         np.array(x0), np.array(step))
     assert np.array_equal(x, x_ref)
     assert fx == fx_ref

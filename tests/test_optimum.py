@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from cvbell import SqueezedStateParams, maximize_bell
 from cvbell import bell as bell_module
-from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _bell_optimum
+from cvbell.bell import (
+    DEFAULT_BOUNDS,
+    PARAM_ORDER,
+    _bell_of_variances,
+    _bell_optimum,
+)
 from cvbell.dynamics import variance_arrays
 from cvbell.modes import NormalModes, maximize_over_j
 
@@ -94,6 +99,19 @@ def test_grid_form_is_the_scalar_form():
             j_ref, b_ref = NormalModes(float(s1[i]), float(s2[i])).bell_optimum(lo, hi)
             assert abs(J[i] - j_ref) <= 1e-15 * j_ref
             assert abs(B[i] - b_ref) <= 1e-15 * b_ref
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(states, st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+def test_a_fixed_j_is_the_interval_j_j(state, J):
+    # the maximiser scores a fixed J as max_J B on (J, J): the clamp
+    # returns J, so the value is B(J) bit for bit, on arrays and floats
+    s1, s2 = variance_arrays(*(np.array([v]) for v in state))
+    j_star, b = _bell_optimum(s1, s2, J, J)
+    assert j_star[0] == J
+    assert b[0] == _bell_of_variances(J, s1, s2)[0]
+    modes = _modes(*state)
+    assert modes.bell_optimum(J, J) == (J, modes.bell(J)[0])
 
 
 def test_j_alone_uses_neither_grid_nor_simplex(monkeypatch):
