@@ -52,8 +52,8 @@ _HOMES = {
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 _SUBMODULES = ("analysis", "bell", "cli", "curves", "dynamics", "errors",
-               "mixtures", "modes", "numerics", "parallel", "phase_space",
-               "reports", "tolerances")
+               "mixtures", "modes", "numerics", "phase_space", "reports",
+               "tolerances")
 
 __all__ = sorted(_HOME_OF)
 

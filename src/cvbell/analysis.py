@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import chunked_rows, scan_inputs
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
 from .numerics import TOLERANCES, one_minus_exp_over
-from .parallel import chunked_rows, scan_inputs
 from .phase_space import GaussianForm
 
 __all__ = [
@@ -176,7 +176,7 @@ def separability_map(r: float, d_grid, nbar_grid,
     """Classify separability over a (d, nbar) grid at fixed r.
 
     The arguments are checked as :func:`cvbell.bell.bell_surface`'s
-    (:func:`cvbell.parallel.scan_inputs`).  The margin
+    (:func:`cvbell.dynamics.scan_inputs`).  The margin
     (min(s1, s2) - 1)/2 comes from the normal-mode variances, with the
     closed-form pair asserted against it cell by cell; rows run in
     cache-sized blocks.  ``workers`` is accepted for compatibility and

@@ -32,7 +32,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import evolve_coefficients, variance_arrays
+from .dynamics import (
+    chunked_rows,
+    evolve_coefficients,
+    scan_inputs,
+    variance_arrays,
+)
 from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
     DEFAULT_BOUNDS,
     PARAM_ORDER,
@@ -43,7 +48,6 @@ from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
     maximize_over_j,
 )
 from .numerics import TOLERANCES, nelder_mead_minimize
-from .parallel import chunked_rows, scan_inputs
 from .phase_space import (
     GaussianForm,
     SqueezedStateParams,
@@ -97,7 +101,6 @@ class BellEvaluation:
     B: float
     correlations: tuple
     settings: BellSettings
-    state_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,15 @@ def parity_correlation(evaluator: Callable[[TwoModePoint], float],
     return PARITY_SCALE * float(evaluator(point))
 
 
-def bell_combination(evaluator: Callable[[TwoModePoint], float], J: float,
-                     state_label: str = "") -> BellEvaluation:
+def bell_combination(evaluator: Callable[[TwoModePoint], float],
+                     J: float) -> BellEvaluation:
     """Assemble B(J) from four parity correlations of an evaluator."""
     settings = BellSettings(J=J)
     p1, p2, p3, p4 = (parity_correlation(evaluator, pt)
                       for pt in settings.points())
     return BellEvaluation(B=p1 + p2 + p3 - p4,
                           correlations=(p1, p2, p3, p4),
-                          settings=settings, state_label=state_label)
+                          settings=settings)
 
 
 def _closed_bell(J, c1, c2, h):
@@ -170,7 +173,7 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     computed once, and the rows run in cache-sized blocks.  ``workers``
     is accepted for compatibility and ignored.
 
-    Raises ``ValueError`` (:func:`cvbell.parallel.scan_inputs`) unless
+    Raises ``ValueError`` (:func:`cvbell.dynamics.scan_inputs`) unless
     r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
     finite, nonnegative and ascending, and c1 and h of every column stay
     in the float range.
@@ -353,7 +356,7 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
 
 
 def small_j_slope(evaluator: Callable[[TwoModePoint], float],
-                  j_probe: float = 1e-6, state_label: str = "") -> SlopeResult:
+                  j_probe: float = 1e-6) -> SlopeResult:
     """Initial slope dB/dJ at J = 0+ of an evaluator's Bell curve.
 
     Forward differences at ``j_probe`` and 2 ``j_probe`` combined by
@@ -372,9 +375,9 @@ def small_j_slope(evaluator: Callable[[TwoModePoint], float],
     """
     if j_probe <= 0:
         raise ValueError("probe step must be positive")
-    b0 = bell_combination(evaluator, 0.0, state_label).B
-    s1 = (bell_combination(evaluator, j_probe, state_label).B - b0) / j_probe
-    s2 = (bell_combination(evaluator, 2.0 * j_probe, state_label).B - b0) / (2.0 * j_probe)
+    b0 = bell_combination(evaluator, 0.0).B
+    s1 = (bell_combination(evaluator, j_probe).B - b0) / j_probe
+    s2 = (bell_combination(evaluator, 2.0 * j_probe).B - b0) / (2.0 * j_probe)
     return SlopeResult(slope=2.0 * s1 - s2,
                        anchored=abs(b0 - 2.0) <= TOLERANCES.anchor_abs,
                        b_zero=b0)

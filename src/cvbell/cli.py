@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every analysis is a subcommand that emits a tabular report (CSV by
-default, JSON with ``--format json``).  Reports carry the full
-parameter and tolerance set in their metadata and contain no
-timestamps, so identical invocations produce byte-identical output.
+default, JSON with ``--format json``).  Reports carry their
+parameters and the tolerances the package applies in their metadata
+and contain no timestamps, so identical invocations produce
+byte-identical output.
 
 Exit codes: 0 success, 2 usage errors (bad flags, bad figure index),
 3 domain errors (invalid parameter values, failed internal

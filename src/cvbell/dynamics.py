@@ -13,7 +13,10 @@ E(p) = (1 - e^-p)/p (:class:`cvbell.modes.NormalModes`).  Everything
 here is a view of (s1, s2): :func:`evolve_coefficients` gives the
 Wigner coefficients of one state, :func:`variance_arrays` and
 :func:`coefficient_arrays` the same on numpy grids, and
-:func:`steady_state` the t -> infinity limit.  The drift and diffusion
+:func:`steady_state` the t -> infinity limit.  The grid scans of
+:mod:`cvbell.analysis` and :mod:`cvbell.bell` check their arguments
+with :func:`scan_inputs` and run in cache-sized row blocks through
+:func:`chunked_rows`.  The drift and diffusion
 matrices, the brute-force RK4 integration of the Lyapunov equation and
 the analytic propagator live in the test suite as the oracles the
 closed form is checked against.
@@ -22,20 +25,33 @@ closed form is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .modes import NormalModes, SqueezedStateParams, steady_limit
+from .modes import (
+    NormalModes,
+    SqueezedStateParams,
+    _overflow,
+    _where,
+    steady_limit,
+)
 from .numerics import one_minus_exp_over
 from .phase_space import GaussianForm
 
 __all__ = [
     "SteadyStateReport",
+    "chunked_rows",
     "coefficient_arrays",
     "variance_arrays",
     "evolve_coefficients",
+    "scan_inputs",
     "steady_state",
 ]
+
+#: cells per ``row_block`` call of :func:`chunked_rows`: 256 kB per float
+#: temporary, which keeps a block's working set in L2 cache
+BLOCK_CELLS = 32768
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +85,64 @@ def coefficient_arrays(r, d, nbar):
     """
     s1, s2 = variance_arrays(r, d, nbar)
     return 2.0 * (s1 + s2), 2.0 * (s1 - s2), s1 * s2
+
+
+# ----------------------------------------------------------------------
+# grid scans: argument checks and row blocks
+# ----------------------------------------------------------------------
+
+def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
+    """(r as a float, then the ``grids`` as float arrays, in their order).
+
+    Each grid must be a nonempty 1-D array of finite nonnegative values
+    in strictly ascending order, and r and ``nbar`` (None takes the
+    largest entry of ``nbar_grid``) finite and nonnegative.  The
+    variances grow with nbar, so the d column at the largest nbar bounds
+    every cell: there c1 = 2(s1 + s2) and h = s1 s2 must stay in the
+    float range, as :class:`cvbell.modes.NormalModes` requires of one
+    state.  Every failure raises ``ValueError`` before a cell is
+    computed, at the cost of a few passes over the 1-D grids.
+    """
+    checked = {}
+    for name, g in grids.items():
+        g = np.asarray(g, dtype=float)
+        if g.ndim != 1 or g.size == 0:
+            raise ValueError(f"{name} must be a nonempty 1-D grid")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise ValueError(f"{name} must be finite and nonnegative")
+        if g.size > 1 and np.any(np.diff(g) <= 0):
+            raise ValueError(f"{name} must be strictly ascending")
+        checked[name] = g
+    d_grid = checked["d_grid"]
+    top = SqueezedStateParams(
+        r, d_grid[0], checked["nbar_grid"][-1] if nbar is None else nbar)
+    # past the float range numpy would only warn; the check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = variance_arrays(top.r, d_grid, top.nbar)
+        in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
+    if not in_range.all():
+        d = float(d_grid[np.argmin(in_range)])
+        raise _overflow(_where(SqueezedStateParams(top.r, d, top.nbar)))
+    return (top.r, *checked.values())
+
+
+def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
+                 n_cols: int) -> np.ndarray:
+    """Evaluate ``row_block(lo, hi)`` over contiguous row ranges.
+
+    ``row_block`` must return the ``(hi - lo, n_cols)`` block of rows
+    [lo, hi) of an elementwise kernel.  It is called in order on blocks
+    of about ``BLOCK_CELLS`` cells (at least one row each), so the
+    temporaries of one block stay in the processor's L2 cache, and every
+    block is written into a preallocated float ``(n_rows, n_cols)``
+    output.
+    """
+    out = np.empty((n_rows, n_cols))
+    rows = max(1, BLOCK_CELLS // max(1, n_cols))
+    for lo in range(0, n_rows, rows):
+        hi = min(lo + rows, n_rows)
+        out[lo:hi] = row_block(lo, hi)
+    return out
 
 
 def evolve_coefficients(params: SqueezedStateParams) -> GaussianForm:

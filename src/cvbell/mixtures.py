@@ -164,8 +164,7 @@ def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
     bell = werner_bell if spec.kind == "werner-thermal" else phase_diffused_bell
     B, correlations = bell(spec, J)
     return BellEvaluation(B=B, correlations=correlations,
-                          settings=BellSettings(J=J),
-                          state_label=f"{spec.kind} p={spec.p:g} r={spec.r:g}")
+                          settings=BellSettings(J=J))
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,9 @@ def one_minus_exp_over(p):
     small = np.abs(a) < TOLERANCES.taylor_cutoff
     safe = np.where(small, 1.0, a)
     direct = -np.expm1(-safe) / safe
-    out = np.where(small, _exp_quotient_taylor(a), direct)
+    # the polynomial only where it is used: at |p| above ~1e61 it overflows
+    out = np.where(small, _exp_quotient_taylor(np.where(small, a, 0.0)),
+                   direct)
     return _maybe_scalar(out, scalar)
 
 

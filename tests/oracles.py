@@ -37,6 +37,20 @@ from cvbell.modes import _check_rates, _require_finite
 from cvbell.numerics import one_minus_exp_over
 from cvbell.tolerances import TOLERANCES
 
+#: off-diagonal Frobenius residual, relative to the matrix norm, at which
+#: the Jacobi oracle stops
+JACOBI_RESIDUAL = 1e-12
+#: relative size at which the matrix-exponential series is truncated
+EXPM_SERIES = 1e-18
+#: relative tolerance of the quadrature-weight sum against the measure
+WEIGHT_SUM_REL = 1e-14
+#: step-halving self-check threshold inside the covariance oracle
+ODE_SELFCHECK_ABS = 1e-8
+#: phase-average quadrature: node-doubling agreement, absolute
+PHASE_AVERAGE_ABS = 1e-8
+#: relative accuracy demanded of the small-J slope probe
+SLOPE_REL = 1e-3
+
 
 def nelder_mead_pairwise(f, x0, step, diameter_tol=1e-6, max_iter=2000):
     """Nelder-Mead with the simplex diameter taken pair by pair in a loop.
@@ -94,7 +108,7 @@ def jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm falls below
-    ``TOLERANCES.jacobi_residual`` (relative to the matrix norm).
+    ``JACOBI_RESIDUAL`` (relative to the matrix norm).
     Returns the eigenvalues sorted ascending.
     """
     A = np.array(M, dtype=float, copy=True)
@@ -102,7 +116,7 @@ def jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:
     scale = max(1.0, math.sqrt(float(np.sum(A * A))))
     for _ in range(60):
         off = math.sqrt(max(0.0, float(np.sum(A * A) - np.sum(np.diag(A) ** 2))))
-        if off <= TOLERANCES.jacobi_residual * scale:
+        if off <= JACOBI_RESIDUAL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -382,7 +396,7 @@ def phase_average_quadrature_oracle(a1: float, a2: float, r: float,
 
     Trapezoid over both arm phases of the pure density at moduli
     (a1, a2); periodic smooth integrand, so convergence is spectral.
-    A node-doubled pass must agree to ``TOLERANCES.phase_average_abs``
+    A node-doubled pass must agree to ``PHASE_AVERAGE_ABS``
     or the routine refuses the answer.
     """
     if nodes < 8:
@@ -398,7 +412,7 @@ def phase_average_quadrature_oracle(a1: float, a2: float, r: float,
         return float(w @ vals @ w) / (2.0 * math.pi) ** 2
 
     coarse, fine = averaged(nodes), averaged(2 * nodes)
-    if abs(fine - coarse) > TOLERANCES.phase_average_abs:
+    if abs(fine - coarse) > PHASE_AVERAGE_ABS:
         raise ConvergenceError(
             f"phase average not settled: {nodes} vs {2 * nodes} nodes "
             f"differ by {abs(fine - coarse):.3e}")
@@ -476,7 +490,7 @@ def matrix_exp4(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A t) by scaling and squaring of the truncated Taylor series.
 
     The argument is scaled by 2^-s until its infinity norm is below 1/2,
-    the series is summed until terms fall under ``TOLERANCES.expm_series``
+    the series is summed until terms fall under ``EXPM_SERIES``
     relative, and the result is squared s times.
     """
     B = np.asarray(A, dtype=float) * t
@@ -493,7 +507,7 @@ def matrix_exp4(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     for k in range(1, 60):
         term = term @ B / k
         out = out + term
-        if float(np.max(np.abs(term))) <= TOLERANCES.expm_series * float(np.max(np.abs(out))):
+        if float(np.max(np.abs(term))) <= EXPM_SERIES * float(np.max(np.abs(out))):
             break
     for _ in range(s):
         out = out @ out
@@ -619,7 +633,7 @@ def covariance_ode_oracle(kappa: float, gamma: float, nbar: float, t: float,
     ------
     ConvergenceError
         If halving the step count moves the answer by more than
-        ``TOLERANCES.ode_selfcheck_abs`` (the step count is too small
+        ``ODE_SELFCHECK_ABS`` (the step count is too small
         for the requested parameters).
     """
     _check_rates(gamma, kappa, nbar)
@@ -633,10 +647,10 @@ def covariance_ode_oracle(kappa: float, gamma: float, nbar: float, t: float,
     full = rk4_lyapunov(A, D, sigma0, t, steps)
     half = rk4_lyapunov(A, D, sigma0, t, steps // 2)
     drift_err = float(np.max(np.abs(full - half)))
-    if drift_err > TOLERANCES.ode_selfcheck_abs:
+    if drift_err > ODE_SELFCHECK_ABS:
         raise ConvergenceError(
             f"covariance oracle not converged: step-halving moved the "
-            f"result by {drift_err:.3e} (> {TOLERANCES.ode_selfcheck_abs:.0e}); "
+            f"result by {drift_err:.3e} (> {ODE_SELFCHECK_ABS:.0e}); "
             f"increase steps")
     return full
 

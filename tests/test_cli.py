@@ -9,8 +9,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cvbell import TOLERANCES, parse_csv, render
+from cvbell import parse_csv, render
 from cvbell.cli import main
+from oracles import SLOPE_REL
 
 
 def run_cli(*args):
@@ -227,4 +228,4 @@ def test_phase_diffused_slope_row_at_large_squeezing():
     header, row = (l.split(",") for l in data_lines(out))
     vals = dict(zip(header, row))
     assert float(vals["slope"]) == pytest.approx(2.0 * math.sinh(16.0),
-                                                 rel=TOLERANCES.slope_rel)
+                                                 rel=SLOPE_REL)

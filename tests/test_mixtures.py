@@ -29,7 +29,11 @@ from cvbell.curves import threshold_search
 from cvbell.mixtures import werner_wigner
 from cvbell.modes import mixture_slope
 
-from oracles import phase_average_quadrature_oracle, threshold_bisection
+from oracles import (
+    SLOPE_REL,
+    phase_average_quadrature_oracle,
+    threshold_bisection,
+)
 from quad_helpers import marginal_by_quadrature
 
 # frozen: 2 / (pi cosh 3)
@@ -201,7 +205,7 @@ def test_small_j_slope_with_scaled_probe(kind, r):
     res = small_j_slope(mixture_evaluator(MixtureSpec(p=p, r=r, kind=kind)),
                         j_probe=1e-6 / math.cosh(2.0 * r))
     exact = 4.0 * p * math.sinh(2.0 * r)
-    assert abs(res.slope - exact) <= TOLERANCES.slope_rel * exact
+    assert abs(res.slope - exact) <= SLOPE_REL * exact
 
 
 @pytest.mark.parametrize("kind, low", [("werner-thermal", 1e-4),
@@ -226,7 +230,7 @@ def test_closed_slope_matches_the_probe(kind, r):
     assert slope == 4.0 * spec.p * math.sinh(2.0 * r)
     probe = small_j_slope(mixture_evaluator(spec),
                           j_probe=1e-6 / math.cosh(2.0 * r))
-    assert abs(probe.slope - slope) <= TOLERANCES.slope_rel * slope
+    assert abs(probe.slope - slope) <= SLOPE_REL * slope
     assert b_zero == pytest.approx(probe.b_zero, rel=1e-12)
 
 

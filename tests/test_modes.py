@@ -24,7 +24,13 @@ from cvbell import (
 from cvbell.bell import maximize_bell
 from cvbell.cli import _linspace, main
 from cvbell.dynamics import evolve_coefficients, variance_arrays
-from cvbell.modes import NormalModes, steady_limit, werner_bell
+from cvbell.modes import (
+    NormalModes,
+    mixture_slope,
+    phase_diffused_bell,
+    steady_limit,
+    werner_bell,
+)
 from oracles import coefficient_triple
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -213,6 +219,53 @@ def test_bell_at_zero_budget_is_two_over_h(state):
     B, correlations = modes.bell(0.0)
     assert correlations == (1.0 / modes.h,) * 4
     assert abs(B - 2.0 / modes.h) <= EPS * 4.0 / modes.h
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1.0))
+def test_separable_states_do_not_violate(d, nbar, fraction):
+    # r <= d nbar: the state is separable, so it has a local model and no
+    # budget lifts B above the local-realism bound 2.  The bound is
+    # attained by states that stay the vacuum (r = nbar = 0, any d),
+    # where h = s1 s2 = 1 may round to 1 - eps and B(0) = 2/h to 2 + 2 eps
+    r = min(fraction * d * nbar, 350.0)
+    modes = NormalModes.of(SqueezedStateParams(r, d, nbar))
+    assert modes.separable
+    assert modes.bell_optimum(0.0, 1e6)[1] <= 2.0 + 4.0 * EPS
+
+
+MIXTURE_BELL = {"werner-thermal": werner_bell,
+                "phase-diffused": phase_diffused_bell}
+
+
+def mixtures(r_max):
+    return st.builds(MixtureSpec, p=st.floats(0.0, 1.0),
+                     r=st.floats(0.0, r_max),
+                     kind=st.sampled_from(list(MIXTURE_BELL)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mixtures(350.0), st.floats(1e-8, 1.0))
+def test_mixture_bell_is_affine_in_p(spec, J):
+    bell = MIXTURE_BELL[spec.kind]
+    b1 = bell(MixtureSpec(1.0, spec.r, spec.kind), J)[0]
+    b0 = bell(MixtureSpec(0.0, spec.r, spec.kind), J)[0]
+    B = bell(spec, J)[0]
+    scale = abs(b1) + abs(b0)
+    assert abs(B - (spec.p * b1 + (1.0 - spec.p) * b0)) <= 4.0 * EPS * scale
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mixtures(10.0))
+def test_mixture_slope_is_the_small_budget_difference_quotient(spec):
+    # the scale 4 cosh 2r is the one the benchmark checks the slope on
+    bell = MIXTURE_BELL[spec.kind]
+    cosh = math.cosh(2.0 * spec.r)
+    J = 1e-8 / cosh
+    quotient = (bell(spec, J)[0] - bell(spec, 0.0)[0]) / J
+    slope, b_zero = mixture_slope(spec)
+    assert b_zero == pytest.approx(bell(spec, 0.0)[0], rel=4.0 * EPS)
+    assert abs(slope - quotient) <= 1e-6 * 4.0 * cosh
 
 
 def test_pure_exactly_without_diffusion():

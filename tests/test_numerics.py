@@ -19,6 +19,7 @@ from cvbell.modes import log_i0
 from cvbell.phase_space import CovarianceMatrix, v_from_w
 from oracles import (
     SWAP_SIGN,
+    WEIGHT_SUM_REL,
     bessel_i0,
     bessel_i0_log_loops,
     diffusion_matrix,
@@ -148,6 +149,15 @@ def test_one_minus_exp_over_positive_and_decreasing():
     assert np.all(np.diff(vals) < 0.0)
 
 
+def test_one_minus_exp_over_large_argument_without_warning():
+    # the Taylor polynomial used to run on every element, and overflowed
+    # (a RuntimeWarning, an error under the suite's filter) past |p| ~ 1e61
+    assert one_minus_exp_over(1e70) == 1e-70
+    got = one_minus_exp_over(np.array([0.0, 1e-5, 1e70, 1e300]))
+    assert got[0] == 1.0 and got[2] == 1e-70 and got[3] == 1e-300
+    assert got[1] == pytest.approx(-math.expm1(-1e-5) / 1e-5, rel=1e-15)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_gauss_legendre_degree_exactness(n):
     a, b = 0.3, 2.1
@@ -160,8 +170,7 @@ def test_gauss_legendre_degree_exactness(n):
 
 def test_gauss_legendre_weights_and_nodes():
     rule = gauss_legendre(16, -2.0, 5.0)
-    assert math.fsum(rule.weights) == pytest.approx(7.0,
-                                                    rel=TOLERANCES.weight_sum_rel)
+    assert math.fsum(rule.weights) == pytest.approx(7.0, rel=WEIGHT_SUM_REL)
     assert np.all(np.diff(rule.nodes) > 0.0)
     assert rule.nodes[0] > -2.0 and rule.nodes[-1] < 5.0
 

@@ -1,4 +1,5 @@
-"""Block scans are bit-identical to one whole-grid kernel call."""
+"""The scans' row blocks and argument checks (`cvbell.dynamics`): blocks are
+bit-identical to one whole-grid kernel call, bad arguments raise first."""
 
 import warnings
 from functools import partial
@@ -10,7 +11,7 @@ from cvbell import bell_surface, separability_map
 from cvbell.analysis import _margin_rows
 from cvbell.bell import _closed_bell
 from cvbell.dynamics import coefficient_arrays
-from cvbell.parallel import BLOCK_CELLS, chunked_rows
+from cvbell.dynamics import BLOCK_CELLS, chunked_rows
 
 
 def _map_block(n_rows, n_cols):
@@ -140,3 +141,17 @@ def test_scans_accept_large_squeezing_with_enough_diffusion():
         margins = separability_map(400.0, d, NBAR_AXIS).margin
     assert np.all(np.isfinite(surface.values))
     assert np.all(np.isfinite(margins))
+
+
+def test_scans_accept_huge_diffusion_without_warning():
+    # E(p) = (1 - e^-p)/p at p ~ 1e70 used to overflow in its unused
+    # Taylor branch; the values were right, but numpy warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = separability_map(1.0, np.array([0.0, 1e70]),
+                                   np.array([0.0, 1.0])).margin
+        surface = bell_surface(1.0, 0.0, np.array([0.01]),
+                               np.array([0.0, 1e70])).values
+    assert np.all(np.isfinite(margins)) and np.all(np.isfinite(surface))
+    # at d = 1e70 the state is thermal with occupation nbar
+    np.testing.assert_array_equal(margins[1], [0.0, 1.0])
