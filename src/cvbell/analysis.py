@@ -16,8 +16,9 @@ degenerate pair (s_i - 1)/2 and the separability margin is
 (min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Both the
 single-point report :func:`separability_eigenvalues` (through
 :class:`cvbell.modes.NormalModes`, without numpy) and the grid scan
-:func:`separability_map` take the spectrum from the normal modes, and
-both check it against the closed-form pair
+:func:`separability_map` (through
+:func:`cvbell.dynamics.variance_arrays`) take the spectrum from the
+normal modes, and both check it against the closed-form pair
 
     e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import chunked_rows, scan_inputs
+from .dynamics import chunked_rows, scan_inputs, variance_arrays
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
 from .numerics import TOLERANCES, one_minus_exp_over
@@ -68,10 +69,13 @@ def is_pure(form: GaussianForm) -> PurityReport:
 
     The residual is zero in exact arithmetic iff sqrt(det W) = 4,
     equivalently h = 1 for normalised model states; the verdict uses
-    ``TOLERANCES.purity_rel``.
+    ``TOLERANCES.purity_rel``.  It is formed from the factors
+    (c1 - c2)/4 and (c1 + c2)/4 of (c1^2 - c2^2)/16, s2 and s1 for model
+    states, so no coefficient is squared alone and no legal form
+    overflows.
     """
-    target = 16.0 * form.h * form.h
-    residual = abs(form.c1 ** 2 - form.c2 ** 2 - target) / target
+    s2, s1 = (form.c1 - form.c2) / 4.0, (form.c1 + form.c2) / 4.0
+    residual = abs((s2 / form.h) * (s1 / form.h) - 1.0)
     return PurityReport(pure=residual < TOLERANCES.purity_rel, residual=residual)
 
 
@@ -132,19 +136,7 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
                  lo: int, hi: int) -> np.ndarray:
     d = d_grid[lo:hi, None]
     nbar = nbar_grid[None, :]
-    # the factors that depend on d alone are computed on the d column
-    p1 = d + 2.0 * r
-    p2 = d - 2.0 * r
-    e1 = one_minus_exp_over(p1)
-    e2 = one_minus_exp_over(p2)
-    occ = 2.0 * nbar + 1.0
-    # normal-mode variances: sums of positive terms, so nothing cancels;
-    # full-grid temporaries are updated in place because a fresh block
-    # per operation costs about as much as the arithmetic itself
-    s1 = occ * (d * e1)
-    s1 += np.exp(-p1)
-    s2 = occ * (d * e2)
-    s2 += np.exp(-p2)
+    s1, s2 = variance_arrays(r, d, nbar)
     margin = np.minimum(s1, s2, out=s1)
     # both routes are min(s1, s2)-sized and round like it, so the tolerance
     # scales with the smaller variance; the larger one (up to e^{4r}) would
@@ -153,12 +145,13 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
     margin -= 1.0
     margin *= 0.5
     # paired closed-form route must agree everywhere before we trust it;
-    # a NaN gap fails the comparison and raises as well
+    # a NaN gap fails the comparison and raises as well.  Its E(p_i)
+    # depend on d alone, so they are taken on the d column
     dn = d * nbar
     e_small = dn - r
-    e_small *= e1
+    e_small *= one_minus_exp_over(d + 2.0 * r)
     e_large = np.add(dn, r, out=dn)
-    e_large *= e2
+    e_large *= one_minus_exp_over(d - 2.0 * r)
     dev = np.minimum(e_small, e_large, out=e_small)
     dev -= margin
     gap = np.abs(dev, out=dev)
@@ -177,8 +170,9 @@ def separability_map(r: float, d_grid, nbar_grid,
 
     The arguments are checked as :func:`cvbell.bell.bell_surface`'s
     (:func:`cvbell.dynamics.scan_inputs`).  The margin
-    (min(s1, s2) - 1)/2 comes from the normal-mode variances, with the
-    closed-form pair asserted against it cell by cell; rows run in
+    (min(s1, s2) - 1)/2 comes from the normal-mode variances of
+    :func:`cvbell.dynamics.variance_arrays`, with the closed-form pair
+    asserted against it cell by cell; rows run in
     cache-sized blocks.  ``workers`` is accepted for compatibility and
     ignored.
     """

@@ -15,7 +15,8 @@ Wigner coefficients of one state, :func:`variance_arrays` and
 :func:`coefficient_arrays` the same on numpy grids, and
 :func:`steady_state` the t -> infinity limit.  The grid scans of
 :mod:`cvbell.analysis` and :mod:`cvbell.bell` check their arguments
-with :func:`scan_inputs` and run in cache-sized row blocks through
+with :func:`scan_inputs`, take their variances from
+:func:`variance_arrays` and run in cache-sized row blocks through
 :func:`chunked_rows`.  The drift and diffusion
 matrices, the brute-force RK4 integration of the Lyapunov equation and
 the analytic propagator live in the test suite as the oracles the
@@ -64,16 +65,21 @@ def variance_arrays(r, d, nbar):
     s_i = e^-p_i + (2 nbar + 1) (d E(p_i)), in the order of
     :meth:`cvbell.modes.NormalModes.of`, which computes the same formula
     on floats (numpy's ``exp`` and ``expm1`` may differ from the C
-    library's in the last bit).  Broadcasts its arguments; the factors
-    that depend on (r, d) alone are computed on their own shape before
-    the occupation broadcasts them.  Where e^{2r} overflows, s2 is inf.
+    library's in the last bit).  The one array form of the variances:
+    the scans and :func:`coefficient_arrays` take theirs from here.
+    Broadcasts its arguments; the factors that depend on (r, d) alone
+    are computed on their own shape, and the occupation product, which
+    has the full broadcast shape, takes e^-p_i in place.  Where e^{2r}
+    overflows, s2 is inf.
     """
     r, d, nbar = (np.asarray(x, dtype=float) for x in (r, d, nbar))
     occ = 2.0 * nbar + 1.0
     p1 = d + 2.0 * r
     p2 = d - 2.0 * r
-    s1 = occ * (d * one_minus_exp_over(p1)) + np.exp(-p1)
-    s2 = occ * (d * one_minus_exp_over(p2)) + np.exp(-p2)
+    s1 = occ * (d * one_minus_exp_over(p1))
+    s1 += np.exp(-p1)
+    s2 = occ * (d * one_minus_exp_over(p2))
+    s2 += np.exp(-p2)
     return s1, s2
 
 

@@ -44,6 +44,7 @@ from .modes import (
     MixtureSpec,
     _pure_curve,
     _reference_curve,
+    _require_kind,
     _require_squeezing,
     finite_dim_werner_threshold,
     phase_diffused_bell,
@@ -83,8 +84,7 @@ def thermal_marginal(alpha, r: float):
 
 def werner_wigner(point: TwoModePoint, spec: MixtureSpec):
     """Density of p (squeezed state) + (1 - p) (product of marginals)."""
-    if spec.kind != "werner-thermal":
-        raise ValueError(f"expected a werner-thermal spec, got {spec.kind!r}")
+    _require_kind(spec, "werner-thermal")
     product = thermal_marginal(point.alpha1, spec.r) * thermal_marginal(
         point.alpha2, spec.r)
     return spec.p * wigner_pure_2mss(point, spec.r) + (1.0 - spec.p) * product

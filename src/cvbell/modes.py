@@ -16,7 +16,7 @@ of (s1, s2):
 * the spectrum of V - I/2, the doubly degenerate pair (s_i - 1)/2, and
   the separability margin (min(s1, s2) - 1)/2, which is Simon's PPT
   criterion (PRL 84, 2726, 2000) in the normal-mode frame;
-* the purity 1/h;
+* purity, which holds exactly when h = 1;
 * the displaced-parity correlations [1, e^-aJ, e^-aJ, e^-bJ]/h, with
   a = 1/s1 + 1/s2 and b = 4/s1, and their optimum over J in closed
   form, J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2), which tends to the
@@ -110,22 +110,15 @@ def _overflow(where: str) -> ValueError:
                       f"at {where}")
 
 
-def _exp_quotient_taylor(t):
-    """1 - t/2 + t^2/6 - t^3/24 + t^4/120 - t^5/720, for floats and arrays."""
-    return 1.0 + t * (-1.0 / 2 + t * (1.0 / 6 + t * (-1.0 / 24 + t * (1.0 / 120 + t * (-1.0 / 720)))))
-
-
 def exp_quotient(p: float) -> float:
     """E(p) = (1 - e^-p)/p of a float, with E(0) = 1.
 
-    The Taylor polynomial below ``TOLERANCES.taylor_cutoff``, the
-    quotient through ``math.expm1`` elsewhere, as
-    :func:`cvbell.numerics.one_minus_exp_over` does on arrays.  Raises
+    The quotient through ``math.expm1``, the one form of
+    :func:`cvbell.numerics.one_minus_exp_over` on arrays; near 0 it is
+    within 2^-52 of the exact value, subnormal p included.  Raises
     ``OverflowError`` below p ~ -709.
     """
-    if abs(p) < TOLERANCES.taylor_cutoff:
-        return _exp_quotient_taylor(p)
-    return -math.expm1(-p) / p
+    return -math.expm1(-p) / p if p else 1.0
 
 
 # ----------------------------------------------------------------------
@@ -311,10 +304,6 @@ class NormalModes:
     def separable(self) -> bool:
         """Margin at or above ``TOLERANCES.boundary_margin``."""
         return self.margin >= TOLERANCES.boundary_margin
-
-    @property
-    def purity(self) -> float:
-        return 1.0 / self.h
 
     @property
     def pure(self) -> bool:

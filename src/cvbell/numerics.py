@@ -12,7 +12,8 @@ Contents
 * log I0(x) of the modified Bessel function (power series below x=15,
   asymptotic expansion above; DLMF 10.25.2 and 10.40.1), as Horner
   polynomials that stay finite for every finite x >= 0,
-* the stabilised quotient (1 - exp(-p))/p with a Taylor branch near 0,
+* the quotient (1 - exp(-p))/p through expm1, with its removable
+  singularity at p = 0 filled in,
 * eigenvalues of the model's 4x4 matrices, which all have the doubly
   degenerate cross pattern and split into pairs exactly,
 * a derivative-free Nelder-Mead minimiser on lists of Python floats.
@@ -32,7 +33,6 @@ from .modes import (  # the log I0 tables and Horner rule are shared
     _I0_ASYMPTOTIC,
     _I0_SERIES,
     _LOG_2PI,
-    _exp_quotient_taylor,
     _horner_tail,
 )
 from .tolerances import TOLERANCES, Tolerances
@@ -93,20 +93,14 @@ def bessel_i0_log(x):
 def one_minus_exp_over(p):
     """(1 - exp(-p))/p with a removable singularity at p = 0.
 
-    For |p| below ``TOLERANCES.taylor_cutoff`` the 6-term alternating
-    Taylor polynomial 1 - p/2 + p^2/6 - p^3/24 + p^4/120 - p^5/720 is
-    used; elsewhere the direct quotient via expm1.  The branches agree to
-    1e-15 relative at the switch.  Positive and strictly decreasing on
-    the real line.  A 0-d input returns a ``float``; the float core has
-    its own form, :func:`cvbell.modes.exp_quotient`.
+    One form everywhere: -expm1(-p)/p, and 1 at p = +-0.  Near 0 that is
+    within 2^-52 of the exact value, subnormal p included, so no series
+    branch is needed.  Positive and strictly decreasing on the real
+    line.  A 0-d input returns a ``float``; the float core has the same
+    form, :func:`cvbell.modes.exp_quotient`.
     """
     a, scalar = _as_array(p)
-    small = np.abs(a) < TOLERANCES.taylor_cutoff
-    safe = np.where(small, 1.0, a)
-    direct = -np.expm1(-safe) / safe
-    # the polynomial only where it is used: at |p| above ~1e61 it overflows
-    out = np.where(small, _exp_quotient_taylor(np.where(small, a, 0.0)),
-                   direct)
+    out = np.divide(-np.expm1(-a), a, out=np.ones_like(a), where=a != 0.0)
     return _maybe_scalar(out, scalar)
 
 
@@ -114,16 +108,18 @@ def one_minus_exp_over(p):
 # eigenvalues of the model's 4x4 matrices
 # ----------------------------------------------------------------------
 
-def _matches_cross_pattern(M: np.ndarray, tol: float) -> bool:
-    a = M[0, 0]
-    b = M[0, 3]
-    model = np.array([
+def _cross_pattern(a, b, m=None) -> tuple:
+    """(pattern, defect): the model's 4x4 cross pattern
+    [[a,0,0,b],[0,a,b,0],[0,b,a,0],[b,0,0,a]] and the largest entry of
+    |m - pattern| (0.0 without ``m``; NaN entries in ``m`` give NaN)."""
+    pattern = np.array([
         [a, 0.0, 0.0, b],
         [0.0, a, b, 0.0],
         [0.0, b, a, 0.0],
         [b, 0.0, 0.0, a],
     ])
-    return bool(np.max(np.abs(M - model)) <= tol)
+    defect = 0.0 if m is None else float(np.max(np.abs(m - pattern)))
+    return pattern, defect
 
 
 def sym4_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -146,7 +142,8 @@ def sym4_eigenvalues(M: np.ndarray) -> np.ndarray:
     if np.max(np.abs(A - A.T)) > TOLERANCES.symmetry_abs:
         raise ValueError("matrix is not symmetric to working tolerance")
     scale = max(1.0, float(np.max(np.abs(A))))
-    if not _matches_cross_pattern(A, 1e-12 * scale):
+    _, defect = _cross_pattern(A[0, 0], A[0, 3], A)
+    if not defect <= 1e-12 * scale:
         raise ValueError("matrix is off the model's cross pattern")
     a = float(np.mean(np.diag(A)))
     b = abs(float((A[0, 3] + A[1, 2]) / 2.0))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import SqueezedStateParams, _require_finite, _require_squeezing
-from .numerics import TOLERANCES, sym4_eigenvalues
+from .numerics import TOLERANCES, _cross_pattern, sym4_eigenvalues
 
 __all__ = [
     "PARITY_SIGNATURE",
@@ -103,8 +103,14 @@ class GaussianForm:
         object.__setattr__(self, "h", h)
 
     def normalization_residual(self) -> float:
-        """Relative defect of c1^2 - c2^2 = 16 h (zero for model states)."""
-        return abs(self.c1 ** 2 - self.c2 ** 2 - 16.0 * self.h) / (16.0 * self.h)
+        """Relative defect of c1^2 - c2^2 = 16 h (zero for model states).
+
+        Formed from the factors (c1 - c2)/4 and (c1 + c2)/4 of
+        (c1^2 - c2^2)/16 (s2 and s1 for model states), so no coefficient
+        is squared alone and no legal form overflows.
+        """
+        s2, s1 = (self.c1 - self.c2) / 4.0, (self.c1 + self.c2) / 4.0
+        return abs(s2 * (s1 / self.h) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -184,14 +190,8 @@ def w_matrix_from_form(form: GaussianForm) -> CovarianceMatrix:
     so that W(a) = (sqrt(det W)/pi^2) exp(-a^dagger W a / 2) with
     a = (a1, a1*, a2, a2*).  Positive definite for every valid form.
     """
-    c1, c2, h = form.c1, form.c2, form.h
-    m = np.array([
-        [c1, 0.0, 0.0, c2],
-        [0.0, c1, c2, 0.0],
-        [0.0, c2, c1, 0.0],
-        [c2, 0.0, 0.0, c1],
-    ]) / (2.0 * h)
-    return CovarianceMatrix(entries=m, convention="W")
+    pattern, _ = _cross_pattern(form.c1, form.c2)
+    return CovarianceMatrix(entries=pattern / (2.0 * form.h), convention="W")
 
 
 def v_from_w(w: CovarianceMatrix) -> CovarianceMatrix:
@@ -229,15 +229,8 @@ def nm_from_v(v: CovarianceMatrix):
     if v.convention != "V":
         raise ValueError("expected a V-convention matrix")
     m = v.entries
-    a = m[0, 0]
-    b = m[0, 3]
-    model = np.array([
-        [a, 0.0, 0.0, b],
-        [0.0, a, b, 0.0],
-        [0.0, b, a, 0.0],
-        [b, 0.0, 0.0, a],
-    ])
-    defect = float(np.max(np.abs(m - model)))
+    a, b = m[0, 0], m[0, 3]
+    _, defect = _cross_pattern(a, b, m)
     if defect > TOLERANCES.pattern_abs:
         raise ValueError(
             f"V matrix does not have the doubly degenerate structure "

@@ -23,8 +23,6 @@ class Tolerances:
 
     #: argument where bessel_i0_log switches from power series to asymptotics
     bessel_switch: float = 15.0
-    #: |p| below which (1 - exp(-p))/p uses its 6-term Taylor polynomial
-    taylor_cutoff: float = 1e-4
     #: absolute symmetry requirement on eigensolver input
     symmetry_abs: float = 1e-12
     #: absolute tolerance of structure checks on V-convention matrices

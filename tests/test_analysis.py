@@ -211,6 +211,24 @@ def test_is_pure_validates_input():
         is_pure(GaussianForm(c1=4.0, c2=0.0, h=0.0))
 
 
+def test_purity_residuals_of_a_state_with_huge_coefficients():
+    # c1 ~ 7e154: c1 ** 2 on a float raised OverflowError, while the
+    # normal-mode core (and ``cvbell coeffs``) answers pure=false
+    form = evolve_coefficients(SqueezedStateParams(20.0, 10.0, 5e141))
+    rep = is_pure(form)
+    assert not rep.pure
+    assert rep.residual == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= form.normalization_residual() < 1e-3
+
+
+def test_purity_residuals_of_a_huge_form_off_the_model():
+    # c1^2 - c2^2 = 16 h^2 holds exactly, 16 h does not
+    form = GaussianForm(4e200, 0.0, 1e200)
+    rep = is_pure(form)
+    assert rep.pure and rep.residual == 0.0
+    assert form.normalization_residual() == pytest.approx(1e200, rel=1e-15)
+
+
 def test_map_route_check_is_relative_to_variances():
     # at nbar ~ 1e8 the variances are ~1e8 and the two routes round apart
     # by ~1e-8 absolute (4e-17 relative); that is agreement, not a fault

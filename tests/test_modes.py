@@ -9,7 +9,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvbell import (
@@ -18,6 +18,7 @@ from cvbell import (
     SqueezedStateParams,
     bell_combination,
     coefficient_arrays,
+    is_pure,
     mixture_evaluator,
     separability_map,
 )
@@ -266,6 +267,40 @@ def test_mixture_slope_is_the_small_budget_difference_quotient(spec):
     slope, b_zero = mixture_slope(spec)
     assert b_zero == pytest.approx(bell(spec, 0.0)[0], rel=4.0 * EPS)
     assert abs(slope - quotient) <= 1e-6 * 4.0 * cosh
+
+
+def _often_zero(hi):
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(_often_zero(350.0), _often_zero(1e3), _often_zero(1e3)))
+def test_pure_exactly_when_h_is_one(state):
+    # d = 0 keeps the squeezed vacuum pure, r = nbar = 0 the vacuum; draws
+    # whose exact (h - 1)/h lies within a factor 10 of the tolerance 1e-10
+    # are left out, since rounding may put them on either side
+    mpmath.mp.dps = 50
+    R, D, NB = (mpmath.mpf(x) for x in state)
+    occ = 2 * NB + 1
+    s1, s2 = (mpmath.exp(-p) + (occ * D * (-mpmath.expm1(-p) / p) if p else 0)
+              for p in (D + 2 * R, D - 2 * R))
+    h = s1 * s2
+    excess = (h - 1) / h
+    assume(not 1e-11 < excess < 1e-9)
+    params = SqueezedStateParams(*state)
+    assert NormalModes.of(params).pure == (h - 1 < 1e-10 * h)
+    try:
+        form = evolve_coefficients(params)
+    except ValueError:
+        # the pure limit at large r: c1 = |c2| in floats
+        return
+    # is_pure reads the rounded triple, whose c1 + c2 = 4 s1 cancels to
+    # a relative error of about eps s2 / s1; its verdict is compared with
+    # the triple's own exact residual |c1^2 - c2^2 - 16 h^2| / 16 h^2
+    c1, c2, hf = (mpmath.mpf(x) for x in (form.c1, form.c2, form.h))
+    residual = abs((c1 * c1 - c2 * c2) / (16 * hf * hf) - 1)
+    assume(not 1e-11 < residual < 1e-9)
+    assert is_pure(form).pure == (residual < 1e-10)
 
 
 def test_pure_exactly_without_diffusion():

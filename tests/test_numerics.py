@@ -15,7 +15,7 @@ from cvbell import (
     one_minus_exp_over,
     sym4_eigenvalues,
 )
-from cvbell.modes import log_i0
+from cvbell.modes import exp_quotient, log_i0
 from cvbell.phase_space import CovarianceMatrix, v_from_w
 from oracles import (
     SWAP_SIGN,
@@ -134,12 +134,31 @@ def test_one_minus_exp_over_basics():
                                                       rel=1e-14)
 
 
-def test_one_minus_exp_over_series_branch_continuity():
-    cut = TOLERANCES.taylor_cutoff
-    for p in (cut, -cut):
-        below = one_minus_exp_over(p * (1.0 - 1e-9))
-        above = one_minus_exp_over(p * (1.0 + 1e-9))
-        assert abs(below - above) < 1e-12
+def test_exp_quotient_near_zero_is_within_an_ulp_of_fifty_digits():
+    # one form, -expm1(-p)/p, on floats and arrays: no series branch near
+    # 0, subnormals included.  E(p) lies within 1e-3 of 1 here, so the
+    # ulp is that of 1, 2^-52 (below 1 the spacing of doubles halves)
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(11)
+    mags = np.concatenate([rng.uniform(0.0, 1e-3, 1500),
+                           10.0 ** rng.uniform(-323.0, -3.0, 1500)])
+    p = np.concatenate([
+        mags, -mags,
+        1e-4 * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        -1e-4 * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+        [1e-3, -1e-3, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1e-310, -1e-310],
+    ])
+    whole = one_minus_exp_over(p)
+    for x, arr in zip(p.tolist(), whole.tolist()):
+        X = mpmath.mpf(x)
+        want = -mpmath.expm1(-X) / X
+        for got in (arr, exp_quotient(x)):
+            assert abs(mpmath.mpf(got) - want) <= math.ulp(1.0), x
+    for zero in (0.0, -0.0):
+        assert exp_quotient(zero) == 1.0
+        assert one_minus_exp_over(zero) == 1.0
+        assert one_minus_exp_over(np.array([zero]))[0] == 1.0
 
 
 def test_one_minus_exp_over_positive_and_decreasing():
@@ -296,7 +315,7 @@ def test_nelder_mead_minimizes_quadratic():
 
 
 def test_one_minus_exp_over_scalar_branch_matches_array_path():
-    cut = TOLERANCES.taylor_cutoff
+    cut = 1e-4
     p = np.concatenate([
         np.linspace(-30.0, 30.0, 401),
         np.linspace(-3.0 * cut, 3.0 * cut, 401),
