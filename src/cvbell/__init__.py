@@ -39,13 +39,13 @@ _HOMES = {
                  "phase_averaged_wigner", "pure_bell_curve",
                  "thermal_marginal", "werner_violation_threshold",
                  "werner_wigner"),
-    "modes": ("MaximizeResult", "MixtureSpec", "SqueezedStateParams",
-              "finite_dim_werner_threshold", "maximize_over_j",
-              "mixture_slope"),
+    "modes": ("MaximizeResult", "MixtureSpec", "NormalModes",
+              "SqueezedStateParams", "finite_dim_werner_threshold",
+              "maximize_over_j", "mixture_slope"),
     "numerics": ("bessel_i0_log", "nelder_mead_minimize",
                  "one_minus_exp_over", "sym4_eigenvalues"),
-    "phase_space": ("CovarianceMatrix", "GaussianForm", "TwoModePoint",
-                    "nm_from_v", "v_from_w", "w_matrix_from_form",
+    "phase_space": ("CovarianceMatrix", "TwoModePoint", "nm_from_v",
+                    "v_from_w", "w_matrix_from_form",
                     "wigner_gaussian_eval", "wigner_pure_2mss"),
     "reports": ("ReportRecord", "parse_csv", "render", "to_csv", "to_json"),
     "tolerances": ("TOLERANCES", "Tolerances"),

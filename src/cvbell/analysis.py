@@ -1,9 +1,8 @@
 """Purity and separability analysis of the evolved states.
 
-Purity is read off the coefficient triple: every state of the family
-satisfies c1^2 - c2^2 = 16 h, and the square of the Wigner function
-integrates to (4 pi^2)^-1 sqrt(det W) / 4, so the state is pure exactly
-when additionally c1^2 - c2^2 = 16 h^2, i.e. h = 1.
+Purity is read off the normal-mode variances: the purity of a state
+is 1/h with h = s1 s2, so the state is pure exactly when h = 1
+(:attr:`cvbell.modes.NormalModes.pure`).
 
 Separability of a two-mode Gaussian state with correlation matrix V is
 equivalent to V - I/2 >= 0.  Every state of the family factorises in
@@ -43,7 +42,6 @@ from .dynamics import chunked_rows, scan_inputs, variance_arrays
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
 from .numerics import TOLERANCES, one_minus_exp_over
-from .phase_space import GaussianForm
 
 __all__ = [
     "PurityReport",
@@ -58,25 +56,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PurityReport:
-    """Verdict plus the relative defect |c1^2 - c2^2 - 16 h^2| / 16 h^2."""
+    """Verdict plus the relative defect |1 - h| / h."""
 
     pure: bool
     residual: float
 
 
-def is_pure(form: GaussianForm) -> PurityReport:
-    """Decide purity of a coefficient triple.
-
-    The residual is zero in exact arithmetic iff sqrt(det W) = 4,
-    equivalently h = 1 for normalised model states; the verdict uses
-    ``TOLERANCES.purity_rel``.  It is formed from the factors
-    (c1 - c2)/4 and (c1 + c2)/4 of (c1^2 - c2^2)/16, s2 and s1 for model
-    states, so no coefficient is squared alone and no legal form
-    overflows.
-    """
-    s2, s1 = (form.c1 - form.c2) / 4.0, (form.c1 + form.c2) / 4.0
-    residual = abs((s2 / form.h) * (s1 / form.h) - 1.0)
-    return PurityReport(pure=residual < TOLERANCES.purity_rel, residual=residual)
+def is_pure(form: NormalModes) -> PurityReport:
+    """Decide purity of a state: :attr:`NormalModes.pure` and the
+    residual :attr:`NormalModes.purity_residual` it is read from."""
+    return PurityReport(pure=form.pure, residual=form.purity_residual)
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,19 @@ displacement budget J,
 is computable from four density evaluations.  Local realism bounds
 |B| <= 2; the ideal squeezed vacuum reaches about 2.19 at small J.
 
-The four-point assembly is the ground truth here.  For Gaussian
-coefficient triples it collapses to
+The four-point assembly is the ground truth here.  For a Gaussian
+state with Wigner coefficients (c1, c2, h) it collapses to
 
     B = (1/h) [1 + 2 exp(-J c1 / 2h) - exp(-J (c1 - c2) / h)],
 
 where the last displacement pair (sqrt J, -sqrt J) flips the sign of the
 cross term, so the exponent carries c1 - c2 (with c2 < 0 this is what
-makes the violation survive).  The tests pin this closed form to the
-assembly.  In the normal-mode variances, c1 = 2(s1 + s2),
-c2 = 2(s1 - s2) and h = s1 s2, it reads
+makes the violation survive).  In the normal-mode variances,
+c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2, it reads
 B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2 and b = 4/s1,
-which is what the grid scans and the maximiser evaluate
-(:meth:`cvbell.modes.NormalModes.bell` on one state).
+the one closed form of B: :meth:`cvbell.modes.NormalModes.bell` on one
+state (:func:`bell_closed_form`), and the grid scans and the maximiser
+on arrays.  The tests pin it to the assembly.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
     maximize_over_j,
 )
 from .numerics import TOLERANCES, nelder_mead_minimize
-from .phase_space import (
-    GaussianForm,
-    SqueezedStateParams,
-    TwoModePoint,
-    wigner_gaussian_eval,
-)
+from .phase_space import SqueezedStateParams, TwoModePoint, wigner_gaussian_eval
 
 __all__ = [
     "PARITY_SCALE",
@@ -145,15 +140,10 @@ def bell_combination(evaluator: Callable[[TwoModePoint], float],
                           settings=settings)
 
 
-def _closed_bell(J, c1, c2, h):
-    # vectorised closed form of the four-point assembly
-    return (1.0 + 2.0 * np.exp(-J * c1 / (2.0 * h))
-            - np.exp(-J * (c1 - c2) / h)) / h
-
-
-def bell_closed_form(form: GaussianForm, J: float) -> float:
-    """Closed form of the four-point combination for a Gaussian triple."""
-    return float(_closed_bell(_require_budget(J), form.c1, form.c2, form.h))
+def bell_closed_form(form: NormalModes, J: float) -> float:
+    """Closed form of the four-point combination for a state,
+    :meth:`NormalModes.bell`."""
+    return form.bell(J)[0]
 
 
 def model_evaluator(params: SqueezedStateParams) -> Callable[[TwoModePoint], float]:

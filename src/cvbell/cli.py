@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", action="store_true",
                        help="smallest violating weight on the default "
                             "budget grid, to the lattice of width 2^-14 "
-                            "(at most p_tol = 1e-4)")
+                            "(at most threshold_p_abs = "
+                            f"{TOLERANCES.threshold_p_abs:g})")
         if name == "werner":
             p.add_argument("--finite-dim", dest="finite_dim", type=int,
                            default=None, metavar="DIM",

@@ -11,16 +11,16 @@ variances
 
 E(p) = (1 - e^-p)/p (:class:`cvbell.modes.NormalModes`).  Everything
 here is a view of (s1, s2): :func:`evolve_coefficients` gives the
-Wigner coefficients of one state, :func:`variance_arrays` and
-:func:`coefficient_arrays` the same on numpy grids, and
-:func:`steady_state` the t -> infinity limit.  The grid scans of
-:mod:`cvbell.analysis` and :mod:`cvbell.bell` check their arguments
-with :func:`scan_inputs`, take their variances from
+state at one point, which carries its Wigner coefficients as
+properties, :func:`variance_arrays` and :func:`coefficient_arrays` the
+same on numpy grids, and :func:`steady_state` the t -> infinity limit.
+The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell` check
+their arguments with :func:`scan_inputs`, take their variances from
 :func:`variance_arrays` and run in cache-sized row blocks through
-:func:`chunked_rows`.  The drift and diffusion
-matrices, the brute-force RK4 integration of the Lyapunov equation and
-the analytic propagator live in the test suite as the oracles the
-closed form is checked against.
+:func:`chunked_rows`.  The drift and diffusion matrices, the
+brute-force RK4 integration of the Lyapunov equation and the analytic
+propagator live in the test suite as the oracles the closed form is
+checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .modes import (
     steady_limit,
 )
 from .numerics import one_minus_exp_over
-from .phase_space import GaussianForm
 
 __all__ = [
     "SteadyStateReport",
@@ -151,18 +150,17 @@ def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
     return out
 
 
-def evolve_coefficients(params: SqueezedStateParams) -> GaussianForm:
-    """Exact Wigner coefficients of the state at reduced parameters.
+def evolve_coefficients(params: SqueezedStateParams) -> NormalModes:
+    """Exact state at reduced parameters, :meth:`NormalModes.of`.
 
-    c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2 of the normal-mode
-    variances (:meth:`cvbell.modes.NormalModes.of`).  At d = 0 this is
-    the pure squeezed vacuum (4 cosh 2r, -4 sinh 2r, 1); at r = d = 0
-    the vacuum (4, 0, 1).  A state whose coefficients leave the float
-    range (e^{2r} at r above ~355) raises ``ValueError`` naming the
-    parameters.
+    Its Wigner coefficients are the properties c1 = 2(s1 + s2),
+    c2 = 2(s1 - s2) and h = s1 s2 of the normal-mode variances.  At
+    d = 0 this is the pure squeezed vacuum (4 cosh 2r, -4 sinh 2r, 1);
+    at r = d = 0 the vacuum (4, 0, 1).  A state whose coefficients leave
+    the float range (e^{2r} at r above ~355) raises ``ValueError``
+    naming the parameters.
     """
-    modes = NormalModes.of(params)
-    return GaussianForm(c1=modes.c1, c2=modes.c2, h=modes.h)
+    return NormalModes.of(params)
 
 
 # ----------------------------------------------------------------------
@@ -176,22 +174,22 @@ class SteadyStateReport:
     ``exists`` is true iff every drift eigenvalue is strictly negative,
     i.e. gamma > 2 kappa.  ``classification`` is one of
     "squeezed-thermal", "thermal", "none", "boundary-undefined";
-    ``limit_form`` carries the limiting coefficients when a steady state
-    exists and None otherwise.
+    ``limit_form`` is the limiting state, the :class:`NormalModes` of
+    :func:`cvbell.modes.steady_limit`, when a steady state exists and
+    None otherwise.
     """
 
     exists: bool
     classification: str
-    limit_form: GaussianForm | None
+    limit_form: NormalModes | None
 
 
 def steady_state(gamma: float, kappa: float, nbar: float = 0.0) -> SteadyStateReport:
     """Classify the t -> infinity limit of the process.
 
-    For gamma > 2 kappa the coefficients converge to the squeezed
-    thermal triple of the normal-mode variances
-    s = (2 nbar + 1)/(1 +- q), q = 2 kappa / gamma
-    (:func:`cvbell.modes.steady_limit`), i.e.
+    For gamma > 2 kappa the state converges to the squeezed thermal
+    normal-mode variances s = (2 nbar + 1)/(1 +- q), q = 2 kappa / gamma
+    (:func:`cvbell.modes.steady_limit`), whose coefficients are
 
         c1 = 4 (2 nbar + 1) / (1 - q^2),  c2 = -q c1,
         h = (2 nbar + 1)^2 / (1 - q^2),
@@ -202,8 +200,5 @@ def steady_state(gamma: float, kappa: float, nbar: float = 0.0) -> SteadyStateRe
     wins and the moments grow without bound ("none").
     """
     kind, modes = steady_limit(gamma, kappa, nbar)
-    if modes is None:
-        return SteadyStateReport(exists=False, classification=kind,
-                                 limit_form=None)
-    form = GaussianForm(c1=modes.c1, c2=modes.c2, h=modes.h)
-    return SteadyStateReport(exists=True, classification=kind, limit_form=form)
+    return SteadyStateReport(exists=modes is not None, classification=kind,
+                             limit_form=modes)

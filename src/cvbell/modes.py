@@ -221,7 +221,13 @@ def separability_closed_pair(params: SqueezedStateParams) -> tuple:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Normal-mode variances (s1, s2), s1 <= s2, of one model state."""
+    """Normal-mode variances (s1, s2), s1 <= s2, of one model state.
+
+    The one state type of the package: the Wigner coefficients
+    (c1, c2, h), the moments (N, M), the separability margin, purity
+    and the Bell correlations are all properties or methods of it.
+    Both variances must be finite and positive.
+    """
 
     s1: float
     s2: float
@@ -306,10 +312,14 @@ class NormalModes:
         return self.margin >= TOLERANCES.boundary_margin
 
     @property
+    def purity_residual(self) -> float:
+        """|1 - h|/h, which is 0 exactly for pure states (purity 1/h)."""
+        return abs(1.0 - self.h) / self.h
+
+    @property
     def pure(self) -> bool:
-        """|1 - h|/h below ``TOLERANCES.purity_rel``: the residual of
-        :func:`cvbell.analysis.is_pure`, since c1^2 - c2^2 = 16 h."""
-        return abs(1.0 - self.h) / self.h < TOLERANCES.purity_rel
+        """:attr:`purity_residual` below ``TOLERANCES.purity_rel``."""
+        return self.purity_residual < TOLERANCES.purity_rel
 
     def correlations(self, J: float) -> tuple:
         """The four displaced-parity correlations at budget J >= 0."""

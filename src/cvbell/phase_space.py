@@ -14,8 +14,10 @@ Every state of the family has a Wigner function
     W(a1, a2) = (2/pi)^2 (1/h) exp{ -[c1 (|a1|^2 + |a2|^2)
                                      + c2 (a1 a2 + a1* a2*)] / (2h) }
 
-parameterised by the coefficient triple (c1, c2, h); the ideal two-mode
-squeezed vacuum is the h = 1 member with c1 = 4 cosh 2r and
+with c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2 read off the
+normal-mode variances of :class:`cvbell.modes.NormalModes`, the one
+state type of the package; the ideal two-mode squeezed vacuum is
+(s1, s2) = (e^-2r, e^2r), i.e. h = 1, c1 = 4 cosh 2r and
 c2 = -4 sinh 2r.  Densities are evaluated in log space internally and
 exponentiated at the boundary, so extreme squeezing underflows to zero
 instead of corrupting intermediate results.
@@ -28,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import SqueezedStateParams, _require_finite, _require_squeezing
+from .modes import NormalModes, SqueezedStateParams, _require_squeezing
 from .numerics import TOLERANCES, _cross_pattern, sym4_eigenvalues
 
 __all__ = [
     "PARITY_SIGNATURE",
     "TwoModePoint",
     "SqueezedStateParams",
-    "GaussianForm",
     "CovarianceMatrix",
     "wigner_pure_2mss",
     "wigner_gaussian_eval",
@@ -73,44 +74,6 @@ class TwoModePoint:
         a1 = np.asarray(self.alpha1)
         a2 = np.asarray(self.alpha2)
         return a1.real, a1.imag, a2.real, a2.imag
-
-
-@dataclass(frozen=True)
-class GaussianForm:
-    """Coefficient triple (c1, c2, h) of a Gaussian Wigner function.
-
-    Valid forms have h > 0 and c1 > |c2| (positive definite exponent).
-    Forms produced by the model additionally satisfy the normalisation
-    identity c1^2 - c2^2 = 16 h, under which the density integrates to
-    one; :meth:`normalization_residual` measures the defect.
-    """
-
-    c1: float
-    c2: float
-    h: float
-
-    def __post_init__(self):
-        c1 = _require_finite("c1", self.c1)
-        c2 = _require_finite("c2", self.c2)
-        h = _require_finite("h", self.h)
-        if h <= 0:
-            raise ValueError(f"h must be positive, got {h}")
-        if c1 <= abs(c2):
-            raise ValueError(
-                f"non-normalizable form: need c1 > |c2|, got c1={c1}, c2={c2}")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "h", h)
-
-    def normalization_residual(self) -> float:
-        """Relative defect of c1^2 - c2^2 = 16 h (zero for model states).
-
-        Formed from the factors (c1 - c2)/4 and (c1 + c2)/4 of
-        (c1^2 - c2^2)/16 (s2 and s1 for model states), so no coefficient
-        is squared alone and no legal form overflows.
-        """
-        s2, s1 = (self.c1 - self.c2) / 4.0, (self.c1 + self.c2) / 4.0
-        return abs(s2 * (s1 / self.h) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -165,8 +128,8 @@ def wigner_pure_2mss(point: TwoModePoint, r: float):
     return np.exp(log_w) if np.ndim(log_w) else float(np.exp(log_w))
 
 
-def wigner_gaussian_eval(point: TwoModePoint, form: GaussianForm):
-    """Wigner density of a coefficient triple at a phase-space point.
+def wigner_gaussian_eval(point: TwoModePoint, form: NormalModes):
+    """Wigner density of a state at a phase-space point.
 
     W = (2/pi)^2 (1/h) exp{-[c1 (|a1|^2 + |a2|^2)
                              + c2 (a1 a2 + a1* a2*)] / (2h)}
@@ -181,14 +144,14 @@ def wigner_gaussian_eval(point: TwoModePoint, form: GaussianForm):
 # W and V matrices
 # ----------------------------------------------------------------------
 
-def w_matrix_from_form(form: GaussianForm) -> CovarianceMatrix:
+def w_matrix_from_form(form: NormalModes) -> CovarianceMatrix:
     """Quadratic-form matrix W of the Wigner exponent, analytic ordering.
 
     W = (1/2h) [[c1, 0, 0, c2], [0, c1, c2, 0],
                 [0, c2, c1, 0], [c2, 0, 0, c1]]
 
     so that W(a) = (sqrt(det W)/pi^2) exp(-a^dagger W a / 2) with
-    a = (a1, a1*, a2, a2*).  Positive definite for every valid form.
+    a = (a1, a1*, a2, a2*).  Positive definite for every state.
     """
     pattern, _ = _cross_pattern(form.c1, form.c2)
     return CovarianceMatrix(entries=pattern / (2.0 * form.h), convention="W")

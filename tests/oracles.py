@@ -12,7 +12,7 @@ restructured for speed:
   exponential, which give the second moments Sigma(t) without the
   closed form (:func:`covariance_ode_oracle`,
   :func:`propagate_covariance`, :func:`propagate_green`),
-* the real-coordinate moment matrices of a coefficient triple,
+* the real-coordinate moment matrices of a state's coefficient triple,
 * Gauss-Legendre and periodic trapezoidal quadrature, and the
   phase-diffused density by a brute-force double phase average,
 * Nelder-Mead, log I0 and the threshold bisection as the runtime had
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from cvbell import ConvergenceError, GaussianForm, TwoModePoint, wigner_pure_2mss
+from cvbell import ConvergenceError, NormalModes, TwoModePoint, wigner_pure_2mss
 from cvbell.mixtures import component_bell_curve, pure_bell_curve
 from cvbell.modes import _check_rates, _require_finite
 from cvbell.numerics import one_minus_exp_over
@@ -515,10 +515,10 @@ def matrix_exp4(A: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# real-coordinate second moments of a coefficient triple
+# real-coordinate second moments of a state's coefficient triple
 # ----------------------------------------------------------------------
 
-def precision_xvec(form: GaussianForm) -> np.ndarray:
+def precision_xvec(form: NormalModes) -> np.ndarray:
     """Precision (inverse covariance) matrix over x = (Re a1, Im a1,
     Re a2, Im a2) implied by a coefficient triple."""
     c1, c2, h = form.c1, form.c2, form.h
@@ -530,7 +530,7 @@ def precision_xvec(form: GaussianForm) -> np.ndarray:
     ]) / h
 
 
-def covariance_xvec(form: GaussianForm) -> np.ndarray:
+def covariance_xvec(form: NormalModes) -> np.ndarray:
     """Second-moment matrix over x = (Re a1, Im a1, Re a2, Im a2).
 
     Analytic block inverse of :func:`precision_xvec`: with
@@ -549,12 +549,12 @@ def covariance_xvec(form: GaussianForm) -> np.ndarray:
     ])
 
 
-def form_from_covariance_xvec(sigma: np.ndarray) -> GaussianForm:
-    """Recover the coefficient triple from a model covariance matrix.
+def form_from_covariance_xvec(sigma: np.ndarray) -> NormalModes:
+    """Recover the state from a model covariance matrix.
 
-    Inverts :func:`covariance_xvec` using the normalisation identity
-    c1^2 - c2^2 = 16 h: c1 = 16 Sigma[0,0], c2 = -16 Sigma[0,2],
-    h = 16 (Sigma[0,0]^2 - Sigma[0,2]^2).  Raises if the input does not
+    Inverts :func:`covariance_xvec`: with v0 = Sigma[0,0] = (s1 + s2)/8
+    and cu = Sigma[0,2] = (s2 - s1)/8 the variances are
+    s1 = 4 (v0 - cu) and s2 = 4 (v0 + cu).  Raises if the input does not
     carry the model's correlation structure.
     """
     s = np.asarray(sigma, dtype=float)
@@ -572,8 +572,7 @@ def form_from_covariance_xvec(sigma: np.ndarray) -> GaussianForm:
     if np.max(np.abs(s - model)) > TOLERANCES.pattern_abs * scale:
         raise ValueError("covariance matrix is outside the model family "
                          "(correlation structure violated)")
-    return GaussianForm(c1=16.0 * v0, c2=-16.0 * cu,
-                        h=16.0 * (v0 * v0 - cu * cu))
+    return NormalModes(4.0 * (v0 - cu), 4.0 * (v0 + cu))
 
 
 # ----------------------------------------------------------------------
@@ -690,8 +689,8 @@ def propagate_covariance(sigma0: np.ndarray, kappa: float, gamma: float,
 
 
 def propagate_green(sigma0: np.ndarray, kappa: float, gamma: float,
-                    t: float, nbar: float = 0.0) -> GaussianForm:
-    """Propagate a model initial state and return its coefficient triple.
+                    t: float, nbar: float = 0.0) -> NormalModes:
+    """Propagate a model initial state and return the state it reaches.
 
     Applies :func:`propagate_covariance` and converts back through the
     correlation-structure check; with the vacuum initial condition the

@@ -27,13 +27,13 @@ import math
 
 import numpy as np
 
-from cvbell import GaussianForm, TwoModePoint, wigner_pure_2mss
+from cvbell import NormalModes, TwoModePoint, wigner_pure_2mss
 from oracles import gauss_legendre
 
 SQRT_HALF = math.sqrt(0.5)
 
 
-def gaussian_sigmas(form: GaussianForm):
+def gaussian_sigmas(form: NormalModes):
     """(wide, narrow) standard deviations of a form in the rotated frame."""
     wide = math.sqrt(form.h / (form.c1 + form.c2))
     narrow = math.sqrt(form.h / (form.c1 - form.c2))
@@ -79,7 +79,7 @@ def rotated_box_integral(evaluator, axes) -> float:
     return total
 
 
-def form_normalization(evaluator, form: GaussianForm, n: int = 48) -> float:
+def form_normalization(evaluator, form: NormalModes, n: int = 48) -> float:
     """Normalization integral of a single Gaussian-form evaluator."""
     wide, narrow = gaussian_sigmas(form)
     wide_axis = axis_rule(6.0 * wide, n)
@@ -93,8 +93,7 @@ def werner_axes(r: float):
     """Rotated-frame rules for Werner mixtures: the squeezed component
     sets the extreme narrow/wide scales, the thermal product the
     isotropic one; the narrow axes get a fine central panel."""
-    pure = GaussianForm(c1=4.0 * math.cosh(2.0 * r),
-                        c2=-4.0 * math.sinh(2.0 * r), h=1.0)
+    pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r))
     wide, narrow = gaussian_sigmas(pure)
     iso = math.sqrt(math.cosh(2.0 * r)) / 2.0
     w_half = 6.0 * max(wide, iso)

@@ -7,7 +7,6 @@ import pytest
 
 from cvbell import (
     BellSettings,
-    GaussianForm,
     SqueezedStateParams,
     bell_closed_form,
     bell_combination,
@@ -41,8 +40,7 @@ def test_settings_points():
 
 
 def test_anchor_value_closed_form():
-    form = GaussianForm(c1=4.0 * math.cosh(3.0), c2=-4.0 * math.sinh(3.0),
-                        h=1.0)
+    form = NormalModes(math.exp(-3.0), math.exp(3.0))
     assert bell_closed_form(form, 0.01) == pytest.approx(B_ANCHOR, rel=1e-14)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from cvbell import (
     ConvergenceError,
+    NormalModes,
     SqueezedStateParams,
     coefficient_arrays,
     evolve_coefficients,
@@ -214,9 +215,18 @@ def test_coefficients_overflow_is_a_value_error(recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("params", [SqueezedStateParams(10.0, 0.0),
+                                    SqueezedStateParams(20.0, 1.0, 0.0)])
+def test_states_whose_c1_rounds_to_abs_c2_are_returned(params):
+    # c1 and |c2| round to the same float, and the state is still legal
+    form = evolve_coefficients(params)
+    assert form.c1 == abs(form.c2)
+    assert form == NormalModes.of(params)
+
+
 def test_coefficient_h_matches_fifty_digits_at_large_squeezing():
-    # p1 + p2 rounded d by up to ulp(2r); this h was 6.4e-13 off (the
-    # state itself is beyond what a GaussianForm can hold: c1 = |c2|)
+    # p1 + p2 rounded d by up to ulp(2r); this h was 6.4e-13 off (c1 and
+    # |c2| of the state round to the same float)
     import mpmath
 
     r, d, nbar = 18.5, 1.05e-3, 6e-3

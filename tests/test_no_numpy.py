@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, because this test process has
 numpy loaded already.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -105,9 +106,10 @@ def test_import_cvbell_loads_no_numpy():
         "import sys\n"
         "import cvbell\n"
         "from cvbell import (TOLERANCES, ConvergenceError, CrossCheckError,\n"
-        "    MaximizeResult, MixtureSpec, ReportRecord, SqueezedStateParams,\n"
-        "    Tolerances, finite_dim_werner_threshold, maximize_over_j,\n"
-        "    mixture_slope, render)\n"
+        "    MaximizeResult, MixtureSpec, NormalModes, ReportRecord,\n"
+        "    SqueezedStateParams, Tolerances, finite_dim_werner_threshold,\n"
+        "    maximize_over_j, mixture_slope, render)\n"
+        "assert NormalModes is cvbell.modes.NormalModes\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     assert proc.returncode == 0, proc.stderr
 
@@ -119,6 +121,18 @@ def test_every_public_name_resolves():
         "assert not missing, missing\n"
         "assert len(set(cvbell.__all__)) == len(cvbell.__all__)\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_submodule_name_resolves():
+    # runs in this process: the names, not the imports, are under test
+    import cvbell
+
+    modules = {name: importlib.import_module(f"cvbell.{name}")
+               for name in cvbell._SUBMODULES}
+    missing = [f"{name}.{n}" for name, module in modules.items()
+               for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, missing
 
 
 def test_star_import():

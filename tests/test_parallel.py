@@ -9,9 +9,15 @@ import pytest
 
 from cvbell import bell_surface, separability_map
 from cvbell.analysis import _margin_rows
-from cvbell.bell import _closed_bell
 from cvbell.dynamics import coefficient_arrays
 from cvbell.dynamics import BLOCK_CELLS, chunked_rows
+
+
+def _bell_kernel(J, c1, c2, h):
+    # an elementwise kernel of (c1, c2, h) as block-test data: B in the
+    # Wigner coefficients of each column
+    return (1.0 + 2.0 * np.exp(-J * c1 / (2.0 * h))
+            - np.exp(-J * (c1 - c2) / h)) / h
 
 
 def _map_block(n_rows, n_cols):
@@ -23,7 +29,7 @@ def _map_block(n_rows, n_cols):
 def _surface_block(n_rows, n_cols):
     J = np.geomspace(1e-5, 1.0, n_rows)
     c1, c2, h = coefficient_arrays(1.5, np.linspace(0.0, 5.0, n_cols), 0.2)
-    return lambda lo, hi: _closed_bell(J[lo:hi, None], c1[None, :],
+    return lambda lo, hi: _bell_kernel(J[lo:hi, None], c1[None, :],
                                        c2[None, :], h[None, :])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cvbell import (
     CovarianceMatrix,
-    GaussianForm,
+    NormalModes,
     SqueezedStateParams,
     TwoModePoint,
     evolve_coefficients,
@@ -66,8 +66,7 @@ def test_pure_wigner_symmetries():
 
 
 def test_gaussian_eval_reduces_to_pure_at_d_zero():
-    form = GaussianForm(c1=4.0 * math.cosh(2.0), c2=-4.0 * math.sinh(2.0),
-                        h=1.0)
+    form = NormalModes(math.exp(-2.0), math.exp(2.0))
     pt = TwoModePoint(0.3 - 0.1j, -0.2 + 0.4j)
     assert wigner_gaussian_eval(pt, form) == pytest.approx(
         wigner_pure_2mss(pt, 1.0), rel=1e-13)
@@ -82,39 +81,21 @@ def test_gaussian_eval_array_broadcast():
     assert vals[2] == pytest.approx(single, rel=1e-15)
 
 
-def test_form_validation():
-    with pytest.raises(ValueError):
-        GaussianForm(c1=1.0, c2=-2.0, h=1.0)
-    with pytest.raises(ValueError):
-        GaussianForm(c1=4.0, c2=0.0, h=-1.0)
-
-
-def test_form_normalization_residual_small_for_model_states():
-    for params in (SqueezedStateParams(0.0, 0.0, 0.0),
-                   SqueezedStateParams(1.5, 0.0, 0.0),
-                   SqueezedStateParams(1.5, 1.0, 0.0),
-                   SqueezedStateParams(0.7, 3.0, 2.0)):
-        form = evolve_coefficients(params)
-        assert abs(form.normalization_residual()) < 1e-10
-
-
 def test_vacuum_covariance_is_half_identity():
-    form = GaussianForm(c1=4.0, c2=0.0, h=1.0)
+    form = NormalModes(1.0, 1.0)
     v = v_from_w(w_matrix_from_form(form))
     np.testing.assert_allclose(v.entries, np.eye(4) / 2.0, atol=1e-14)
 
 
 def test_pure_w_matrix_has_det_16():
     for r in (0.0, 0.5, 1.5):
-        w = w_matrix_from_form(GaussianForm(c1=4.0 * math.cosh(2.0 * r),
-                                            c2=-4.0 * math.sinh(2.0 * r),
-                                            h=1.0))
+        w = w_matrix_from_form(NormalModes(math.exp(-2.0 * r),
+                                           math.exp(2.0 * r)))
         assert np.linalg.det(w.entries) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_nm_from_pure_squeezed_state():
-    form = GaussianForm(c1=4.0 * math.cosh(3.0), c2=-4.0 * math.sinh(3.0),
-                        h=1.0)
+    form = NormalModes(math.exp(-3.0), math.exp(3.0))
     n, m = nm_from_v(v_from_w(w_matrix_from_form(form)))
     assert n == pytest.approx((math.cosh(3.0) - 1.0) / 2.0, rel=1e-12)
     assert m == pytest.approx(-math.sinh(3.0) / 2.0, rel=1e-12)
