@@ -13,7 +13,11 @@ which includes the closed-form maximum over J, the small-J slope and
 the mixtures' Bell values, and :mod:`cvbell.curves`, the float grids,
 curves and threshold search of the figures and thresholds).  Of the
 command-line paths only ``maximize`` with a state parameter free loads
-numpy.
+numpy.  Every result class is a frozen record (:mod:`cvbell._record`),
+so the package never imports the standard library's data-class module,
+and ``json`` loads only to render JSON: the numpy-free command-line
+paths import neither ``inspect`` nor, without ``--format json``,
+``json``.
 """
 
 import importlib

@@ -34,10 +34,9 @@ route that tests compare the normal modes with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import frozen_record
 from .dynamics import chunked_rows, scan_inputs, variance_arrays
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PurityReport:
     """Verdict plus the relative defect |1 - h| / h."""
 
@@ -68,7 +67,7 @@ def is_pure(form: NormalModes) -> PurityReport:
     return PurityReport(pure=form.pure, residual=form.purity_residual)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SeparabilityReport:
     """Spectral separability verdict for one parameter point.
 
@@ -103,7 +102,7 @@ def separability_eigenvalues(params: SqueezedStateParams) -> SeparabilityReport:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SeparabilityMap:
     """Separability verdicts over a (d, nbar) grid at fixed r.
 

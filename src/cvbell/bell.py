@@ -27,11 +27,11 @@ on arrays.  The tests pin it to the assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._record import frozen_record
 from .dynamics import (
     chunked_rows,
     evolve_coefficients,
@@ -69,7 +69,7 @@ __all__ = [
 #: parity-to-density conversion (pi/2)^2
 PARITY_SCALE = (math.pi / 2.0) ** 2
 
-@dataclass(frozen=True)
+@frozen_record
 class BellSettings:
     """Displacement budget J >= 0 of the four-point combination."""
 
@@ -89,7 +89,7 @@ class BellSettings:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BellEvaluation:
     """One Bell combination: value, the four correlations, settings."""
 
@@ -98,7 +98,7 @@ class BellEvaluation:
     settings: BellSettings
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BellSurface:
     """B over a (J, d) grid at fixed r and nbar; values[i, j] belongs to
     (J_grid[i], d_grid[j])."""
@@ -110,7 +110,7 @@ class BellSurface:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SlopeResult:
     """Slope of B(J) at J = 0+.
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .curves import (
     _geomspace,
@@ -413,7 +412,8 @@ def main(argv=None) -> int:
         return 3
     text = render(record, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -20,8 +20,8 @@ paths start without it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen_record
 from .modes import (
     MIXTURE_KINDS,
     _pure_curve,
@@ -102,7 +102,7 @@ def mixed_values(p: float, pure: list, reference: list) -> list:
 # violation threshold in p
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class ThresholdReport:
     """Smallest squeezed-component weight that still violates B > 2.
 

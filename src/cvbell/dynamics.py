@@ -25,11 +25,11 @@ checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import frozen_record
 from .modes import (
     NormalModes,
     SqueezedStateParams,
@@ -167,7 +167,7 @@ def evolve_coefficients(params: SqueezedStateParams) -> NormalModes:
 # steady state
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class SteadyStateReport:
     """Long-time behaviour of the process at fixed rates.
 

@@ -42,9 +42,9 @@ leaves the float range (e^{2r} at r > ~355) the constructors raise
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+import operator
 
+from ._record import frozen_record
 from .errors import CrossCheckError
 from .tolerances import TOLERANCES
 
@@ -171,7 +171,7 @@ def log_i0(x: float) -> float:
             + math.log1p(_horner_tail(1.0 / x, _I0_ASYMPTOTIC)))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SqueezedStateParams:
     """Reduced parameters of the noisy squeezed state.
 
@@ -219,7 +219,7 @@ def separability_closed_pair(params: SqueezedStateParams) -> tuple:
         raise _overflow(_where(params)) from None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NormalModes:
     """Normal-mode variances (s1, s2), s1 <= s2, of one model state.
 
@@ -394,7 +394,7 @@ def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
 # maximisation over J
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_record
 class MaximizeResult:
     """Outcome of a Bell maximisation: full parameter point and value."""
 
@@ -482,7 +482,7 @@ def _require_squeezing(r) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MixtureSpec:
     """Weight p of the squeezed component, squeezing r, mixture kind."""
 
@@ -629,7 +629,11 @@ def finite_dim_werner_threshold(dim: int) -> float:
     Shrinks as the local dimension grows; the continuous-variable
     families sit at the dim -> infinity edge of the comparison.
     """
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+    try:
+        operator.index(dim)
+    except TypeError:
+        raise ValueError("dimension must be an integer") from None
+    if isinstance(dim, bool):
         raise ValueError("dimension must be an integer")
     if dim < 2:
         raise ValueError("dimension must be at least 2")

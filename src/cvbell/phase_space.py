@@ -26,10 +26,10 @@ instead of corrupting intermediate results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import frozen_record
 from .modes import NormalModes, SqueezedStateParams, _require_squeezing
 from .numerics import TOLERANCES, _cross_pattern, sym4_eigenvalues
 
@@ -52,7 +52,7 @@ PARITY_SIGNATURE = np.diag([1.0, -1.0, 1.0, -1.0])
 PARITY_SIGNATURE.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TwoModePoint:
     """A point (a1, a2) of two-mode phase space.
 
@@ -76,7 +76,7 @@ class TwoModePoint:
         return a1.real, a1.imag, a2.real, a2.imag
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CovarianceMatrix:
     """A symmetric 4x4 matrix in the analytic (a1, a1*, a2, a2*) ordering.
 

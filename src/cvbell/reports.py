@@ -15,26 +15,27 @@ Non-finite floats render as ``nan``/``inf`` in CSV and ``null`` in JSON
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+
+from ._record import frozen_record
 
 __all__ = ["ReportRecord", "to_csv", "to_json", "parse_csv", "render"]
 
 FLOAT_FORMAT = "%.17g"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ReportRecord:
     """One command's output: metadata, column names, numeric rows."""
 
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None
     columns: tuple = ()
     rows: tuple = ()
 
     def __post_init__(self):
+        if self.meta is None:
+            object.__setattr__(self, "meta", {})
         cols = tuple(str(c) for c in self.columns)
         rows = tuple(tuple(r) for r in self.rows)
         for r in rows:
@@ -101,6 +102,8 @@ def _json_safe(value):
 
 def to_json(record: ReportRecord) -> str:
     """Render as a JSON object with meta, columns and rows members."""
+    import json  # only JSON output needs it, so CSV paths skip the import
+
     payload = {
         "meta": {k: _json_safe(v) for k, v in record.meta.items()},
         "columns": list(record.columns),
@@ -136,7 +139,7 @@ def parse_csv(text: str) -> ReportRecord:
     format this is an exact inverse on the numeric payload.
     """
     meta: dict = {}
-    header: Sequence[str] | None = None
+    header: list[str] | None = None
     rows = []
     for line in text.splitlines():
         if not line:

@@ -1,17 +1,20 @@
 """Numeric policy of the package: one frozen constant per decision.
 
-Kept free of numpy so that the single-point command-line paths, which
-embed every tolerance in their report metadata, start without it.
+Kept free of numpy, like the rest of the command-line path, which
+embeds every tolerance in its report metadata.  :class:`Tolerances` is
+a frozen record (:mod:`cvbell._record`), and :meth:`Tolerances.as_dict`
+lists the fields in declaration order, the order of the ``# tol_``
+lines of every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from ._record import frozen_record
 
 __all__ = ["TOLERANCES", "Tolerances"]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Tolerances:
     """Numeric policy of the package, one named constant per decision.
 
@@ -47,7 +50,8 @@ class Tolerances:
     affine_mix_rel: float = 1e-12
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every tolerance by name, in field order."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 TOLERANCES = Tolerances()

@@ -1,8 +1,9 @@
 """The package and every command but the multi-parameter maximiser start
-without numpy.
+without numpy, and every command without ``dataclasses`` and ``inspect``;
+only JSON output loads ``json``.
 
 Each check runs in a fresh interpreter, because this test process has
-numpy loaded already.
+all of them loaded already.
 """
 
 import importlib
@@ -67,6 +68,16 @@ CURVE_COMMANDS = [
 ]
 
 
+def lean_check(argv=()) -> str:
+    """Code that asserts that the interpreter has loaded none of numpy,
+    dataclasses and inspect, and no json unless ``argv`` asks for JSON."""
+    heavy = ["numpy", "dataclasses", "inspect"]
+    if "json" not in argv:
+        heavy.append("json")
+    return (f"loaded = [m for m in {heavy!r} if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported'\n")
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -82,7 +93,7 @@ def test_single_point_command_loads_no_numpy(argv):
         "from cvbell.cli import main\n"
         f"code = main({argv!r})\n"
         "assert code in (0, 3), code\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        + lean_check(argv))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -97,7 +108,7 @@ def test_curve_command_loads_no_numpy(argv, expected):
         f"    code = main({argv!r})\n"
         f"assert code == {expected}, code\n"
         "assert (out.getvalue().count('\\n') > 1) == (code == 0)\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        + lean_check(argv))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -110,7 +121,7 @@ def test_import_cvbell_loads_no_numpy():
         "    SqueezedStateParams, Tolerances, finite_dim_werner_threshold,\n"
         "    maximize_over_j, mixture_slope, render)\n"
         "assert NormalModes is cvbell.modes.NormalModes\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        + lean_check())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -164,5 +175,5 @@ def test_curves_and_mixture_values_load_no_numpy():
         "assert isinstance(report, ThresholdReport)\n"
         "phase_diffused_bell(MixtureSpec(0.5, 1.5, 'phase-diffused'), 0.01)\n"
         "assert log_i0(20.0) > 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        + lean_check())
     assert proc.returncode == 0, proc.stderr
