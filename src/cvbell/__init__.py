@@ -10,26 +10,26 @@ Names are loaded on first use (PEP 562): ``import cvbell`` alone
 imports no numpy, and neither do the numpy-free names (the errors,
 reports, tolerances, the single-point core of :mod:`cvbell.modes`,
 which includes the closed-form maximum over J, the small-J slope and
-the mixtures' Bell values, and :mod:`cvbell.curves`, the float grids,
-curves and threshold search of the figures and thresholds).  Of the
-command-line paths only ``maximize`` with a state parameter free loads
-numpy.  Every result class is a frozen record (:mod:`cvbell._record`),
-so the package never imports the standard library's data-class module,
-and ``json`` loads only to render JSON: the numpy-free command-line
-paths import neither ``inspect`` nor, without ``--format json``,
-``json``.
+the mixtures' Bell values of :func:`cvbell.modes.mixture_correlations`,
+and :mod:`cvbell.curves`, the float grids, curves and threshold search
+of the figures and thresholds).  Each name loads from the module that
+defines it.  Of the command-line paths only ``maximize`` with a state
+parameter free loads numpy.  Every result class is a frozen record
+(:mod:`cvbell._record`), so the package never imports the standard
+library's data-class module, and ``json`` loads only to render JSON:
+the numpy-free command-line paths import neither ``inspect`` nor,
+without ``--format json``, ``json``.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-#: home module of every public name; the numpy-free ones point at
-#: modules that do not import numpy
+#: the module that defines each public name; the numpy-free ones point
+#: at modules that do not import numpy
 _HOMES = {
     "analysis": ("PurityReport", "SeparabilityMap", "SeparabilityReport",
-                 "is_pure", "separability_closed_pair",
-                 "separability_eigenvalues", "separability_map"),
+                 "is_pure", "separability_eigenvalues", "separability_map"),
     "bell": ("BellEvaluation", "BellSettings", "BellSurface",
              "SlopeResult", "bell_closed_form",
              "bell_combination", "bell_surface", "maximize_bell",
@@ -45,13 +45,13 @@ _HOMES = {
                  "werner_wigner"),
     "modes": ("MaximizeResult", "MixtureSpec", "NormalModes",
               "SqueezedStateParams", "finite_dim_werner_threshold",
-              "maximize_over_j", "mixture_slope"),
+              "maximize_over_j", "mixture_slope", "separability_closed_pair"),
     "numerics": ("bessel_i0_log", "nelder_mead_minimize",
                  "one_minus_exp_over", "sym4_eigenvalues"),
     "phase_space": ("CovarianceMatrix", "TwoModePoint", "nm_from_v",
                     "v_from_w", "w_matrix_from_form",
                     "wigner_gaussian_eval", "wigner_pure_2mss"),
-    "reports": ("ReportRecord", "parse_csv", "render", "to_csv", "to_json"),
+    "reports": ("ReportRecord", "render", "to_csv", "to_json"),
     "tolerances": ("TOLERANCES", "Tolerances"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -40,14 +40,14 @@ from ._record import frozen_record
 from .dynamics import chunked_rows, scan_inputs, variance_arrays
 from .errors import CrossCheckError
 from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
-from .numerics import TOLERANCES, one_minus_exp_over
+from .numerics import one_minus_exp_over
+from .tolerances import TOLERANCES
 
 __all__ = [
     "PurityReport",
     "SeparabilityReport",
     "SeparabilityMap",
     "is_pure",
-    "separability_closed_pair",
     "separability_eigenvalues",
     "separability_map",
 ]

@@ -38,24 +38,23 @@ from .dynamics import (
     scan_inputs,
     variance_arrays,
 )
-from .modes import (  # DEFAULT_BOUNDS and PARAM_ORDER are re-exported
-    DEFAULT_BOUNDS,
-    PARAM_ORDER,
+from .modes import (
     MaximizeResult,
     NormalModes,
+    SqueezedStateParams,
     _maximize_inputs,
-    _require_budget,
+    _require_nonnegative,
     maximize_over_j,
 )
-from .numerics import TOLERANCES, nelder_mead_minimize
-from .phase_space import SqueezedStateParams, TwoModePoint, wigner_gaussian_eval
+from .numerics import nelder_mead_minimize
+from .phase_space import TwoModePoint, wigner_gaussian_eval
+from .tolerances import TOLERANCES
 
 __all__ = [
     "PARITY_SCALE",
     "BellSettings",
     "BellEvaluation",
     "BellSurface",
-    "MaximizeResult",
     "SlopeResult",
     "parity_correlation",
     "bell_combination",
@@ -76,7 +75,7 @@ class BellSettings:
     J: float
 
     def __post_init__(self):
-        object.__setattr__(self, "J", _require_budget(self.J))
+        object.__setattr__(self, "J", _require_nonnegative("J", self.J))
 
     def points(self) -> tuple:
         """The four probed phase-space points, in combination order."""

@@ -31,10 +31,9 @@ from .modes import (
     SqueezedStateParams,
     finite_dim_werner_threshold,
     maximize_over_j,
+    mixture_correlations,
     mixture_slope,
-    phase_diffused_bell,
     steady_limit,
-    werner_bell,
 )
 from .reports import ReportRecord, render
 from .tolerances import TOLERANCES
@@ -232,7 +231,8 @@ def cmd_steady(args) -> ReportRecord:
                         rows=[row])
 
 
-def _mixture_record(args, kind: str) -> ReportRecord:
+def cmd_mixture(args) -> ReportRecord:
+    kind = args.kind
     name = kind.replace("-", "_")
     if getattr(args, "finite_dim", None) is not None:
         dim = args.finite_dim
@@ -261,21 +261,12 @@ def _mixture_record(args, kind: str) -> ReportRecord:
                                    b_zero)])
     if args.J is None:
         args.parser.error(f"{name}: need --J (or --threshold / --slope)")
-    bell = werner_bell if kind == "werner-thermal" else phase_diffused_bell
-    B, correlations = bell(spec, args.J)
+    B, correlations = mixture_correlations(spec, args.J)
     meta = _meta(kind, mode="bell", p=args.p, r=args.r, J=args.J)
     return ReportRecord(meta=meta,
                         columns=("p", "r", "J", "B",
                                  "pi1", "pi2", "pi3", "pi4"),
                         rows=[(args.p, args.r, args.J, B) + correlations])
-
-
-def cmd_werner(args) -> ReportRecord:
-    return _mixture_record(args, "werner-thermal")
-
-
-def cmd_phase_diffused(args) -> ReportRecord:
-    return _mixture_record(args, "phase-diffused")
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reservoir photon number")
     p.set_defaults(handler=cmd_steady, parser=p)
 
-    for name, handler in (("werner", cmd_werner),
-                          ("phase-diffused", cmd_phase_diffused)):
+    for name, kind in (("werner", "werner-thermal"),
+                       ("phase-diffused", "phase-diffused")):
         p = sub.add_parser(
             name, parents=[common],
             help=f"Bell analysis of the {name} mixture family")
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--slope", action="store_true",
                            help="report the small-J slope of B instead")
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(handler=cmd_mixture, parser=p, kind=kind)
 
     return parser
 

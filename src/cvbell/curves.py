@@ -23,7 +23,7 @@ import math
 
 from ._record import frozen_record
 from .modes import (
-    MIXTURE_KINDS,
+    _mixture_kind,
     _pure_curve,
     _reference_curve,
     _require_squeezing,
@@ -37,7 +37,6 @@ __all__ = [
     "component_bell_values",
     "mixed_values",
     "pure_bell_values",
-    "threshold_inputs",
     "threshold_search",
     "violation_threshold",
 ]
@@ -117,17 +116,6 @@ class ThresholdReport:
     best_b_at_unit_weight: float
 
 
-def threshold_inputs(r: float, kind: str) -> float:
-    """r of a threshold search as a float.
-
-    ``ValueError`` on an unknown kind or a bad r (see
-    :class:`cvbell.modes.MixtureSpec`).
-    """
-    if kind not in MIXTURE_KINDS:
-        raise ValueError(f"unknown mixture kind {kind!r}")
-    return _require_squeezing(r)
-
-
 def threshold_search(kind: str, r: float, best_b,
                      min_r: float) -> ThresholdReport:
     """The weight that bisection of [0, 1] on ``best_b(p) > 2`` reports.
@@ -183,8 +171,8 @@ def violation_threshold(r: float,
     library's ``p_star`` for r in [0, 9] and at points up to r = 354,
     and the best B at p = 1 within 4 ulp of it.
     """
-    r = threshold_inputs(r, kind)
-    budgets = _geomspace(BUDGET_LOW[kind], 1.0, BUDGET_COUNT)
+    budgets = _geomspace(BUDGET_LOW[_mixture_kind(kind)], 1.0, BUDGET_COUNT)
+    r = _require_squeezing(r)
     pure = pure_bell_values(budgets, r)
     reference = component_bell_values(budgets, r, kind)
     min_r = min([1.0] + [(2.0 - b) / (a - b)

@@ -13,10 +13,9 @@ Two one-parameter families interpolate between the pure squeezed state
 Both mixtures are convex, so every Bell combination is affine in p.
 The densities here feed the four-point assembly, which the tests use,
 beside a brute-force phase average of the pure density, as the oracle
-of the closed forms.  Single Bell values come from the
-numpy-free core (:func:`cvbell.modes.werner_bell`,
-:func:`cvbell.modes.phase_diffused_bell`), where ``MixtureSpec`` and
-the finite-dimensional threshold live too; each cross-checks the affine
+of the closed forms.  Single Bell values come from the numpy-free core
+(:func:`cvbell.modes.mixture_correlations`), where ``MixtureSpec`` and
+the finite-dimensional threshold live too; it cross-checks the affine
 identity against the closed component curves, which this module
 evaluates on budget arrays.  The same affinity gives the violation
 threshold on the fixed budget grid in one vector pass: the mixture
@@ -32,31 +31,19 @@ from typing import Callable
 import numpy as np
 
 from .bell import BellEvaluation, BellSettings
-from .curves import (  # ThresholdReport is re-exported
-    BUDGET_COUNT,
-    BUDGET_LOW,
-    ThresholdReport,
-    threshold_inputs,
-    threshold_search,
-)
-from .modes import (
-    MIXTURE_KINDS,
+from .curves import BUDGET_COUNT, BUDGET_LOW, ThresholdReport, threshold_search
+from .modes import (  # the benchmark resolves cvbell.mixtures.MixtureSpec
     MixtureSpec,
+    _mixture_kind,
     _pure_curve,
     _reference_curve,
-    _require_kind,
     _require_squeezing,
-    finite_dim_werner_threshold,
-    phase_diffused_bell,
-    werner_bell,
+    mixture_correlations,
 )
 from .numerics import bessel_i0_log
 from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
 
 __all__ = [
-    "MIXTURE_KINDS",
-    "MixtureSpec",
-    "ThresholdReport",
     "thermal_marginal",
     "werner_wigner",
     "phase_averaged_wigner",
@@ -67,7 +54,6 @@ __all__ = [
     "mixture_bell_curve",
     "mixture_bell",
     "werner_violation_threshold",
-    "finite_dim_werner_threshold",
 ]
 
 def thermal_marginal(alpha, r: float):
@@ -84,7 +70,8 @@ def thermal_marginal(alpha, r: float):
 
 def werner_wigner(point: TwoModePoint, spec: MixtureSpec):
     """Density of p (squeezed state) + (1 - p) (product of marginals)."""
-    _require_kind(spec, "werner-thermal")
+    if spec.kind != "werner-thermal":
+        raise ValueError(f"expected a werner-thermal spec, got {spec.kind!r}")
     product = thermal_marginal(point.alpha1, spec.r) * thermal_marginal(
         point.alpha2, spec.r)
     return spec.p * wigner_pure_2mss(point, spec.r) + (1.0 - spec.p) * product
@@ -153,16 +140,14 @@ def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
     """Four-point Bell combination of the mixture at budget J.
 
     The correlations come from the numpy-free core,
-    :func:`cvbell.modes.werner_bell` or
-    :func:`cvbell.modes.phase_diffused_bell`, which mix those of the
-    two components and cross-check B against the affine combination of
+    :func:`cvbell.modes.mixture_correlations`, which mixes those of the
+    two components and cross-checks B against the affine combination of
     the closed component curves (``CrossCheckError`` beyond
     ``TOLERANCES.affine_mix_rel``).  The assembly from density
     evaluations, ``bell_combination(mixture_evaluator(spec), J)``, is
-    the tests' oracle for both.
+    the tests' oracle for it.
     """
-    bell = werner_bell if spec.kind == "werner-thermal" else phase_diffused_bell
-    B, correlations = bell(spec, J)
+    B, correlations = mixture_correlations(spec, J)
     return BellEvaluation(B=B, correlations=correlations,
                           settings=BellSettings(J=J))
 
@@ -202,8 +187,8 @@ def werner_violation_threshold(r: float,
     ValueError
         On an unknown kind or a bad r.
     """
-    r = threshold_inputs(r, kind)
-    J_grid = _DEFAULT_BUDGETS[kind]
+    J_grid = _DEFAULT_BUDGETS[_mixture_kind(kind)]
+    r = _require_squeezing(r)
     b_pure = pure_bell_curve(J_grid, r)
     b_ref = component_bell_curve(J_grid, r, kind)
     gain = b_pure - b_ref

@@ -24,11 +24,12 @@ of (s1, s2):
   (PRL 82, 2009, 1999);
 * the small-J slope 4 p sinh 2r of the mixtures.
 
-The mixtures' single Bell values come from the same place: the
-Werner-type mixture has two Gaussian components, and the phase-diffused
-reference state has the correlations [1, e^{-2cJ}, e^{-2cJ},
-I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), with log I0 as a Horner
-polynomial on one float (:func:`log_i0`).
+The mixtures' single Bell values come from the same place, one
+function of the mixture and the budget (:func:`mixture_correlations`):
+the Werner-type mixture has two Gaussian components, and the
+phase-diffused reference state has the correlations [1, e^{-2cJ},
+e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), with log I0 as
+a Horner polynomial on one float (:func:`log_i0`).
 
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
 evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
@@ -61,10 +62,9 @@ __all__ = [
     "finite_dim_werner_threshold",
     "log_i0",
     "maximize_over_j",
+    "mixture_correlations",
     "mixture_slope",
-    "phase_diffused_bell",
     "steady_limit",
-    "werner_bell",
 ]
 
 MIXTURE_KINDS = ("werner-thermal", "phase-diffused")
@@ -323,7 +323,7 @@ class NormalModes:
 
     def correlations(self, J: float) -> tuple:
         """The four displaced-parity correlations at budget J >= 0."""
-        J = _require_budget(J)
+        J = _require_nonnegative("J", J)
         h = self.h
         side = math.exp(-J * (1.0 / self.s1 + 1.0 / self.s2)) / h
         return 1.0 / h, side, side, math.exp(-4.0 * J / self.s1) / h
@@ -359,13 +359,6 @@ class NormalModes:
         J = s1 * math.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
         J = min(max(J, lo), hi)
         return J, self.bell(J)[0]
-
-
-def _require_budget(J) -> float:
-    j = float(J)
-    if not math.isfinite(j) or j < 0:
-        raise ValueError(f"J must be a nonnegative real, got {J!r}")
-    return j
 
 
 def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
@@ -427,14 +420,8 @@ def _maximize_inputs(free, fixed, bounds) -> tuple:
     overlap = [n for n in free if n in fixed]
     if overlap:
         raise ValueError(f"parameters both free and fixed: {overlap}")
-    fixed_values = {}
-    for name in PARAM_ORDER:
-        if name in fixed:
-            value = float(fixed[name])
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"fixed {name} must be a finite nonnegative "
-                                 f"real, got {fixed[name]!r}")
-            fixed_values[name] = value
+    fixed_values = {name: _require_nonnegative(f"fixed {name}", fixed[name])
+                    for name in PARAM_ORDER if name in fixed}
     merged = dict(DEFAULT_BOUNDS)
     if bounds:
         merged.update({k: (float(v[0]), float(v[1])) for k, v in bounds.items()})
@@ -482,6 +469,14 @@ def _require_squeezing(r) -> float:
     return value
 
 
+def _mixture_kind(kind: str) -> str:
+    """``kind`` itself, or ``ValueError`` if it names no mixture family."""
+    if kind not in MIXTURE_KINDS:
+        raise ValueError(f"unknown mixture kind {kind!r}; "
+                         f"expected one of {MIXTURE_KINDS}")
+    return kind
+
+
 @frozen_record
 class MixtureSpec:
     """Weight p of the squeezed component, squeezing r, mixture kind."""
@@ -495,9 +490,7 @@ class MixtureSpec:
         if not math.isfinite(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.p!r}")
         r = _require_squeezing(self.r)
-        if self.kind not in MIXTURE_KINDS:
-            raise ValueError(f"unknown mixture kind {self.kind!r}; "
-                             f"expected one of {MIXTURE_KINDS}")
+        _mixture_kind(self.kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
 
@@ -531,24 +524,42 @@ def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
     float range (r above ~177); the phase-diffused state gives
     1 + 2 e^{-2cJ} - I0(4sJ) e^{-4cJ}.
     """
-    if kind == "werner-thermal":
+    if _mixture_kind(kind) == "werner-thermal":
         return (1.0 + 2.0 * exp(-2.0 * J / c) - exp(-4.0 * J / c)) / _square(c)
-    if kind == "phase-diffused":
-        return (1.0 + 2.0 * exp(-2.0 * c * J)
-                - exp(log_i0(4.0 * s * J) - 4.0 * c * J))
-    raise ValueError(f"unknown mixture kind {kind!r}")
+    return (1.0 + 2.0 * exp(-2.0 * c * J)
+            - exp(log_i0(4.0 * s * J) - 4.0 * c * J))
 
 
-def _mixed_bell(spec: MixtureSpec, J: float, c: float, s: float,
-                reference: tuple) -> tuple:
+def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
     """(B, correlations) of p (squeezed vacuum) + (1 - p) (reference).
+
+    The squeezed vacuum has variances (e^-2r, e^2r).  The reference
+    state of ``spec.kind`` is, for the Werner-type mixture, the product
+    of its thermal marginals, a Gaussian with cosh 2r twice; for the
+    phase-diffused mixture, the squeezed vacuum averaged over the phase
+    of one arm, whose density depends on the moduli only and whose
+    correlations at the four points of the test are
+    [1, e^{-2cJ}, e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r,
+    s = sinh 2r): the Bessel factor is 1 wherever one modulus is 0.
 
     The correlations of the two components at budget J are mixed with
     weights p and 1 - p, and B is cross-checked against the affine
     combination of the closed component curves; a gap beyond
-    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.
+    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.  The
+    check compares the squeezed component's correlations with its
+    closed curve; the phase-diffused reference correlations are the
+    terms of :func:`_reference_curve` itself, so only the tests check
+    them, against the four-point assembly of the mixture's density.
     """
+    J = _require_nonnegative("J", J)
     p, r = spec.p, spec.r
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    if spec.kind == "werner-thermal":
+        reference = NormalModes(c, c).correlations(J)
+    else:
+        side = math.exp(-2.0 * c * J)
+        reference = (1.0, side, side,
+                     math.exp(log_i0(4.0 * s * J) - 4.0 * c * J))
     pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
     corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, reference))
     B = corr[0] + corr[1] + corr[2] - corr[3]
@@ -559,46 +570,6 @@ def _mixed_bell(spec: MixtureSpec, J: float, c: float, s: float,
             f"assembled Bell value {B!r} disagrees with affine component "
             f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")
     return B, corr
-
-
-def _require_kind(spec: MixtureSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise ValueError(f"expected a {kind} spec, got {spec.kind!r}")
-
-
-def werner_bell(spec: MixtureSpec, J: float) -> tuple:
-    """(B, correlations) of the Werner-type mixture at budget J.
-
-    Both components are Gaussian: the squeezed vacuum has variances
-    (e^-2r, e^2r), and the product of its thermal marginals has cosh 2r
-    twice.  Mixed and cross-checked by :func:`_mixed_bell`.
-    """
-    _require_kind(spec, "werner-thermal")
-    J = _require_budget(J)
-    c, s = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
-    return _mixed_bell(spec, J, c, s, NormalModes(c, c).correlations(J))
-
-
-def phase_diffused_bell(spec: MixtureSpec, J: float) -> tuple:
-    """(B, correlations) of the phase-diffused mixture at budget J.
-
-    The reference state is the squeezed vacuum averaged over the phase
-    of one arm.  Its density depends on the moduli only, and at the four
-    points of the test its correlations are
-    [1, e^{-2cJ}, e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r):
-    the Bessel factor is 1 wherever one modulus is 0.  Mixed and
-    cross-checked by :func:`_mixed_bell`.  That check compares the
-    squeezed component's correlations with its closed curve; the
-    reference correlations are the terms of :func:`_reference_curve`
-    itself, so only the tests check them, against the four-point
-    assembly of the mixture's density (r <= 3).
-    """
-    _require_kind(spec, "phase-diffused")
-    J = _require_budget(J)
-    c, s = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
-    side = math.exp(-2.0 * c * J)
-    reference = (1.0, side, side, math.exp(log_i0(4.0 * s * J) - 4.0 * c * J))
-    return _mixed_bell(spec, J, c, s, reference)
 
 
 def mixture_slope(spec: MixtureSpec) -> tuple:

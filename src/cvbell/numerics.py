@@ -35,11 +35,9 @@ from .modes import (  # the log I0 tables and Horner rule are shared
     _LOG_2PI,
     _horner_tail,
 )
-from .tolerances import TOLERANCES, Tolerances
+from .tolerances import TOLERANCES
 
 __all__ = [
-    "TOLERANCES",
-    "Tolerances",
     "bessel_i0_log",
     "one_minus_exp_over",
     "sym4_eigenvalues",

@@ -30,13 +30,17 @@ import math
 import numpy as np
 
 from ._record import frozen_record
-from .modes import NormalModes, SqueezedStateParams, _require_squeezing
-from .numerics import TOLERANCES, _cross_pattern, sym4_eigenvalues
+from .modes import (  # the benchmark resolves phase_space.SqueezedStateParams
+    NormalModes,
+    SqueezedStateParams,
+    _require_squeezing,
+)
+from .numerics import _cross_pattern, sym4_eigenvalues
+from .tolerances import TOLERANCES
 
 __all__ = [
     "PARITY_SIGNATURE",
     "TwoModePoint",
-    "SqueezedStateParams",
     "CovarianceMatrix",
     "wigner_pure_2mss",
     "wigner_gaussian_eval",

@@ -20,7 +20,7 @@ import sys
 
 from ._record import frozen_record
 
-__all__ = ["ReportRecord", "to_csv", "to_json", "parse_csv", "render"]
+__all__ = ["ReportRecord", "to_csv", "to_json", "render"]
 
 FLOAT_FORMAT = "%.17g"
 
@@ -120,37 +120,3 @@ def render(record: ReportRecord, fmt: str) -> str:
         return to_json(record)
     raise ValueError(f"unknown output format {fmt!r}")
 
-
-def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_csv(text: str) -> ReportRecord:
-    """Parse CSV produced by :func:`to_csv` back into a record.
-
-    Cells come back as int, float or str; with the 17-digit float
-    format this is an exact inverse on the numeric payload.
-    """
-    meta: dict = {}
-    header: list[str] | None = None
-    rows = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = _parse_scalar(value)
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(tuple(_parse_scalar(c) for c in line.split(",")))
-    if header is None:
-        raise ValueError("no header line found")
-    return ReportRecord(meta=meta, columns=tuple(header), rows=tuple(rows))

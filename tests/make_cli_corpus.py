@@ -7,8 +7,10 @@ Every command of :func:`commands` runs in process through
 sha256 of its stdout and of its stderr, and the Python and numpy
 versions that made the hashes (libm and numpy rounding can move the
 last digit of a float).  ``tests/test_cli_corpus.py`` reruns every
-command against the file.  A change that moves output on purpose
-reruns this script and names each command whose hash moved, and why.
+command against the file.  The script prints the argv of every
+command whose exit code, stdout hash or stderr hash differs from the
+file it replaces (and of every command added or removed), so that a
+change that moves output on purpose can name each of them, and why.
 """
 
 import contextlib
@@ -121,8 +123,32 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def moved(old: list, new: list) -> list:
+    """One line per command whose exit code or hashes differ between the
+    entry lists ``old`` and ``new``, or that only one of them has."""
+    before = {tuple(e["argv"]): e for e in old}
+    after = {tuple(e["argv"]): e for e in new}
+    lines = []
+    for argv in list(before) + [a for a in after if a not in before]:
+        if argv not in after or argv not in before:
+            what = "removed" if argv not in after else "added"
+        else:
+            what = ", ".join(k for k in ("exit", "stdout", "stderr")
+                             if before[argv][k] != after[argv][k])
+        if what:
+            lines.append(f"{what}: {' '.join(argv)}")
+    return lines
+
+
 def main() -> None:
-    lines = [json.dumps(entry(argv)) for argv in commands()]
+    entries = [entry(argv) for argv in commands()]
+    old = []
+    if os.path.exists(CORPUS):
+        with open(CORPUS) as fh:
+            old = json.load(fh)["commands"]
+    for line in moved(old, entries):
+        print(line)
+    lines = [json.dumps(e) for e in entries]
     with open(CORPUS, "w") as fh:
         fh.write('{"versions": ' + json.dumps(versions())
                  + ',\n "commands": [\n  ' + ",\n  ".join(lines) + "\n]}\n")

@@ -6,7 +6,8 @@ straightforward form of a routine whose runtime version was
 restructured for speed:
 
 * the coefficient triple (c1, c2, h) written out in p1 = d + 2r and
-  p2 = d - 2r (:func:`coefficient_triple`),
+  p2 = d - 2r (:func:`coefficient_triple`), and the normal-mode
+  variances to 50 digits (:func:`variances_50`),
 * the drift and diffusion of the Fokker-Planck equation, the RK4
   Lyapunov integrator, the analytic propagator and the series matrix
   exponential, which give the second moments Sigma(t) without the
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from cvbell import ConvergenceError, NormalModes, TwoModePoint, wigner_pure_2mss
@@ -314,6 +316,21 @@ def coefficient_triple(r, d, nbar):
     c2 = -2.0 * (q2 - q1) + occ * (2.0 * d) * (e1 - e2)
     h = (q1 + occ * d * e1) * (q2 + occ * d * e2)
     return c1, c2, h
+
+
+def variances_50(r, d, nbar) -> tuple:
+    """(s1, s2) of the state at (r, d, nbar) as 50-digit mpmath numbers,
+
+        s_i = e^-p_i + (2 nbar + 1) d E(p_i),   p1 = d + 2r,  p2 = d - 2r,
+
+    with E(0) = 1.  Arithmetic on them keeps 50 digits only inside
+    ``mpmath.workdps(50)``.
+    """
+    with mpmath.workdps(50):
+        r, d, nbar = (mpmath.mpf(x) for x in (r, d, nbar))
+        occ = 2 * nbar + 1
+        return tuple(mpmath.exp(-p) + occ * d * (-mpmath.expm1(-p) / p if p else 1)
+                     for p in (d + 2 * r, d - 2 * r))
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,9 @@ from cvbell import (
     parity_correlation,
     small_j_slope,
 )
-from cvbell.bell import DEFAULT_BOUNDS, PARAM_ORDER, _coarse_best
+from cvbell.bell import _coarse_best
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import NormalModes
+from cvbell.modes import DEFAULT_BOUNDS, PARAM_ORDER, NormalModes
 
 # frozen values at the J=0.01, r=1.5 reference point
 B_ANCHOR = 2.187452904044629

@@ -24,6 +24,7 @@ from cvbell import (
     MixtureSpec,
     bell_combination,
     bell_surface,
+    component_bell_curve,
     mixture_bell,
     mixture_bell_curve,
     mixture_evaluator,
@@ -32,7 +33,7 @@ from cvbell import (
 from cvbell import cli
 from cvbell.curves import _geomspace, violation_threshold
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import log_i0, phase_diffused_bell
+from cvbell.modes import log_i0, mixture_correlations
 from cvbell.numerics import bessel_i0_log
 
 EPS = 2.0 ** -52
@@ -188,7 +189,7 @@ def test_phase_diffused_bell_is_the_density_assembly(r, p, J):
     # the density route rounds exponents of size ~ e^{2r} J, so its own
     # error grows with r; r <= 3 keeps it at the last bits
     spec = MixtureSpec(p=p, r=r, kind="phase-diffused")
-    B, correlations = phase_diffused_bell(spec, J)
+    B, correlations = mixture_correlations(spec, J)
     oracle = bell_combination(mixture_evaluator(spec), J)
     scale = sum(abs(c) for c in oracle.correlations)
     assert abs(B - oracle.B) <= 4e-15 * scale
@@ -208,13 +209,22 @@ def test_phase_diffused_bell_affine_check_catches_a_corrupted_correlation(
                         lambda self, J: tuple(1.000001 * c
                                               for c in real(self, J)))
     with pytest.raises(CrossCheckError, match="affine"):
-        phase_diffused_bell(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
-                            0.01)
+        mixture_correlations(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
+                             0.01)
 
 
 def test_mixture_bell_functions_check_their_kind():
-    with pytest.raises(ValueError, match="phase-diffused spec"):
-        phase_diffused_bell(MixtureSpec(p=0.5, r=1.5), 0.01)
+    # one function serves both kinds: the spec's kind, checked when the
+    # spec is made, picks the reference state, and the curves check theirs
+    with pytest.raises(ValueError, match="unknown mixture kind"):
+        MixtureSpec(p=0.5, r=1.5, kind="nope")
+    with pytest.raises(ValueError, match="unknown mixture kind"):
+        component_bell_curve(0.01, 1.5, "nope")
     with pytest.raises(ValueError, match="J must be"):
-        phase_diffused_bell(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
-                            -1.0)
+        mixture_correlations(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
+                             -1.0)
+    for kind in ("werner-thermal", "phase-diffused"):
+        spec = MixtureSpec(p=0.5, r=1.5, kind=kind)
+        B, correlations = mixture_correlations(spec, 0.01)
+        assert B == pytest.approx(float(mixture_bell_curve(spec, 0.01)),
+                                  rel=1e-14)

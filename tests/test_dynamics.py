@@ -24,6 +24,7 @@ from oracles import (
     matrix_exp4,
     propagate_covariance,
     propagate_green,
+    variances_50,
 )
 
 # frozen against a 200k-step scratch RK4 of the covariance ODE
@@ -230,9 +231,7 @@ def test_coefficient_h_matches_fifty_digits_at_large_squeezing():
     import mpmath
 
     r, d, nbar = 18.5, 1.05e-3, 6e-3
-    mpmath.mp.dps = 50
-    R, D, NB = (mpmath.mpf(x) for x in (r, d, nbar))
-    s1, s2 = (mpmath.exp(-p) + (2 * NB + 1) * D * (-mpmath.expm1(-p) / p)
-              for p in (D + 2 * R, D - 2 * R))
+    s1, s2 = variances_50(r, d, nbar)
     h = coefficient_arrays(r, d, nbar)[2]
-    assert abs(h - s1 * s2) <= 1e-14 * s1 * s2
+    with mpmath.workdps(50):
+        assert abs(h - s1 * s2) <= 1e-14 * s1 * s2

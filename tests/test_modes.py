@@ -23,16 +23,17 @@ from cvbell import (
     separability_map,
 )
 from cvbell.bell import maximize_bell
-from cvbell.cli import _linspace, main
+from cvbell.cli import main
+from cvbell.curves import _linspace
 from cvbell.dynamics import evolve_coefficients, variance_arrays
 from cvbell.modes import (
+    MIXTURE_KINDS,
     NormalModes,
+    mixture_correlations,
     mixture_slope,
-    phase_diffused_bell,
     steady_limit,
-    werner_bell,
 )
-from oracles import coefficient_triple
+from oracles import coefficient_triple, variances_50
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -86,12 +87,9 @@ def test_former_faults_match_the_reference(kind, params):
 
 
 def _exact_nm(r, d, nbar):
-    mpmath.mp.dps = 50
-    r, d, nbar = (mpmath.mpf(x) for x in (r, d, nbar))
-    occ = 2 * nbar + 1
-    s = [mpmath.exp(-p) + (occ * d * (-mpmath.expm1(-p) / p) if p else 0)
-         for p in (d + 2 * r, d - 2 * r)]
-    return (s[0] + s[1]) / 4 - mpmath.mpf(1) / 2, (s[0] - s[1]) / 4
+    s1, s2 = variances_50(r, d, nbar)
+    with mpmath.workdps(50):
+        return (s1 + s2) / 4 - mpmath.mpf(1) / 2, (s1 - s2) / 4
 
 
 @pytest.mark.parametrize("d", [0.0, 0.1, 1.0])
@@ -103,8 +101,9 @@ def test_n_and_m_match_fifty_digits(d):
                    if not l.startswith("#"))
     vals = dict(zip(header, row))
     n_exact, m_exact = _exact_nm(2.7, d, 1.0)
-    assert abs(float(vals["N"]) - n_exact) <= 1e-15 * abs(n_exact)
-    assert abs(float(vals["M"]) - m_exact) <= 1e-15 * abs(m_exact)
+    with mpmath.workdps(50):
+        assert abs(float(vals["N"]) - n_exact) <= 1e-15 * abs(n_exact)
+        assert abs(float(vals["M"]) - m_exact) <= 1e-15 * abs(m_exact)
 
 
 # ----------------------------------------------------------------------
@@ -175,23 +174,20 @@ def test_every_runtime_route_is_the_normal_mode_core(state, free, J):
 def test_core_is_accurate_to_fifty_digits(state):
     r, d, nbar = state
     modes = NormalModes.of(SqueezedStateParams(r, d, nbar))
-    mpmath.mp.dps = 50
-    R, D, NB = (mpmath.mpf(x) for x in state)
-    occ = 2 * NB + 1
-    s1, s2 = (mpmath.exp(-p) + (occ * D * (-mpmath.expm1(-p) / p) if p else 0)
-              for p in (D + 2 * R, D - 2 * R))
+    s1, s2 = variances_50(r, d, nbar)
     # every output is a sum of positive terms of size 1 + s1 + s2 (or a
     # product of two of them), rounded a few times; e^-p and E(p) carry
     # the rounding of p = d +- 2r multiplied by |p| <= d + 2r
     tol = 8 * EPS * (1 + d + 2 * r)
-    scale = 1 + s1 + s2
-    for got, want in ((modes.c1, 2 * (s1 + s2)), (modes.c2, 2 * (s1 - s2)),
-                      (modes.N, (s1 + s2) / 4 - mpmath.mpf(1) / 2),
-                      (modes.M, (s1 - s2) / 4)):
-        assert abs(got - want) <= tol * scale
-    assert abs(modes.h - s1 * s2) <= tol * s1 * s2
-    small = 1 + min(s1, s2)
-    assert abs(modes.margin - (min(s1, s2) - 1) / 2) <= tol * small
+    with mpmath.workdps(50):
+        scale = 1 + s1 + s2
+        for got, want in ((modes.c1, 2 * (s1 + s2)), (modes.c2, 2 * (s1 - s2)),
+                          (modes.N, (s1 + s2) / 4 - mpmath.mpf(1) / 2),
+                          (modes.M, (s1 - s2) / 4)):
+            assert abs(got - want) <= tol * scale
+        assert abs(modes.h - s1 * s2) <= tol * s1 * s2
+        small = 1 + min(s1, s2)
+        assert abs(modes.margin - (min(s1, s2) - 1) / 2) <= tol * small
 
 
 # ----------------------------------------------------------------------
@@ -230,23 +226,18 @@ def test_separable_states_do_not_violate(d, nbar, fraction):
     assert modes.bell_optimum(0.0, 1e6)[1] <= 2.0 + 4.0 * EPS
 
 
-MIXTURE_BELL = {"werner-thermal": werner_bell,
-                "phase-diffused": phase_diffused_bell}
-
-
 def mixtures(r_max):
     return st.builds(MixtureSpec, p=st.floats(0.0, 1.0),
                      r=st.floats(0.0, r_max),
-                     kind=st.sampled_from(list(MIXTURE_BELL)))
+                     kind=st.sampled_from(MIXTURE_KINDS))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(mixtures(350.0), st.floats(1e-8, 1.0))
 def test_mixture_bell_is_affine_in_p(spec, J):
-    bell = MIXTURE_BELL[spec.kind]
-    b1 = bell(MixtureSpec(1.0, spec.r, spec.kind), J)[0]
-    b0 = bell(MixtureSpec(0.0, spec.r, spec.kind), J)[0]
-    B = bell(spec, J)[0]
+    b1 = mixture_correlations(MixtureSpec(1.0, spec.r, spec.kind), J)[0]
+    b0 = mixture_correlations(MixtureSpec(0.0, spec.r, spec.kind), J)[0]
+    B = mixture_correlations(spec, J)[0]
     scale = abs(b1) + abs(b0)
     assert abs(B - (spec.p * b1 + (1.0 - spec.p) * b0)) <= 4.0 * EPS * scale
 
@@ -255,12 +246,12 @@ def test_mixture_bell_is_affine_in_p(spec, J):
 @given(mixtures(10.0))
 def test_mixture_slope_is_the_small_budget_difference_quotient(spec):
     # the scale 4 cosh 2r is the one the benchmark checks the slope on
-    bell = MIXTURE_BELL[spec.kind]
     cosh = math.cosh(2.0 * spec.r)
     J = 1e-8 / cosh
-    quotient = (bell(spec, J)[0] - bell(spec, 0.0)[0]) / J
+    at_zero = mixture_correlations(spec, 0.0)[0]
+    quotient = (mixture_correlations(spec, J)[0] - at_zero) / J
     slope, b_zero = mixture_slope(spec)
-    assert b_zero == pytest.approx(bell(spec, 0.0)[0], rel=4.0 * EPS)
+    assert b_zero == pytest.approx(at_zero, rel=4.0 * EPS)
     assert abs(slope - quotient) <= 1e-6 * 4.0 * cosh
 
 
@@ -274,17 +265,15 @@ def test_pure_exactly_when_h_is_one(state):
     # d = 0 keeps the squeezed vacuum pure, r = nbar = 0 the vacuum; draws
     # whose exact (h - 1)/h lies within a factor 10 of the tolerance 1e-10
     # are left out, since rounding may put them on either side
-    mpmath.mp.dps = 50
-    R, D, NB = (mpmath.mpf(x) for x in state)
-    occ = 2 * NB + 1
-    s1, s2 = (mpmath.exp(-p) + (occ * D * (-mpmath.expm1(-p) / p) if p else 0)
-              for p in (D + 2 * R, D - 2 * R))
-    h = s1 * s2
-    excess = (h - 1) / h
+    s1, s2 = variances_50(*state)
+    with mpmath.workdps(50):
+        h = s1 * s2
+        excess = (h - 1) / h
+        exactly_pure = h - 1 < 1e-10 * h
     assume(not 1e-11 < excess < 1e-9)
     params = SqueezedStateParams(*state)
     pure = NormalModes.of(params).pure
-    assert pure == (h - 1 < 1e-10 * h)
+    assert pure == exactly_pure
     assert is_pure(evolve_coefficients(params)).pure == pure
 
 
@@ -313,7 +302,7 @@ def test_werner_bell_matches_the_density_assembly():
     for p, r, J in ((0.95, 1.5, 0.01), (0.3, 0.2, 0.5), (1.0, 3.0, 1e-4),
                     (0.0, 2.0, 0.02)):
         spec = MixtureSpec(p=p, r=r, kind="werner-thermal")
-        B, correlations = werner_bell(spec, J)
+        B, correlations = mixture_correlations(spec, J)
         assembled = bell_combination(mixture_evaluator(spec), J)
         assert B == pytest.approx(assembled.B, rel=1e-12)
         np.testing.assert_allclose(correlations, assembled.correlations,
@@ -326,7 +315,7 @@ def test_werner_bell_affine_check_catches_a_corrupted_correlation(monkeypatch):
                         lambda self, J: tuple(1.000001 * c
                                               for c in real(self, J)))
     with pytest.raises(CrossCheckError, match="affine"):
-        werner_bell(MixtureSpec(p=0.5, r=1.5), 0.01)
+        mixture_correlations(MixtureSpec(p=0.5, r=1.5), 0.01)
 
 
 def test_route_check_catches_a_corrupted_variance(monkeypatch):
@@ -373,7 +362,7 @@ def test_overflow_is_a_value_error():
 def test_werner_below_overflow_gives_finite_values():
     # cosh(2r)^2 overflows from r ~ 177; the product state's correlations
     # are then 0, not a traceback
-    B, correlations = werner_bell(MixtureSpec(p=0.5, r=200.0), 0.01)
+    B, correlations = mixture_correlations(MixtureSpec(p=0.5, r=200.0), 0.01)
     assert all(math.isfinite(c) for c in correlations)
     assert B == pytest.approx(0.5, rel=1e-15)
 

@@ -119,7 +119,7 @@ def test_import_cvbell_loads_no_numpy():
         "from cvbell import (TOLERANCES, ConvergenceError, CrossCheckError,\n"
         "    MaximizeResult, MixtureSpec, NormalModes, ReportRecord,\n"
         "    SqueezedStateParams, Tolerances, finite_dim_werner_threshold,\n"
-        "    maximize_over_j, mixture_slope, render)\n"
+        "    maximize_over_j, mixture_slope, render, separability_closed_pair)\n"
         "assert NormalModes is cvbell.modes.NormalModes\n"
         + lean_check())
     assert proc.returncode == 0, proc.stderr
@@ -170,10 +170,10 @@ def test_curves_and_mixture_values_load_no_numpy():
         "import sys\n"
         "from cvbell import ThresholdReport\n"
         "from cvbell.curves import violation_threshold\n"
-        "from cvbell.modes import MixtureSpec, log_i0, phase_diffused_bell\n"
+        "from cvbell.modes import MixtureSpec, log_i0, mixture_correlations\n"
         "report = violation_threshold(1.5, kind='phase-diffused')\n"
         "assert isinstance(report, ThresholdReport)\n"
-        "phase_diffused_bell(MixtureSpec(0.5, 1.5, 'phase-diffused'), 0.01)\n"
+        "mixture_correlations(MixtureSpec(0.5, 1.5, 'phase-diffused'), 0.01)\n"
         "assert log_i0(20.0) > 0\n"
         + lean_check())
     assert proc.returncode == 0, proc.stderr

@@ -105,11 +105,11 @@ def test_bessel_i0_log_against_mpmath():
     x = np.concatenate([np.geomspace(1e-8, 1e6, 400),
                         np.linspace(switch - 0.5, switch + 0.5, 41)])
     got = bessel_i0_log(x)
-    mpmath.mp.dps = 50
     worst = 0.0
-    for xi, gi in zip(x.tolist(), got.tolist()):
-        want = mpmath.log(mpmath.besseli(0, mpmath.mpf(xi)))
-        worst = max(worst, float(abs(gi - want) / want))
+    with mpmath.workdps(50):
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            want = mpmath.log(mpmath.besseli(0, mpmath.mpf(xi)))
+            worst = max(worst, float(abs(gi - want) / want))
     assert worst <= 1e-14
 
 
@@ -138,7 +138,6 @@ def test_exp_quotient_near_zero_is_within_an_ulp_of_fifty_digits():
     # one form, -expm1(-p)/p, on floats and arrays: no series branch near
     # 0, subnormals included.  E(p) lies within 1e-3 of 1 here, so the
     # ulp is that of 1, 2^-52 (below 1 the spacing of doubles halves)
-    mpmath.mp.dps = 50
     rng = np.random.default_rng(11)
     mags = np.concatenate([rng.uniform(0.0, 1e-3, 1500),
                            10.0 ** rng.uniform(-323.0, -3.0, 1500)])
@@ -150,11 +149,12 @@ def test_exp_quotient_near_zero_is_within_an_ulp_of_fifty_digits():
          -2.2250738585072014e-308, 1e-310, -1e-310],
     ])
     whole = one_minus_exp_over(p)
-    for x, arr in zip(p.tolist(), whole.tolist()):
-        X = mpmath.mpf(x)
-        want = -mpmath.expm1(-X) / X
-        for got in (arr, exp_quotient(x)):
-            assert abs(mpmath.mpf(got) - want) <= math.ulp(1.0), x
+    with mpmath.workdps(50):
+        for x, arr in zip(p.tolist(), whole.tolist()):
+            X = mpmath.mpf(x)
+            want = -mpmath.expm1(-X) / X
+            for got in (arr, exp_quotient(x)):
+                assert abs(mpmath.mpf(got) - want) <= math.ulp(1.0), x
     for zero in (0.0, -0.0):
         assert exp_quotient(zero) == 1.0
         assert one_minus_exp_over(zero) == 1.0

@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from cvbell import SqueezedStateParams, maximize_bell
 from cvbell import bell as bell_module
-from cvbell.bell import (
-    DEFAULT_BOUNDS,
-    PARAM_ORDER,
-    _bell_of_variances,
-    _bell_optimum,
-)
+from cvbell.bell import _bell_of_variances, _bell_optimum
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import NormalModes, maximize_over_j
+from cvbell.modes import DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, maximize_over_j
 
 from oracles import max_bell_dense
 
