@@ -40,7 +40,7 @@ from .modes import (  # the benchmark resolves cvbell.mixtures.MixtureSpec
     _require_squeezing,
     mixture_correlations,
 )
-from .numerics import bessel_i0_log
+from .numerics import _i0e_array
 from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
 
 __all__ = [
@@ -81,16 +81,19 @@ def phase_averaged_wigner(point: TwoModePoint, r: float):
     """Density of the squeezed state after uniform phase diffusion.
 
     Depends only on the moduli: the cos of the summed phases averages
-    into a Bessel I0.  Evaluated in log space so that huge Bessel
-    arguments and tiny envelopes cancel instead of overflowing.
+    into a Bessel I0, so the density is
+    (4/pi^2) e^{-2c(|a1|^2 + |a2|^2)} I0(4s|a1||a2|) (c = cosh 2r,
+    s = sinh 2r).  With c - s = e^{-2r} that is
+    e^{-2c(|a1| - |a2|)^2 - 4 e^{-2r}|a1||a2|} times (4/pi^2) and the
+    scaled e^-x I0(x) at x = 4s|a1||a2|: no exponent is formed as the
+    difference of two large ones, and nothing overflows.
     """
     r = _require_squeezing(r)
     a1 = np.abs(np.asarray(point.alpha1))
     a2 = np.abs(np.asarray(point.alpha2))
-    log_w = (LOG_PREFACTOR
-             - 2.0 * math.cosh(2.0 * r) * (a1 ** 2 + a2 ** 2)
-             + bessel_i0_log(4.0 * math.sinh(2.0 * r) * a1 * a2))
-    out = np.exp(log_w)
+    exponent = (LOG_PREFACTOR - 2.0 * math.cosh(2.0 * r) * (a1 - a2) ** 2
+                - 4.0 * math.exp(-2.0 * r) * a1 * a2)
+    out = np.exp(exponent) * _i0e_array(4.0 * math.sinh(2.0 * r) * a1 * a2)
     return out if out.ndim else float(out)
 
 
@@ -112,9 +115,13 @@ def mixture_evaluator(spec: MixtureSpec) -> Callable[[TwoModePoint], float]:
 # ----------------------------------------------------------------------
 
 def pure_bell_curve(J, r: float):
-    """B(J) of the pure squeezed state (closed form)."""
+    """B(J) of the pure squeezed state (closed form).
+
+    An exponent that overflows at a huge budget gives its limit, 0.
+    """
     J = np.asarray(J, dtype=float)
-    out = _pure_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), np.exp)
+    with np.errstate(over="ignore"):
+        out = _pure_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), np.exp)
     return out if out.ndim else float(out)
 
 
@@ -122,11 +129,13 @@ def component_bell_curve(J, r: float, kind: str):
     """B(J) of the p = 0 reference state of the given kind.
 
     Where cosh^2 2r leaves the float range (r above ~177) the product
-    state's curve is 0.
+    state's curve is 0, and an exponent that overflows at a huge budget
+    gives its limit, 0.
     """
     J = np.asarray(J, dtype=float)
-    out = _reference_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), kind,
-                           np.exp, bessel_i0_log)
+    with np.errstate(over="ignore"):
+        out = _reference_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r),
+                               kind, np.exp, _i0e_array)
     return out if out.ndim else float(out)
 
 
@@ -189,8 +198,9 @@ def werner_violation_threshold(r: float,
     """
     J_grid = _DEFAULT_BUDGETS[_mixture_kind(kind)]
     r = _require_squeezing(r)
-    b_pure = pure_bell_curve(J_grid, r)
-    b_ref = component_bell_curve(J_grid, r, kind)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    b_pure = _pure_curve(J_grid, c, s, np.exp)
+    b_ref = _reference_curve(J_grid, c, s, kind, np.exp, _i0e_array)
     gain = b_pure - b_ref
     up = gain > 0.0
     min_r = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))

@@ -28,8 +28,9 @@ The mixtures' single Bell values come from the same place, one
 function of the mixture and the budget (:func:`mixture_correlations`):
 the Werner-type mixture has two Gaussian components, and the
 phase-diffused reference state has the correlations [1, e^{-2cJ},
-e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), with log I0 as
-a Horner polynomial on one float (:func:`log_i0`).
+e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), the last one
+through the scaled Bessel function e^-x I0(x) as a Horner polynomial
+on one float (:func:`_i0e`).
 
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
 evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
@@ -60,7 +61,6 @@ __all__ = [
     "separability_closed_pair",
     "exp_quotient",
     "finite_dim_werner_threshold",
-    "log_i0",
     "maximize_over_j",
     "mixture_correlations",
     "mixture_slope",
@@ -122,7 +122,7 @@ def exp_quotient(p: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# log of the modified Bessel function I0, for the phase-diffused state
+# the modified Bessel function I0, for the phase-diffused state
 # ----------------------------------------------------------------------
 
 #: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4; at x = 15 the
@@ -132,7 +132,7 @@ _I0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(41))
 
 #: asymptotic coefficients a_k = a_{k-1} (2k-1)^2 / (8k) of
 #: I0(x) sqrt(2 pi x) e^{-x} in 1/x (DLMF 10.40.1); at the x = 15 switch
-#: point the first omitted term is 6e-15, under 1e-15 of log I0 there
+#: point the first omitted term is 6e-15 relative
 _I0_ASYMPTOTIC = tuple(
     math.prod((2 * j - 1) ** 2 for j in range(1, k + 1))
     / (8 ** k * math.factorial(k)) for k in range(25))
@@ -151,24 +151,25 @@ def _horner_tail(t, coeffs: tuple):
     return acc
 
 
-#: log(2 pi), added to log x apart so that 2 pi x never overflows
-_LOG_2PI = math.log(2.0 * math.pi)
+#: 1/sqrt(2 pi), so that the scaled I0 never forms 2 pi x, which
+#: overflows past x ~ 2.9e307
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def log_i0(x: float) -> float:
-    """log I0(x) of a float x >= 0, finite for every finite x.
+def _i0e(x: float) -> float:
+    """e^-x I0(x) of a float x >= 0, with the limit 0 at x = inf.
 
-    :func:`cvbell.numerics.bessel_i0_log` on one float: below
-    ``TOLERANCES.bessel_switch`` the power series, above it
-    x - (log 2 pi + log x)/2 plus the log of the asymptotic series, each
-    with its constant term 1 added back through ``log1p``.
+    Below ``TOLERANCES.bessel_switch`` e^-x times the power series,
+    above it the asymptotic series over sqrt(2 pi x), both as Horner
+    polynomials.  No factor e^x is ever formed, so a caller can take
+    e^-x I0(x) e^-y for any y > 0 without the cancellation of
+    x - (x + y).  :func:`cvbell.numerics._i0e_array` is its form on
+    arrays.
     """
-    if x < 0.0:
-        raise ValueError("log_i0 requires a nonnegative argument")
     if x < TOLERANCES.bessel_switch:
-        return math.log1p(_horner_tail(x * x / 4.0, _I0_SERIES))
-    return (x - 0.5 * (_LOG_2PI + math.log(x))
-            + math.log1p(_horner_tail(1.0 / x, _I0_ASYMPTOTIC)))
+        return math.exp(-x) * (1.0 + _horner_tail(x * x / 4.0, _I0_SERIES))
+    tail = _horner_tail(1.0 / x, _I0_ASYMPTOTIC)
+    return (1.0 + tail) * _INV_SQRT_2PI / math.sqrt(x)
 
 
 @frozen_record
@@ -514,10 +515,23 @@ def _pure_curve(J, c: float, s: float, exp=math.exp):
     return 1.0 + 2.0 * exp(-2.0 * c * J) - exp(-4.0 * (c + s) * J)
 
 
+def _bessel_correlation(J, c: float, s: float, exp=math.exp, i0e=_i0e):
+    """I0(4sJ) e^{-4cJ}, the fourth correlation of the phase-diffused
+    reference state, as :func:`_pure_curve` (numpy passes its ``exp``
+    and :func:`cvbell.numerics._i0e_array`).
+
+    Written as e^-x I0(x) at x = 4sJ times e^{-4(c - s)J}, with
+    c - s = e^{-2r} = 1/(c + s): each factor lies in [0, 1] and nothing
+    cancels.  The difference of exponents log I0(4sJ) - 4cJ would lose
+    every digit once sJ is large, and be NaN once 4sJ overflows.
+    """
+    return i0e(4.0 * s * J) * exp(-4.0 / (c + s) * J)
+
+
 def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
-                     log_i0=log_i0):
+                     i0e=_i0e):
     """B(J) of the p = 0 reference state of ``kind``, as
-    :func:`_pure_curve` (numpy passes its ``exp`` and ``bessel_i0_log``).
+    :func:`_bessel_correlation`.
 
     The product of the thermal marginals gives
     (1 + 2 e^{-2J/c} - e^{-4J/c}) / c^2, which is 0 where c^2 leaves the
@@ -527,7 +541,7 @@ def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
     if _mixture_kind(kind) == "werner-thermal":
         return (1.0 + 2.0 * exp(-2.0 * J / c) - exp(-4.0 * J / c)) / _square(c)
     return (1.0 + 2.0 * exp(-2.0 * c * J)
-            - exp(log_i0(4.0 * s * J) - 4.0 * c * J))
+            - _bessel_correlation(J, c, s, exp, i0e))
 
 
 def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
@@ -558,8 +572,7 @@ def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
         reference = NormalModes(c, c).correlations(J)
     else:
         side = math.exp(-2.0 * c * J)
-        reference = (1.0, side, side,
-                     math.exp(log_i0(4.0 * s * J) - 4.0 * c * J))
+        reference = (1.0, side, side, _bessel_correlation(J, c, s))
     pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
     corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, reference))
     B = corr[0] + corr[1] + corr[2] - corr[3]

@@ -9,9 +9,10 @@ serve the W -> V route of :mod:`cvbell.phase_space`.
 
 Contents
 --------
-* log I0(x) of the modified Bessel function (power series below x=15,
-  asymptotic expansion above; DLMF 10.25.2 and 10.40.1), as Horner
-  polynomials that stay finite for every finite x >= 0,
+* log I0(x) and the scaled e^-x I0(x) of the modified Bessel function
+  (power series below x=15, asymptotic expansion above; DLMF 10.25.2
+  and 10.40.1), as Horner polynomials that stay finite for every finite
+  x >= 0,
 * the quotient (1 - exp(-p))/p through expm1, with its removable
   singularity at p = 0 filled in,
 * eigenvalues of the model's 4x4 matrices, which all have the doubly
@@ -29,10 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .modes import (  # the log I0 tables and Horner rule are shared
+from .modes import (  # the I0 tables and Horner rule are shared
     _I0_ASYMPTOTIC,
     _I0_SERIES,
-    _LOG_2PI,
+    _INV_SQRT_2PI,
     _horner_tail,
 )
 from .tolerances import TOLERANCES
@@ -55,8 +56,12 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 
 
 # ----------------------------------------------------------------------
-# log of the modified Bessel function of the first kind, order zero
+# the modified Bessel function of the first kind, order zero
 # ----------------------------------------------------------------------
+
+#: log(2 pi), added to log x apart so that 2 pi x never overflows
+_LOG_2PI = math.log(2.0 * math.pi)
+
 
 def bessel_i0_log(x):
     """log I0(x), finite for every finite x >= 0.
@@ -66,8 +71,7 @@ def bessel_i0_log(x):
     series is a Horner polynomial whose constant term 1 is left out and
     added back through ``log1p``, so nothing overflows and log I0 ~ x^2/4
     keeps its relative accuracy down to tiny x.  The tables and the
-    Horner rule are those of :func:`cvbell.modes.log_i0`, its form on
-    one float.
+    Horner rule are those of :func:`cvbell.modes._i0e`.
     """
     a, scalar = _as_array(x)
     if np.any(a < 0.0):
@@ -81,6 +85,27 @@ def bessel_i0_log(x):
         xl = a[~small]
         out[~small] = (xl - 0.5 * (_LOG_2PI + np.log(xl))
                        + np.log1p(_horner_tail(1.0 / xl, _I0_ASYMPTOTIC)))
+    return _maybe_scalar(out, scalar)
+
+
+def _i0e_array(x):
+    """e^-x I0(x) of x >= 0 (a float or an array), 0 at x = inf.
+
+    :func:`cvbell.modes._i0e` elementwise: below
+    ``TOLERANCES.bessel_switch`` e^-x times the power series, above it
+    the asymptotic series over sqrt(2 pi x).
+    """
+    a, scalar = _as_array(x)
+    out = np.empty_like(a)
+    small = a < TOLERANCES.bessel_switch
+    if np.any(small):
+        xs = a[small]
+        out[small] = np.exp(-xs) * (1.0 + _horner_tail(xs * xs / 4.0,
+                                                       _I0_SERIES))
+    if not np.all(small):
+        xl = a[~small]
+        out[~small] = ((1.0 + _horner_tail(1.0 / xl, _I0_ASYMPTOTIC))
+                       * _INV_SQRT_2PI / np.sqrt(xl))
     return _maybe_scalar(out, scalar)
 
 

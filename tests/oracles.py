@@ -8,6 +8,8 @@ restructured for speed:
 * the coefficient triple (c1, c2, h) written out in p1 = d + 2r and
   p2 = d - 2r (:func:`coefficient_triple`), and the normal-mode
   variances to 50 digits (:func:`variances_50`),
+* the mixtures' Bell values and the scaled Bessel function e^-x I0(x)
+  to 60 digits (:func:`mixture_bell_60`, :func:`i0e_60`),
 * the drift and diffusion of the Fokker-Planck equation, the RK4
   Lyapunov integrator, the analytic propagator and the series matrix
   exponential, which give the second moments Sigma(t) without the
@@ -331,6 +333,58 @@ def variances_50(r, d, nbar) -> tuple:
         occ = 2 * nbar + 1
         return tuple(mpmath.exp(-p) + occ * d * (-mpmath.expm1(-p) / p if p else 1)
                      for p in (d + 2 * r, d - 2 * r))
+
+
+#: argument above which :func:`i0e_60` sums the asymptotic series, whose
+#: smallest term there, ~e^-2x, lies far below 60 digits
+I0E_ASYMPTOTIC_FROM = 200
+
+
+def i0e_60(x):
+    """e^-x I0(x) of x >= 0 as a 60-digit mpmath number.
+
+    ``mpmath.besseli`` up to :data:`I0E_ASYMPTOTIC_FROM`; above it, where
+    besseli grows slow and then overflows, the asymptotic series
+    sum_k a_k / x^k / sqrt(2 pi x), a_k = a_{k-1} (2k-1)^2 / (8k)
+    (DLMF 10.40.1), summed until a term falls below 1e-70.
+    """
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        if x <= I0E_ASYMPTOTIC_FROM:
+            return mpmath.besseli(0, x) * mpmath.exp(-x)
+        total = term = mpmath.mpf(1)
+        k = 0
+        while term > mpmath.mpf(10) ** -70:
+            k += 1
+            term *= mpmath.mpf(2 * k - 1) ** 2 / (8 * k * x)
+            total += term
+        return total / mpmath.sqrt(2 * mpmath.pi * x)
+
+
+def mixture_bell_60(p, r, J, kind) -> tuple:
+    """(B, correlations) of p (squeezed vacuum) + (1 - p) (reference of
+    ``kind``) at budget J, as 60-digit mpmath numbers.
+
+    With c = cosh 2r and s = sinh 2r the squeezed vacuum has the
+    correlations [1, e^{-2cJ}, e^{-2cJ}, e^{-4 e^{2r} J}], the product of
+    its thermal marginals [1, e^{-2J/c}, e^{-2J/c}, e^{-4J/c}] / c^2 and
+    the phase-diffused state [1, e^{-2cJ}, e^{-2cJ}, I0(4sJ) e^{-4cJ}],
+    the last one as :func:`i0e_60` at 4sJ times e^{-4 e^{-2r} J}.
+    """
+    with mpmath.workdps(60):
+        p, r, J = (mpmath.mpf(x) for x in (p, r, J))
+        c, s = mpmath.cosh(2 * r), mpmath.sinh(2 * r)
+        side = mpmath.exp(-2 * c * J)
+        pure = (1, side, side, mpmath.exp(-4 * mpmath.exp(2 * r) * J))
+        if kind == "werner-thermal":
+            thermal = mpmath.exp(-2 * J / c) / c ** 2
+            reference = (1 / c ** 2, thermal, thermal,
+                         mpmath.exp(-4 * J / c) / c ** 2)
+        else:
+            reference = (1, side, side,
+                         i0e_60(4 * s * J) * mpmath.exp(-4 * mpmath.exp(-2 * r) * J))
+        corr = tuple(p * a + (1 - p) * b for a, b in zip(pure, reference))
+        return corr[0] + corr[1] + corr[2] - corr[3], corr
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,9 @@ from cvbell import (
 from cvbell import cli
 from cvbell.curves import _geomspace, violation_threshold
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import log_i0, mixture_correlations
-from cvbell.numerics import bessel_i0_log
+from cvbell.modes import _i0e, mixture_correlations
+from cvbell.numerics import _i0e_array
+from oracles import i0e_60, mixture_bell_60
 
 EPS = 2.0 ** -52
 KINDS = ("werner-thermal", "phase-diffused")
@@ -83,29 +84,38 @@ def test_cli_threshold_rejects_what_the_library_rejects(args, match):
 
 
 # ----------------------------------------------------------------------
-# log I0 on one float
+# the scaled Bessel function e^-x I0(x) on one float
 # ----------------------------------------------------------------------
 
+#: relative accuracy of e^-x I0(x); the worst seen, 9.6e-14, is at the
+#: switch x = 15, where the asymptotic series is least accurate
+I0E_REL = 1.2e-13
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(x=st.floats(1e-8, 1e6))
-def test_log_i0_is_the_array_kernel(x):
-    want = float(bessel_i0_log(np.array([x]))[0])
-    assert abs(log_i0(x) - want) <= 4 * math.ulp(want)
+@given(x=st.floats(0.0, 1e308))
+def test_i0e_is_the_array_kernel(x):
+    want = float(_i0e_array(np.array([x]))[0])
+    assert abs(_i0e(x) - want) <= 4 * math.ulp(want)
+    assert _i0e_array(x) == want
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(x=st.floats(1e-8, 1e6))
-def test_log_i0_against_50_digits(x):
-    with mpmath.workdps(50):
-        want = float(mpmath.log(mpmath.besseli(0, mpmath.mpf(x))))
-    assert abs(log_i0(x) - want) <= 1e-14 * want
+@given(x=st.one_of(st.floats(0.0, 1e6), st.floats(14.0, 16.0),
+                   st.floats(0.0, 1e308)))
+def test_i0e_against_60_digits(x):
+    want = i0e_60(x)
+    with mpmath.workdps(60):
+        assert abs(_i0e(x) - want) <= I0E_REL * want
 
 
-def test_log_i0_domain():
-    assert log_i0(0.0) == 0.0
-    assert math.isfinite(log_i0(1e300))
-    with pytest.raises(ValueError, match="nonnegative"):
-        log_i0(-1e-3)
+def test_i0e_domain():
+    # 1 at 0, the limit 0 at infinity, and no overflow of 2 pi x between
+    assert _i0e(0.0) == 1.0
+    assert _i0e(math.inf) == 0.0
+    assert _i0e(1.7e308) == pytest.approx(1.0 / math.sqrt(2 * math.pi * 1e308)
+                                          / math.sqrt(1.7), rel=1e-15)
+    assert _i0e_array(np.array([0.0, math.inf])).tolist() == [1.0, 0.0]
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +221,72 @@ def test_phase_diffused_bell_affine_check_catches_a_corrupted_correlation(
     with pytest.raises(CrossCheckError, match="affine"):
         mixture_correlations(MixtureSpec(p=0.5, r=1.5, kind="phase-diffused"),
                              0.01)
+
+
+# the 60-digit oracle: each correlation is a sum of products of
+# exponentials e^-y whose arguments are rounded a few times, so its
+# absolute error is a few eps times y e^-y <= 1/e, plus the relative
+# error of e^-x I0(x) on the phase-diffused reference's fourth one; the
+# worst seen on 4000 random draws was 4 eps
+mixture_draws = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 350.0),
+                          st.floats(0.0, 1e308), st.sampled_from(KINDS))
+
+
+def _oracle_bound(want, kind):
+    bessel = float(want[3]) if kind == "phase-diffused" else 0.0
+    return 8 * EPS + I0E_REL * bessel
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mixture_draws)
+def test_mixture_correlations_against_60_digits(draw):
+    p, r, J, kind = draw
+    B, correlations = mixture_correlations(MixtureSpec(p, r, kind), J)
+    want_B, want = mixture_bell_60(p, r, J, kind)
+    bound = _oracle_bound(want, kind)
+    with mpmath.workdps(60):
+        assert abs(B - want_B) <= bound
+        for got, w in zip(correlations, want):
+            assert abs(got - w) <= bound
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mixture_draws)
+def test_mixture_bell_curve_against_60_digits(draw):
+    p, r, J, kind = draw
+    got = mixture_bell_curve(MixtureSpec(p, r, kind), np.array([0.0, J]))
+    for budget, value in zip((0.0, J), got.tolist()):
+        want_B, want = mixture_bell_60(p, r, budget, kind)
+        with mpmath.workdps(60):
+            assert abs(value - want_B) <= _oracle_bound(want, kind)
+
+
+def _cli_row(*argv):
+    record = cli.cmd_mixture(cli.build_parser().parse_args(list(argv)))
+    return dict(zip(record.columns, record.rows[0]))
+
+
+def test_phase_diffused_reference_at_a_large_budget_times_squeezing():
+    # e^{log I0(4sJ) - 4cJ} subtracted two exponents of 4.7e17, whose
+    # rounding noise was all that was left: B read 0.5 and pi4 0.5
+    row = _cli_row("phase-diffused", "--r", "20", "--p", "0.5", "--J", "1")
+    want_B, want = mixture_bell_60(0.5, 20.0, 1.0, "phase-diffused")
+    with mpmath.workdps(60):
+        assert abs(row["B"] - want_B) <= 4 * EPS
+        assert abs(row["pi4"] - want[3]) <= 4 * EPS
+    assert row["B"] == pytest.approx(0.99999999971, abs=1e-11)
+    curve = mixture_bell_curve(MixtureSpec(0.5, 20.0, "phase-diffused"), 1.0)
+    assert curve == pytest.approx(float(want_B), abs=4 * EPS)
+
+
+def test_phase_diffused_reference_where_4sJ_overflows():
+    # 4sJ = inf gave log I0(inf) - inf = NaN; every correlation but the
+    # first decays to 0, so B is 1
+    row = _cli_row("phase-diffused", "--r", "1", "--p", "0.5", "--J", "1e308")
+    assert (row["B"], row["pi1"], row["pi2"], row["pi3"], row["pi4"]) == (
+        1.0, 1.0, 0.0, 0.0, 0.0)
+    curve = mixture_bell_curve(MixtureSpec(0.5, 1.0, "phase-diffused"), 1e308)
+    assert curve == 1.0
 
 
 def test_mixture_bell_functions_check_their_kind():

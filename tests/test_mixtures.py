@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from cvbell.modes import mixture_slope
 
 from oracles import (
     SLOPE_REL,
+    i0e_60,
     phase_average_quadrature_oracle,
     threshold_bisection,
 )
@@ -91,6 +93,25 @@ def test_phase_average_frozen_point():
     assert float(closed) == pytest.approx(PHASE_AVG_POINT, rel=1e-13)
     oracle = phase_average_quadrature_oracle(0.4, 0.3, 1.5)
     assert abs(float(closed) - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("r, a1, a2", [(20.0, 1.0, 1.0), (100.0, 0.5, 0.5),
+                                       (1.5, 3.0, 2.5), (300.0, 1e-3, 2e-3)])
+def test_phase_average_at_large_squeezing(r, a1, a2):
+    # -2c(|a1|^2 + |a2|^2) + log I0(4s|a1||a2|) cancelled to rounding
+    # noise: at r = 20 and moduli 1 the density read 1.0, above its bound
+    # 4/pi^2, where the truth is 2.36e-10
+    got = phase_averaged_wigner(TwoModePoint(a1 + 0j, a2 + 0j), r)
+    with mpmath.workdps(60):
+        R, A1, A2 = (mpmath.mpf(x) for x in (r, a1, a2))
+        want = (4 / mpmath.pi ** 2
+                * mpmath.exp(-2 * mpmath.cosh(2 * R) * (A1 - A2) ** 2
+                             - 4 * mpmath.exp(-2 * R) * A1 * A2)
+                * i0e_60(4 * mpmath.sinh(2 * R) * A1 * A2))
+        # the exponent 2c(|a1| - |a2|)^2 carries the rounding of cosh 2r
+        scale = 1 + 2 * mpmath.cosh(2 * R) * (A1 - A2) ** 2
+        assert abs(got - want) <= 8 * 2.0 ** -52 * scale * want
+    assert got <= 4 / math.pi ** 2
 
 
 def test_phase_average_depends_on_moduli_only():
