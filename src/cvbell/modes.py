@@ -523,9 +523,11 @@ def _bessel_correlation(J, c: float, s: float, exp=math.exp, i0e=_i0e):
     Written as e^-x I0(x) at x = 4sJ times e^{-4(c - s)J}, with
     c - s = e^{-2r} = 1/(c + s): each factor lies in [0, 1] and nothing
     cancels.  The difference of exponents log I0(4sJ) - 4cJ would lose
-    every digit once sJ is large, and be NaN once 4sJ overflows.
+    every digit once sJ is large, and be NaN once 4sJ overflows.  4s
+    itself overflows for r above ~354.5, so x is 4 (sJ), which is 0 at
+    J = 0 rather than inf * 0.
     """
-    return i0e(4.0 * s * J) * exp(-4.0 / (c + s) * J)
+    return i0e(4.0 * (s * J)) * exp(-4.0 / (c + s) * J)
 
 
 def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,

@@ -289,6 +289,21 @@ def test_phase_diffused_reference_where_4sJ_overflows():
     assert curve == 1.0
 
 
+@pytest.mark.parametrize("J", [0.0, 1e-300, 1e-3, 1.0])
+def test_phase_diffused_reference_at_the_top_of_the_squeezing_range(J):
+    # 4s overflows from r ~ 354.5 on; the argument 4s * J was inf * 0 =
+    # NaN at J = 0, and B read nan
+    p, r = 0.5, 354.8
+    B, correlations = mixture_correlations(MixtureSpec(p, r, "phase-diffused"),
+                                           J)
+    want_B, want = mixture_bell_60(p, r, J, "phase-diffused")
+    bound = _oracle_bound(want, "phase-diffused")
+    with mpmath.workdps(60):
+        assert abs(B - want_B) <= bound
+        for got, w in zip(correlations, want):
+            assert abs(got - w) <= bound
+
+
 def test_mixture_bell_functions_check_their_kind():
     # one function serves both kinds: the spec's kind, checked when the
     # spec is made, picks the reference state, and the curves check theirs
