@@ -129,9 +129,11 @@ def moved(old: list, new: list) -> list:
     before = {tuple(e["argv"]): e for e in old}
     after = {tuple(e["argv"]): e for e in new}
     lines = []
-    for argv in list(before) + [a for a in after if a not in before]:
-        if argv not in after or argv not in before:
-            what = "removed" if argv not in after else "added"
+    for argv in {**before, **after}:
+        if argv not in after:
+            what = "removed"
+        elif argv not in before:
+            what = "added"
         else:
             what = ", ".join(k for k in ("exit", "stdout", "stderr")
                              if before[argv][k] != after[argv][k])
