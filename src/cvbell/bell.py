@@ -42,7 +42,9 @@ from .modes import (
     MaximizeResult,
     NormalModes,
     SqueezedStateParams,
+    _bell,
     _maximize_inputs,
+    _optimal_budget,
     _require_nonnegative,
     maximize_over_j,
 )
@@ -203,18 +205,12 @@ def _modes(r, d, nbar) -> NormalModes:
     return NormalModes.of(SqueezedStateParams(r, d, nbar))
 
 
-def _bell_of_variances(J, s1, s2):
-    """:meth:`NormalModes.bell` on arrays: B at budget J per cell."""
-    h = s1 * s2
-    side = np.exp(-J * (1.0 / s1 + 1.0 / s2)) / h
-    return 1.0 / h + side + side - np.exp(-4.0 * J / s1) / h
-
-
 def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
-    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
-    J = s1 * np.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
+    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell,
+    from the same kernels."""
+    J = _optimal_budget(s1, s2, np.log1p)
     np.clip(J, lo, hi, out=J)
-    return J, _bell_of_variances(J, s1, s2)
+    return J, _bell(J, s1, s2, np.exp)[0]
 
 
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,

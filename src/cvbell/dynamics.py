@@ -15,12 +15,12 @@ state at one point, which carries its Wigner coefficients as
 properties, :func:`variance_arrays` and :func:`coefficient_arrays` the
 same on numpy grids, and :func:`steady_state` the t -> infinity limit.
 The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell` check
-their arguments with :func:`scan_inputs`, take their variances from
-:func:`variance_arrays` and run in cache-sized row blocks through
-:func:`chunked_rows`.  The drift and diffusion matrices, the
-brute-force RK4 integration of the Lyapunov equation and the analytic
-propagator live in the test suite as the oracles the closed form is
-checked against.
+their arguments with :func:`scan_inputs`, evaluate the per-mode kernel
+of :func:`variance_arrays` (the map only for the smaller variance) and
+run in cache-sized row blocks through :func:`chunked_rows`.  The drift
+and diffusion matrices, the brute-force RK4 integration of the Lyapunov
+equation and the analytic propagator live in the test suite as the
+oracles the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     _overflow,
+    _variance,
     _where,
     steady_limit,
 )
@@ -62,24 +63,19 @@ def variance_arrays(r, d, nbar):
     """Vectorised normal-mode variances (s1, s2) for arrays of (r, d, nbar).
 
     s_i = e^-p_i + (2 nbar + 1) (d E(p_i)), in the order of
-    :meth:`cvbell.modes.NormalModes.of`, which computes the same formula
-    on floats (numpy's ``exp`` and ``expm1`` may differ from the C
-    library's in the last bit).  The one array form of the variances:
-    the scans and :func:`coefficient_arrays` take theirs from here.
-    Broadcasts its arguments; the factors that depend on (r, d) alone
-    are computed on their own shape, and the occupation product, which
-    has the full broadcast shape, takes e^-p_i in place.  Where e^{2r}
-    overflows, s2 is inf.
+    :meth:`cvbell.modes.NormalModes.of`, with the same kernel
+    :func:`cvbell.modes._variance` (numpy's ``exp`` and ``expm1`` may
+    differ from the C library's in the last bit).  Broadcasts its
+    arguments; the factors that depend on (r, d) alone are computed on
+    their own shape, and the occupation product, which has the full
+    broadcast shape, takes e^-p_i in place.  Where e^{2r} overflows, s2
+    is inf.
     """
     r, d, nbar = (np.asarray(x, dtype=float) for x in (r, d, nbar))
     occ = 2.0 * nbar + 1.0
-    p1 = d + 2.0 * r
-    p2 = d - 2.0 * r
-    s1 = occ * (d * one_minus_exp_over(p1))
-    s1 += np.exp(-p1)
-    s2 = occ * (d * one_minus_exp_over(p2))
-    s2 += np.exp(-p2)
-    return s1, s2
+    p1, p2 = d + 2.0 * r, d - 2.0 * r
+    return (_variance(p1, one_minus_exp_over(p1), d, occ, np.exp),
+            _variance(p2, one_minus_exp_over(p2), d, occ, np.exp))
 
 
 def coefficient_arrays(r, d, nbar):

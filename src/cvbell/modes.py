@@ -5,9 +5,13 @@ in the frame of its two normal modes.  Their variances are
 
     s_i = e^-p_i + (2 nbar + 1) d E(p_i),   p1 = d + 2r,  p2 = d - 2r,
 
-with E(p) = (1 - e^-p)/p, so s1 <= s2, and both are sums of positive
-terms in which nothing cancels.  The steady state of the process at
-rates gamma > 2 kappa has s = (2 nbar + 1)/(1 +- 2 kappa/gamma).
+with E(p) = (1 - e^-p)/p, so s1 <= s2 and E(p1)(d nbar - r) <=
+E(p2)(d nbar + r) (e^-p and E decrease), and both variances are sums
+of positive terms in which nothing cancels.  Rounding keeps both orders
+wherever the computed E(p) and e^-p are ordered; they can tie, and the
+orders flip by an ulp, only for r below about 1e-16 max(1, d).  At
+rates gamma > 2 kappa the steady state has s = (2 nbar + 1)/(1 +- q),
+q = 2 kappa/gamma.
 Everything the package reports about one state is a one-line function
 of (s1, s2):
 
@@ -119,6 +123,29 @@ def exp_quotient(p: float) -> float:
     ``OverflowError`` below p ~ -709.
     """
     return -math.expm1(-p) / p if p else 1.0
+
+
+def _variance(p, e_p, d, occ, exp=math.exp):
+    """e^-p + occ d E(p), the variance of the mode at exponent p, from
+    ``e_p`` = E(p) and occ = 2 nbar + 1.  ``exp`` is ``math.exp`` on
+    floats and ``numpy.exp`` on arrays, where the sum is taken in place."""
+    s = occ * (d * e_p)
+    s += exp(-p)
+    return s
+
+
+def _bell(J, s1, s2, exp=math.exp) -> tuple:
+    """(B, correlations) of the variances (s1, s2) at budget J, as in the
+    module docstring; ``exp`` as in :func:`_variance`."""
+    h = s1 * s2
+    side = exp(-J * (1.0 / s1 + 1.0 / s2)) / h
+    corr = (1.0 / h, side, side, exp(-4.0 * J / s1) / h)
+    return corr[0] + corr[1] + corr[2] - corr[3], corr
+
+
+def _optimal_budget(s1, s2, log1p=math.log1p):
+    """J* of :meth:`NormalModes.bell_optimum`, before its clamp."""
+    return s1 * log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
 
 
 # ----------------------------------------------------------------------
@@ -259,10 +286,10 @@ class NormalModes:
         A gap beyond it, or a NaN, raises :class:`CrossCheckError`.
         """
         occ = 2.0 * params.nbar + 1.0
-        d = params.d
+        p1, p2, d = params.p1, params.p2, params.d
         try:
-            s1 = math.exp(-params.p1) + occ * (d * exp_quotient(params.p1))
-            s2 = math.exp(-params.p2) + occ * (d * exp_quotient(params.p2))
+            s1 = _variance(p1, exp_quotient(p1), d, occ)
+            s2 = _variance(p2, exp_quotient(p2), d, occ)
         except OverflowError:
             raise _overflow(_where(params)) from None
         modes = cls._within_range(s1, s2, lambda: _where(params))
@@ -324,18 +351,14 @@ class NormalModes:
 
     def correlations(self, J: float) -> tuple:
         """The four displaced-parity correlations at budget J >= 0."""
-        J = _require_nonnegative("J", J)
-        h = self.h
-        side = math.exp(-J * (1.0 / self.s1 + 1.0 / self.s2)) / h
-        return 1.0 / h, side, side, math.exp(-4.0 * J / self.s1) / h
+        return self.bell(J)[1]
 
     def bell(self, J: float) -> tuple:
         """(B, correlations) at budget J, B = pi1 + pi2 + pi3 - pi4.
 
         B(0) = 2/h, the local-realism bound 2 for pure states.
         """
-        corr = self.correlations(J)
-        return corr[0] + corr[1] + corr[2] - corr[3], corr
+        return _bell(_require_nonnegative("J", J), self.s1, self.s2)
 
     def bell_optimum(self, lo: float, hi: float) -> tuple:
         """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
@@ -350,15 +373,14 @@ class NormalModes:
         maximises B on the interval.  At s1 = s2 (r = 0) J* = 0 and the
         clamp gives lo.  For s1 >= 3 s2, which no model state has, b <= a
         and the stationary point is a minimum: ``ValueError``.
-        :func:`cvbell.bell.maximize_bell` evaluates the same formula on
+        :func:`cvbell.bell.maximize_bell` evaluates the same kernels on
         arrays.
         """
         s1, s2 = self.s1, self.s2
         if not s1 < 3.0 * s2:
             raise ValueError(f"the optimum over J needs s1 < 3 s2, got "
                              f"s1={s1!r}, s2={s2!r}")
-        J = s1 * math.log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
-        J = min(max(J, lo), hi)
+        J = min(max(_optimal_budget(s1, s2), lo), hi)
         return J, self.bell(J)[0]
 
 

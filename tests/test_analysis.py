@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvbell import (
     TOLERANCES,
@@ -18,6 +20,8 @@ from cvbell import (
     separability_eigenvalues,
     separability_map,
 )
+from cvbell.dynamics import variance_arrays
+from cvbell.modes import exp_quotient
 
 # frozen margin of the strongly nonseparable reference point
 MARGIN_R15_D5 = -0.18743710075726833
@@ -262,3 +266,81 @@ def test_map_route_check_is_not_loosened_by_the_larger_variance(monkeypatch):
                         lambda p: real(p) * (1.0 + 1e-6))
     with pytest.raises(CrossCheckError):
         separability_map(10.0, d_grid, n_grid)
+
+
+# ----------------------------------------------------------------------
+# the ordering the map relies on: s1 <= s2 and e_small <= e_large
+# ----------------------------------------------------------------------
+
+EPS = 2.0 ** -52
+
+# the declared domain: r up to 350, tiny r down to 1e-300, and r = 0
+squeezing = st.one_of(st.just(0.0), st.floats(1e-300, 1e-10),
+                      st.floats(0.0, 350.0))
+noise = st.floats(0.0, 1e3)
+
+
+def _check_order(r, d, s1, s2, e_small, e_large, ordered):
+    # the first of each pair is the smaller wherever E(p) and e^-p are
+    # ordered at p1 >= p2; elsewhere r is tiny and the pairs tie to an ulp
+    ordered = np.asarray(ordered)
+    assert np.all(ordered | (r <= 1e-15 * np.maximum(1.0, d)))
+    tied = ~ordered
+    assert np.all((s1 <= s2) | tied & (s1 <= s2 * (1.0 + 4.0 * EPS)))
+    slack = 4.0 * EPS * np.abs(e_large)
+    assert np.all((e_small <= e_large) | tied & (e_small <= e_large + slack))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(squeezing, noise, noise)
+def test_first_of_each_pair_is_the_smaller(r, d, nbar):
+    params = SqueezedStateParams(r, d, nbar)
+    p1, p2 = params.p1, params.p2
+    e_large, e_small = separability_closed_pair(params)
+    ordered = (exp_quotient(p1) <= exp_quotient(p2)
+               and math.exp(-p1) <= math.exp(-p2))
+    try:
+        modes = NormalModes.of(params)
+    except ValueError:  # h = s1 s2 leaves the float range
+        pass
+    else:
+        _check_order(r, d, modes.s1, modes.s2, e_small, e_large, ordered)
+    s1, s2 = variance_arrays(r, d, nbar)
+    e1, e2 = one_minus_exp_over(p1), one_minus_exp_over(p2)
+    ordered = (e1 <= e2) & (np.exp(-p1) <= np.exp(-p2))
+    _check_order(r, d, s1, s2, e1 * (d * nbar - r), e2 * (d * nbar + r),
+                 ordered)
+
+
+def test_first_of_each_pair_is_the_smaller_on_arrays():
+    # the map's own arrays: variance_arrays and the closed pair on E(p) of
+    # numpy's expm1, with a quarter of the draws where rounding can tie
+    rng = np.random.default_rng(23)
+    n = 200_000
+    r = np.concatenate([rng.uniform(0.0, 350.0, n // 4),
+                        10.0 ** rng.uniform(-300.0, -10.0, n // 4),
+                        10.0 ** rng.uniform(-18.0, -15.0, n // 4),
+                        np.zeros(n // 4)])
+    d = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-12, 3, n))
+    nbar = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-12, 3, n))
+    p1, p2 = d + 2.0 * r, d - 2.0 * r
+    e1, e2 = one_minus_exp_over(p1), one_minus_exp_over(p2)
+    ordered = (e1 <= e2) & (np.exp(-p1) <= np.exp(-p2))
+    assert not ordered.all()  # the draws reach the tied rows
+    s1, s2 = variance_arrays(r, d, nbar)
+    dn = d * nbar
+    _check_order(r, d, s1, s2, e1 * (dn - r), e2 * (dn + r), ordered)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(squeezing)
+@example(0.0)
+@example(1e-18)
+@example(2e-17)  # s2 rounds below s1 on 155 cells
+@example(1e-10)
+def test_map_margin_is_the_smaller_variance_bit_for_bit(r):
+    d_grid = np.linspace(0.0, 1.0, 101)
+    n_grid = np.linspace(0.0, 100.0, 101)
+    m = separability_map(r, d_grid, n_grid)
+    s1, s2 = variance_arrays(r, d_grid[:, None], n_grid[None, :])
+    assert np.array_equal(m.margin, (np.minimum(s1, s2) - 1.0) / 2.0)
