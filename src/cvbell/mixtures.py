@@ -198,9 +198,8 @@ def werner_violation_threshold(r: float,
     """
     J_grid = _DEFAULT_BUDGETS[_mixture_kind(kind)]
     r = _require_squeezing(r)
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    b_pure = _pure_curve(J_grid, c, s, np.exp)
-    b_ref = _reference_curve(J_grid, c, s, kind, np.exp, _i0e_array)
+    b_pure = pure_bell_curve(J_grid, r)
+    b_ref = component_bell_curve(J_grid, r, kind)
     gain = b_pure - b_ref
     up = gain > 0.0
     min_r = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))

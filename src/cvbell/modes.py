@@ -532,9 +532,12 @@ def _pure_curve(J, c: float, s: float, exp=math.exp):
 
     c = cosh 2r and s = sinh 2r.  ``exp`` is ``math.exp`` for a float J;
     :func:`cvbell.mixtures.pure_bell_curve` passes ``numpy.exp`` and an
-    array.
+    array.  Where 4(c + s) overflows (r above ~354.4) the last term is
+    its limit, 0 for J > 0 and 1 at J = 0.
     """
-    return 1.0 + 2.0 * exp(-2.0 * c * J) - exp(-4.0 * (c + s) * J)
+    rate = 4.0 * (c + s)
+    last = exp(-rate * J) if rate < math.inf else (J == 0.0) * 1.0
+    return 1.0 + 2.0 * exp(-2.0 * c * J) - last
 
 
 def _bessel_correlation(J, c: float, s: float, exp=math.exp, i0e=_i0e):
@@ -583,11 +586,12 @@ def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
     The correlations of the two components at budget J are mixed with
     weights p and 1 - p, and B is cross-checked against the affine
     combination of the closed component curves; a gap beyond
-    ``TOLERANCES.affine_mix_rel`` raises :class:`CrossCheckError`.  The
-    check compares the squeezed component's correlations with its
-    closed curve; the phase-diffused reference correlations are the
-    terms of :func:`_reference_curve` itself, so only the tests check
-    them, against the four-point assembly of the mixture's density.
+    ``TOLERANCES.affine_mix_rel``, or a NaN, raises
+    :class:`CrossCheckError`.  The check compares the squeezed
+    component's correlations with its closed curve; the phase-diffused
+    reference correlations are the terms of :func:`_reference_curve`
+    itself, so only the tests check them, against the four-point
+    assembly of the mixture's density.
     """
     J = _require_nonnegative("J", J)
     p, r = spec.p, spec.r
@@ -602,7 +606,8 @@ def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
     B = corr[0] + corr[1] + corr[2] - corr[3]
     affine = (p * _pure_curve(J, c, s)
               + (1.0 - p) * _reference_curve(J, c, s, spec.kind))
-    if abs(B - affine) > TOLERANCES.affine_mix_rel * max(abs(affine), 1.0):
+    tol = TOLERANCES.affine_mix_rel * max(abs(affine), 1.0)
+    if not abs(B - affine) <= tol:
         raise CrossCheckError(
             f"assembled Bell value {B!r} disagrees with affine component "
             f"combination {affine!r} for {spec.kind} p={p:g} r={r:g}")

@@ -28,10 +28,12 @@ from cvbell import (
     mixture_bell,
     mixture_bell_curve,
     mixture_evaluator,
+    mixture_slope,
+    pure_bell_curve,
     werner_violation_threshold,
 )
 from cvbell import cli
-from cvbell.curves import _geomspace, violation_threshold
+from cvbell.curves import _geomspace, pure_bell_values, violation_threshold
 from cvbell.dynamics import variance_arrays
 from cvbell.modes import _i0e, mixture_correlations
 from cvbell.numerics import _i0e_array
@@ -302,6 +304,27 @@ def test_phase_diffused_reference_at_the_top_of_the_squeezing_range(J):
         assert abs(B - want_B) <= bound
         for got, w in zip(correlations, want):
             assert abs(got - w) <= bound
+
+
+@pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
+def test_curves_at_zero_budget_where_the_pure_rate_overflows(kind):
+    # 4(c + s) overflows from r ~ 354.4 on; its product with J = 0 was
+    # inf * 0 = NaN, with a RuntimeWarning on arrays and silently on floats
+    r = 354.8
+    assert pure_bell_curve(0.0, r) == 2.0
+    assert pure_bell_values([0.0], r) == [2.0]
+    spec = MixtureSpec(0.5, r, kind)
+    b_zero = mixture_slope(spec)[1]  # 2 p + (1 - p) B_ref(0)
+    assert mixture_bell_curve(spec, 0.0) == b_zero
+    assert mixture_bell_curve(spec, np.array([0.0, 1e-3]))[0] == b_zero
+    # past the overflow the last term is 0 at every J > 0, as before
+    J = np.array([1e-300, 1e-3, 1.0])
+    c = math.cosh(2.0 * r)
+    assert np.array_equal(pure_bell_curve(J, r), 1.0 + 2.0 * np.exp(-2.0 * c * J))
+    # the numpy threshold reads J > 0 only, and warns no more than before
+    # (a RuntimeWarning fails the suite)
+    assert (werner_violation_threshold(r, kind).p_star
+            == violation_threshold(r, kind).p_star)
 
 
 def test_mixture_bell_functions_check_their_kind():

@@ -318,6 +318,15 @@ def test_werner_bell_affine_check_catches_a_corrupted_correlation(monkeypatch):
         mixture_correlations(MixtureSpec(p=0.5, r=1.5), 0.01)
 
 
+@pytest.mark.parametrize("kind", MIXTURE_KINDS)
+def test_affine_check_catches_a_nan_bell_value(monkeypatch, kind):
+    # a gap test written as abs(B - affine) > tol is False for a NaN B
+    monkeypatch.setattr(NormalModes, "correlations",
+                        lambda self, J: (math.nan,) * 4)
+    with pytest.raises(CrossCheckError, match="affine"):
+        mixture_correlations(MixtureSpec(p=0.5, r=1.5, kind=kind), 0.01)
+
+
 def test_route_check_catches_a_corrupted_variance(monkeypatch):
     import cvbell.modes as modes
 
