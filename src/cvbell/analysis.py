@@ -15,17 +15,16 @@ degenerate pair (s_i - 1)/2 and the separability margin is
 (min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Both the
 single-point report :func:`separability_eigenvalues` (through
 :class:`cvbell.modes.NormalModes`, without numpy) and the grid scan
-:func:`separability_map` take the spectrum from the normal modes, and
-both check it against the closed-form pair
+:func:`separability_map` (through
+:func:`cvbell.dynamics.variance_arrays`) take the spectrum from the
+normal modes, and both check it against the closed-form pair
 
     e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
 whose sign reproduces the separability law "separable iff r <= d nbar".
-The scan computes only the pair it reports, s1 and e_small, the smaller
-of each (:mod:`cvbell.modes` says when).  The routes must agree to
-``TOLERANCES.route_agreement`` times 1 + min(s1, s2) for the margin,
-because both are the size of the smaller variance and round like it;
-disagreement (or a NaN) raises
+The routes must agree to ``TOLERANCES.route_agreement`` times
+1 + min(s1, s2) for the margin, because both are the size of the
+smaller variance and round like it; disagreement (or a NaN) raises
 :class:`~cvbell.errors.CrossCheckError` instead of returning a silently
 wrong verdict.  States with margin exactly on the boundary count as
 separable (the criterion is a non-strict inequality).  The 4x4
@@ -38,14 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import frozen_record
-from .dynamics import chunked_rows, scan_inputs
+from .dynamics import chunked_rows, scan_inputs, variance_arrays
 from .errors import CrossCheckError
-from .modes import (
-    NormalModes,
-    SqueezedStateParams,
-    _variance,
-    separability_closed_pair,
-)
+from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
 from .numerics import one_minus_exp_over
 from .tolerances import TOLERANCES
 
@@ -130,30 +124,25 @@ def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
                  lo: int, hi: int) -> np.ndarray:
     d = d_grid[lo:hi, None]
     nbar = nbar_grid[None, :]
-    occ = 2.0 * nbar + 1.0
-    # s1 and e_small share E(p1), which depends on d alone
-    p1, p2 = d + 2.0 * r, d - 2.0 * r
-    e1, e2 = one_minus_exp_over(p1), one_minus_exp_over(p2)
-    margin = _variance(p1, e1, d, occ, np.exp)
-    closed = d * nbar
-    closed -= r
-    closed *= e1
-    # they are the smaller of each pair wherever E(p) and e^-p are ordered
-    # on the d column (see cvbell.modes); in a block where rounding
-    # reverses them, the minimum with the second pair is taken
-    if not np.all((e1 <= e2) & (np.exp(-p1) <= np.exp(-p2))):
-        np.minimum(margin, _variance(p2, e2, d, occ, np.exp), out=margin)
-        np.minimum(closed, (d * nbar + r) * e2, out=closed)
-    # both routes are the size of the smaller variance and round like it,
-    # so the tolerance scales with it; the larger one (up to e^{4r}) would
+    s1, s2 = variance_arrays(r, d, nbar)
+    margin = np.minimum(s1, s2, out=s1)
+    # both routes are min(s1, s2)-sized and round like it, so the tolerance
+    # scales with the smaller variance; the larger one (up to e^{4r}) would
     # loosen it exactly where the verdict is decided
     scale = margin + 1.0
     margin -= 1.0
     margin *= 0.5
-    # the closed route must agree everywhere before we trust it; a NaN gap
-    # fails the comparison and raises as well
-    gap = np.subtract(closed, margin, out=closed)
-    np.abs(gap, out=gap)
+    # paired closed-form route must agree everywhere before we trust it;
+    # a NaN gap fails the comparison and raises as well.  Its E(p_i)
+    # depend on d alone, so they are taken on the d column
+    dn = d * nbar
+    e_small = dn - r
+    e_small *= one_minus_exp_over(d + 2.0 * r)
+    e_large = np.add(dn, r, out=dn)
+    e_large *= one_minus_exp_over(d - 2.0 * r)
+    dev = np.minimum(e_small, e_large, out=e_small)
+    dev -= margin
+    gap = np.abs(dev, out=dev)
     if not np.all(gap <= TOLERANCES.route_agreement * scale):
         worst = float(np.max(gap / scale))
         raise CrossCheckError(
@@ -169,9 +158,9 @@ def separability_map(r: float, d_grid, nbar_grid,
 
     The arguments are checked as :func:`cvbell.bell.bell_surface`'s
     (:func:`cvbell.dynamics.scan_inputs`).  The margin
-    (min(s1, s2) - 1)/2 is computed from s1 alone, the smaller variance
-    but where rounding ties the two (see :mod:`cvbell.modes`), with the
-    closed-form pair asserted against it cell by cell; rows run in
+    (min(s1, s2) - 1)/2 comes from the normal-mode variances of
+    :func:`cvbell.dynamics.variance_arrays`, with the closed-form pair
+    asserted against it cell by cell; rows run in
     cache-sized blocks.  ``workers`` is accepted for compatibility and
     ignored.
     """

@@ -42,7 +42,8 @@ from .modes import (
     MaximizeResult,
     NormalModes,
     SqueezedStateParams,
-    _bell,
+    _combine,
+    _correlations,
     _maximize_inputs,
     _optimal_budget,
     _require_nonnegative,
@@ -206,11 +207,10 @@ def _modes(r, d, nbar) -> NormalModes:
 
 
 def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
-    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell,
-    from the same kernels."""
+    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
     J = _optimal_budget(s1, s2, np.log1p)
     np.clip(J, lo, hi, out=J)
-    return J, _bell(J, s1, s2, np.exp)[0]
+    return J, _combine(_correlations(J, s1, s2, np.exp))
 
 
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,

@@ -15,12 +15,12 @@ state at one point, which carries its Wigner coefficients as
 properties, :func:`variance_arrays` and :func:`coefficient_arrays` the
 same on numpy grids, and :func:`steady_state` the t -> infinity limit.
 The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell` check
-their arguments with :func:`scan_inputs`, evaluate the per-mode kernel
-of :func:`variance_arrays` (the map only for the smaller variance) and
-run in cache-sized row blocks through :func:`chunked_rows`.  The drift
-and diffusion matrices, the brute-force RK4 integration of the Lyapunov
-equation and the analytic propagator live in the test suite as the
-oracles the closed form is checked against.
+their arguments with :func:`scan_inputs`, take their variances from
+:func:`variance_arrays` and run in cache-sized row blocks through
+:func:`chunked_rows`.  The drift and diffusion matrices, the
+brute-force RK4 integration of the Lyapunov equation and the analytic
+propagator live in the test suite as the oracles the closed form is
+checked against.
 """
 
 from __future__ import annotations

@@ -5,13 +5,9 @@ in the frame of its two normal modes.  Their variances are
 
     s_i = e^-p_i + (2 nbar + 1) d E(p_i),   p1 = d + 2r,  p2 = d - 2r,
 
-with E(p) = (1 - e^-p)/p, so s1 <= s2 and E(p1)(d nbar - r) <=
-E(p2)(d nbar + r) (e^-p and E decrease), and both variances are sums
-of positive terms in which nothing cancels.  Rounding keeps both orders
-wherever the computed E(p) and e^-p are ordered; they can tie, and the
-orders flip by an ulp, only for r below about 1e-16 max(1, d).  At
-rates gamma > 2 kappa the steady state has s = (2 nbar + 1)/(1 +- q),
-q = 2 kappa/gamma.
+with E(p) = (1 - e^-p)/p, so s1 <= s2, and both are sums of positive
+terms in which nothing cancels.  The steady state of the process at
+rates gamma > 2 kappa has s = (2 nbar + 1)/(1 +- 2 kappa/gamma).
 Everything the package reports about one state is a one-line function
 of (s1, s2):
 
@@ -126,21 +122,24 @@ def exp_quotient(p: float) -> float:
 
 
 def _variance(p, e_p, d, occ, exp=math.exp):
-    """e^-p + occ d E(p), the variance of the mode at exponent p, from
-    ``e_p`` = E(p) and occ = 2 nbar + 1.  ``exp`` is ``math.exp`` on
-    floats and ``numpy.exp`` on arrays, where the sum is taken in place."""
+    """e^-p + occ d E(p), occ = 2 nbar + 1, from ``e_p`` = E(p); ``exp``
+    is ``numpy.exp`` on arrays, where the sum is taken in place."""
     s = occ * (d * e_p)
     s += exp(-p)
     return s
 
 
-def _bell(J, s1, s2, exp=math.exp) -> tuple:
-    """(B, correlations) of the variances (s1, s2) at budget J, as in the
-    module docstring; ``exp`` as in :func:`_variance`."""
+def _correlations(J, s1, s2, exp=math.exp) -> tuple:
+    """The four correlations of the variances (s1, s2) at budget J, as
+    in the module docstring; ``exp`` as in :func:`_variance`."""
     h = s1 * s2
     side = exp(-J * (1.0 / s1 + 1.0 / s2)) / h
-    corr = (1.0 / h, side, side, exp(-4.0 * J / s1) / h)
-    return corr[0] + corr[1] + corr[2] - corr[3], corr
+    return 1.0 / h, side, side, exp(-4.0 * J / s1) / h
+
+
+def _combine(corr) -> float:
+    """B = pi1 + pi2 + pi3 - pi4 of four correlations."""
+    return corr[0] + corr[1] + corr[2] - corr[3]
 
 
 def _optimal_budget(s1, s2, log1p=math.log1p):
@@ -286,10 +285,10 @@ class NormalModes:
         A gap beyond it, or a NaN, raises :class:`CrossCheckError`.
         """
         occ = 2.0 * params.nbar + 1.0
-        p1, p2, d = params.p1, params.p2, params.d
+        d = params.d
         try:
-            s1 = _variance(p1, exp_quotient(p1), d, occ)
-            s2 = _variance(p2, exp_quotient(p2), d, occ)
+            s1 = _variance(params.p1, exp_quotient(params.p1), d, occ)
+            s2 = _variance(params.p2, exp_quotient(params.p2), d, occ)
         except OverflowError:
             raise _overflow(_where(params)) from None
         modes = cls._within_range(s1, s2, lambda: _where(params))
@@ -351,14 +350,15 @@ class NormalModes:
 
     def correlations(self, J: float) -> tuple:
         """The four displaced-parity correlations at budget J >= 0."""
-        return self.bell(J)[1]
+        return _correlations(_require_nonnegative("J", J), self.s1, self.s2)
 
     def bell(self, J: float) -> tuple:
         """(B, correlations) at budget J, B = pi1 + pi2 + pi3 - pi4.
 
         B(0) = 2/h, the local-realism bound 2 for pure states.
         """
-        return _bell(_require_nonnegative("J", J), self.s1, self.s2)
+        corr = self.correlations(J)
+        return _combine(corr), corr
 
     def bell_optimum(self, lo: float, hi: float) -> tuple:
         """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
@@ -603,7 +603,7 @@ def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
         reference = (1.0, side, side, _bessel_correlation(J, c, s))
     pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
     corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, reference))
-    B = corr[0] + corr[1] + corr[2] - corr[3]
+    B = _combine(corr)
     affine = (p * _pure_curve(J, c, s)
               + (1.0 - p) * _reference_curve(J, c, s, spec.kind))
     tol = TOLERANCES.affine_mix_rel * max(abs(affine), 1.0)

@@ -269,7 +269,8 @@ def test_map_route_check_is_not_loosened_by_the_larger_variance(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the ordering the map relies on: s1 <= s2 and e_small <= e_large
+# the order of each pair, s1 <= s2 and e_small <= e_large: it holds but
+# where rounding ties the pair, so the map and NormalModes.margin keep min
 # ----------------------------------------------------------------------
 
 EPS = 2.0 ** -52

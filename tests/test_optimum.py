@@ -12,8 +12,8 @@ from cvbell import SqueezedStateParams, maximize_bell
 from cvbell import bell as bell_module
 from cvbell.bell import _bell_optimum
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import (DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, _bell,
-                          maximize_over_j)
+from cvbell.modes import (DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, _combine,
+                          _correlations, maximize_over_j)
 
 from oracles import max_bell_dense
 
@@ -105,7 +105,7 @@ def test_a_fixed_j_is_the_interval_j_j(state, J):
     s1, s2 = variance_arrays(*(np.array([v]) for v in state))
     j_star, b = _bell_optimum(s1, s2, J, J)
     assert j_star[0] == J
-    assert b[0] == _bell(J, s1, s2, np.exp)[0][0]
+    assert b[0] == _combine(_correlations(J, s1, s2, np.exp))[0]
     modes = _modes(*state)
     assert modes.bell_optimum(J, J) == (J, modes.bell(J)[0])
 
