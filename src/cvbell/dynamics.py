@@ -34,7 +34,7 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     _overflow,
-    _variance,
+    _variances,
     _where,
     steady_limit,
 )
@@ -64,7 +64,7 @@ def variance_arrays(r, d, nbar):
 
     s_i = e^-p_i + (2 nbar + 1) (d E(p_i)), in the order of
     :meth:`cvbell.modes.NormalModes.of`, with the same kernel
-    :func:`cvbell.modes._variance` (numpy's ``exp`` and ``expm1`` may
+    :func:`cvbell.modes._variances` (numpy's ``exp`` and ``expm1`` may
     differ from the C library's in the last bit).  Broadcasts its
     arguments; the factors that depend on (r, d) alone are computed on
     their own shape, and the occupation product, which has the full
@@ -72,10 +72,7 @@ def variance_arrays(r, d, nbar):
     is inf.
     """
     r, d, nbar = (np.asarray(x, dtype=float) for x in (r, d, nbar))
-    occ = 2.0 * nbar + 1.0
-    p1, p2 = d + 2.0 * r, d - 2.0 * r
-    return (_variance(p1, one_minus_exp_over(p1), d, occ, np.exp),
-            _variance(p2, one_minus_exp_over(p2), d, occ, np.exp))
+    return _variances(r, d, nbar, np.exp, one_minus_exp_over)
 
 
 def coefficient_arrays(r, d, nbar):

@@ -121,17 +121,23 @@ def exp_quotient(p: float) -> float:
     return -math.expm1(-p) / p if p else 1.0
 
 
-def _variance(p, e_p, d, occ, exp=math.exp):
-    """e^-p + occ d E(p), occ = 2 nbar + 1, from ``e_p`` = E(p); ``exp``
-    is ``numpy.exp`` on arrays, where the sum is taken in place."""
-    s = occ * (d * e_p)
-    s += exp(-p)
-    return s
+def _variances(r, d, nbar, exp=math.exp, quotient=exp_quotient) -> tuple:
+    """(s1, s2), e^-p + (2 nbar + 1) d E(p) at p = d + 2r and d - 2r.
+
+    numpy passes its ``exp`` and E(p), and the sums run in place.
+    """
+    occ = 2.0 * nbar + 1.0
+
+    def mode(p):
+        s = occ * (d * quotient(p))
+        s += exp(-p)
+        return s
+    return mode(d + 2.0 * r), mode(d - 2.0 * r)
 
 
 def _correlations(J, s1, s2, exp=math.exp) -> tuple:
     """The four correlations of the variances (s1, s2) at budget J, as
-    in the module docstring; ``exp`` as in :func:`_variance`."""
+    in the module docstring; ``exp`` as in :func:`_variances`."""
     h = s1 * s2
     side = exp(-J * (1.0 / s1 + 1.0 / s2)) / h
     return 1.0 / h, side, side, exp(-4.0 * J / s1) / h
@@ -284,11 +290,8 @@ class NormalModes:
         1 + min(s1, s2), as in :func:`cvbell.analysis.separability_map`.
         A gap beyond it, or a NaN, raises :class:`CrossCheckError`.
         """
-        occ = 2.0 * params.nbar + 1.0
-        d = params.d
         try:
-            s1 = _variance(params.p1, exp_quotient(params.p1), d, occ)
-            s2 = _variance(params.p2, exp_quotient(params.p2), d, occ)
+            s1, s2 = _variances(params.r, params.d, params.nbar)
         except OverflowError:
             raise _overflow(_where(params)) from None
         modes = cls._within_range(s1, s2, lambda: _where(params))
