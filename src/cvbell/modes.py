@@ -32,9 +32,9 @@ e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), the last one
 through the scaled Bessel function e^-x I0(x) as a Horner polynomial
 on one float (:func:`_i0e`).
 
-The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
-evaluate the same kernels on numpy arrays, and :mod:`cvbell.curves` on
-lists of floats for the figures and thresholds.  This module imports
+The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
+evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
+on lists of floats for the figures and thresholds.  This module imports
 only the standard library, so every command-line path but the
 multi-parameter maximiser starts without numpy.  Where a variance
 leaves the float range (e^{2r} at r > ~355) the constructors raise
