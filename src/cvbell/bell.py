@@ -19,9 +19,10 @@ cross term, so the exponent carries c1 - c2 (with c2 < 0 this is what
 makes the violation survive).  In the normal-mode variances,
 c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2, it reads
 B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2 and b = 4/s1,
-the one closed form of B: :meth:`cvbell.modes.NormalModes.bell` on one
-state (:func:`bell_closed_form`), and the grid scans and the maximiser
-on arrays.  The tests pin it to the assembly.
+the one closed form of B, :func:`cvbell.modes._bell`: on one state
+through :meth:`cvbell.modes.NormalModes.bell` (:func:`bell_closed_form`),
+and on arrays in the surface and the maximiser's coarse scan.  The
+tests pin it to the assembly.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .modes import (
     MaximizeResult,
     NormalModes,
     SqueezedStateParams,
-    _combine,
-    _correlations,
+    _bell,
     _maximize_inputs,
     _optimal_budget,
     _require_nonnegative,
@@ -145,7 +145,7 @@ def bell_combination(evaluator: Callable[[TwoModePoint], float],
 def bell_closed_form(form: NormalModes, J: float) -> float:
     """Closed form of the four-point combination for a state,
     :meth:`NormalModes.bell`."""
-    return form.bell(J)[0]
+    return form.bell(J)
 
 
 def model_evaluator(params: SqueezedStateParams) -> Callable[[TwoModePoint], float]:
@@ -158,12 +158,12 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
                  workers: int | None = None) -> BellSurface:
     """B over the product of ascending nonnegative J and d grids.
 
-    Evaluated through the closed form (itself pinned to the four-point
-    assembly by the test suite) on the normal-mode variances of each d
-    column: B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2,
-    b = 4/s1 and h = s1 s2.  The column coefficients -a, -b and 1/h are
-    computed once, and the rows run in cache-sized blocks.  ``workers``
-    is accepted for compatibility and ignored.
+    Evaluated through the closed form :func:`cvbell.modes._bell`
+    (itself pinned to the four-point assembly by the test suite) on the
+    normal-mode variances of each d column: B = (1 + 2 e^{-aJ} -
+    e^{-bJ}) / h with a = 1/s1 + 1/s2, b = 4/s1 and h = s1 s2.  The
+    rows run in cache-sized blocks.  ``workers`` is accepted for
+    compatibility and ignored.
 
     Raises ``ValueError`` (:func:`cvbell.dynamics.scan_inputs`) unless
     r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
@@ -172,24 +172,9 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     """
     r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)
-    neg_a = -(1.0 / s1 + 1.0 / s2)
-    neg_b = -4.0 / s1
-    inv_h = 1.0 / (s1 * s2)
-
-    def rows(lo, hi):
-        J = J_grid[lo:hi, None]
-        # eight full-block ufuncs, each in place after the first product
-        out = J * neg_a
-        np.exp(out, out=out)
-        out *= 2.0
-        out += 1.0
-        tail = J * neg_b
-        np.exp(tail, out=tail)
-        out -= tail
-        out *= inv_h
-        return out
-
-    values = chunked_rows(rows, len(J_grid), len(d_grid))
+    values = chunked_rows(
+        lambda lo, hi: _bell(J_grid[lo:hi, None], s1, s2, np.exp),
+        len(J_grid), len(d_grid))
     return BellSurface(r=float(r), nbar=float(nbar), J_grid=J_grid,
                        d_grid=d_grid, values=values)
 
@@ -210,7 +195,7 @@ def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
     """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
     J = _optimal_budget(s1, s2, np.log1p)
     np.clip(J, lo, hi, out=J)
-    return J, _combine(_correlations(J, s1, s2, np.exp))
+    return J, _bell(J, s1, s2, np.exp)
 
 
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,

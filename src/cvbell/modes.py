@@ -18,10 +18,11 @@ of (s1, s2):
   criterion (PRL 84, 2726, 2000) in the normal-mode frame;
 * purity, which holds exactly when h = 1;
 * the displaced-parity correlations [1, e^-aJ, e^-aJ, e^-bJ]/h, with
-  a = 1/s1 + 1/s2 and b = 4/s1, and their optimum over J in closed
-  form, J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2), which tends to the
-  Banaszek-Wodkiewicz value 1 + 2^{2/3} - 2^{-4/3} of B as r grows
-  (PRL 82, 2009, 1999);
+  a = 1/s1 + 1/s2 and b = 4/s1, their Bell value
+  B = (1 + 2 e^-aJ - e^-bJ)/h (:func:`_bell`), and its optimum over J
+  in closed form, J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2), which
+  tends to the Banaszek-Wodkiewicz value 1 + 2^{2/3} - 2^{-4/3} of B
+  as r grows (PRL 82, 2009, 1999);
 * the small-J slope 4 p sinh 2r of the mixtures.
 
 The mixtures' single Bell values come from the same place, one
@@ -135,17 +136,22 @@ def _variances(r, d, nbar, exp=math.exp, quotient=exp_quotient) -> tuple:
     return mode(d + 2.0 * r), mode(d - 2.0 * r)
 
 
-def _correlations(J, s1, s2, exp=math.exp) -> tuple:
-    """The four correlations of the variances (s1, s2) at budget J, as
-    in the module docstring; ``exp`` as in :func:`_variances`."""
-    h = s1 * s2
-    side = exp(-J * (1.0 / s1 + 1.0 / s2)) / h
-    return 1.0 / h, side, side, exp(-4.0 * J / s1) / h
+def _bell(J, s1, s2, exp=math.exp):
+    """B = (1 + 2 e^-aJ - e^-bJ)/h of the variances (s1, s2) at budget
+    J, a = 1/s1 + 1/s2, b = 4/s1, h = s1 s2; ``exp`` as in
+    :func:`_variances`, and on arrays the updates run in place.
 
-
-def _combine(corr) -> float:
-    """B = pi1 + pi2 + pi3 - pi4 of four correlations."""
-    return corr[0] + corr[1] + corr[2] - corr[3]
+    -bJ is (-4J)(1/s1), which rounds as J (-4/s1) but stays finite
+    where 4/s1 overflows (s1 below ~2.2e-308, r above ~354.2).  B(0) is
+    2 (1/h), which is 2/h exactly.
+    """
+    inv1 = 1.0 / s1
+    B = exp(J * -(inv1 + 1.0 / s2))
+    B *= 2.0
+    B += 1.0
+    B -= exp(-4.0 * J * inv1)
+    B *= 1.0 / (s1 * s2)
+    return B
 
 
 def _optimal_budget(s1, s2, log1p=math.log1p):
@@ -353,15 +359,17 @@ class NormalModes:
 
     def correlations(self, J: float) -> tuple:
         """The four displaced-parity correlations at budget J >= 0."""
-        return _correlations(_require_nonnegative("J", J), self.s1, self.s2)
+        J = _require_nonnegative("J", J)
+        h = self.s1 * self.s2
+        side = math.exp(-J * (1.0 / self.s1 + 1.0 / self.s2)) / h
+        return 1.0 / h, side, side, math.exp(-4.0 * J / self.s1) / h
 
-    def bell(self, J: float) -> tuple:
-        """(B, correlations) at budget J, B = pi1 + pi2 + pi3 - pi4.
+    def bell(self, J: float) -> float:
+        """B = pi1 + pi2 + pi3 - pi4 at budget J >= 0, by :func:`_bell`.
 
         B(0) = 2/h, the local-realism bound 2 for pure states.
         """
-        corr = self.correlations(J)
-        return _combine(corr), corr
+        return _bell(_require_nonnegative("J", J), self.s1, self.s2)
 
     def bell_optimum(self, lo: float, hi: float) -> tuple:
         """(J*, B*): the budget in [lo, hi] that maximises B, and B there.
@@ -384,7 +392,7 @@ class NormalModes:
             raise ValueError(f"the optimum over J needs s1 < 3 s2, got "
                              f"s1={s1!r}, s2={s2!r}")
         J = min(max(_optimal_budget(s1, s2), lo), hi)
-        return J, self.bell(J)[0]
+        return J, self.bell(J)
 
 
 def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
@@ -535,12 +543,10 @@ def _pure_curve(J, c: float, s: float, exp=math.exp):
 
     c = cosh 2r and s = sinh 2r.  ``exp`` is ``math.exp`` for a float J;
     :func:`cvbell.mixtures.pure_bell_curve` passes ``numpy.exp`` and an
-    array.  Where 4(c + s) overflows (r above ~354.4) the last term is
-    its limit, 0 for J > 0 and 1 at J = 0.
+    array.  The last exponent is (-4J)(c + s), which stays finite where
+    4(c + s) overflows (r above ~354.2).
     """
-    rate = 4.0 * (c + s)
-    last = exp(-rate * J) if rate < math.inf else (J == 0.0) * 1.0
-    return 1.0 + 2.0 * exp(-2.0 * c * J) - last
+    return 1.0 + 2.0 * exp(-2.0 * c * J) - exp(-4.0 * J * (c + s))
 
 
 def _bessel_correlation(J, c: float, s: float, exp=math.exp, i0e=_i0e):
@@ -606,7 +612,7 @@ def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:
         reference = (1.0, side, side, _bessel_correlation(J, c, s))
     pure = NormalModes(math.exp(-2.0 * r), math.exp(2.0 * r)).correlations(J)
     corr = tuple(p * a + (1.0 - p) * b for a, b in zip(pure, reference))
-    B = _combine(corr)
+    B = corr[0] + corr[1] + corr[2] - corr[3]
     affine = (p * _pure_curve(J, c, s)
               + (1.0 - p) * _reference_curve(J, c, s, spec.kind))
     tol = TOLERANCES.affine_mix_rel * max(abs(affine), 1.0)

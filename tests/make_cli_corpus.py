@@ -50,6 +50,9 @@ EXTRA = [
     # the phase-diffused reference at large s J
     ["phase-diffused", "--r", "20", "--p", "0.5", "--J", "1"],
     ["phase-diffused", "--r", "1", "--p", "0.5", "--J", "1e308"],
+    # tiny budgets past the overflow of the pure rate 4(c + s)
+    ["werner", "--r", "354.5", "--p", "0.5", "--J", "1e-310"],
+    ["phase-diffused", "--r", "354.5", "--p", "0.5", "--J", "1e-310"],
     # usage errors, exit 2
     [],
     ["nosuch"],

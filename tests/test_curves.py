@@ -308,7 +308,7 @@ def test_phase_diffused_reference_at_the_top_of_the_squeezing_range(J):
 
 @pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
 def test_curves_at_zero_budget_where_the_pure_rate_overflows(kind):
-    # 4(c + s) overflows from r ~ 354.4 on; its product with J = 0 was
+    # 4(c + s) overflows from r ~ 354.2 on; its product with J = 0 was
     # inf * 0 = NaN, with a RuntimeWarning on arrays and silently on floats
     r = 354.8
     assert pure_bell_curve(0.0, r) == 2.0
@@ -317,7 +317,7 @@ def test_curves_at_zero_budget_where_the_pure_rate_overflows(kind):
     b_zero = mixture_slope(spec)[1]  # 2 p + (1 - p) B_ref(0)
     assert mixture_bell_curve(spec, 0.0) == b_zero
     assert mixture_bell_curve(spec, np.array([0.0, 1e-3]))[0] == b_zero
-    # past the overflow the last term is 0 at every J > 0, as before
+    # past the overflow the last term is 0 at these budgets, as before
     J = np.array([1e-300, 1e-3, 1.0])
     c = math.cosh(2.0 * r)
     assert np.array_equal(pure_bell_curve(J, r), 1.0 + 2.0 * np.exp(-2.0 * c * J))
@@ -325,6 +325,26 @@ def test_curves_at_zero_budget_where_the_pure_rate_overflows(kind):
     # (a RuntimeWarning fails the suite)
     assert (werner_violation_threshold(r, kind).p_star
             == violation_threshold(r, kind).p_star)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tiny_budgets_where_the_pure_rate_overflows(kind):
+    # 4(c + s) overflows from r ~ 354.2 on.  The pure curve then took its
+    # last term as 0 for every J > 0, which holds only once 4(c + s) J is
+    # large: at J = 1e-310 the term is about 0.98, the curve read 2.98
+    # and the CLI raised a false CrossCheckError
+    p, r, J = 0.5, 354.5, 1e-310
+    want_pure = mixture_bell_60(1.0, r, J, kind)[0]
+    want_B, want = mixture_bell_60(p, r, J, kind)
+    bound = _oracle_bound(want, kind)
+    name = "werner" if kind == "werner-thermal" else kind
+    row = _cli_row(name, "--r", "354.5", "--p", "0.5", "--J", "1e-310")
+    curve = mixture_bell_curve(MixtureSpec(p, r, kind), np.array([0.0, J]))
+    with mpmath.workdps(60):
+        assert abs(pure_bell_curve(J, r) - want_pure) <= 4 * EPS
+        assert abs(pure_bell_values([J], r)[0] - want_pure) <= 4 * EPS
+        assert abs(row["B"] - want_B) <= bound
+        assert abs(curve[1] - want_B) <= bound
 
 
 def test_mixture_bell_functions_check_their_kind():

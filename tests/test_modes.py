@@ -166,7 +166,7 @@ def test_every_runtime_route_is_the_normal_mode_core(state, free, J):
     res = maximize_bell(free, {**fixed, "J": J})
     assert res.params["J"] == J
     best = SqueezedStateParams(*(res.params[n] for n in ("r", "d", "nbar")))
-    assert res.b_max == NormalModes.of(best).bell(J)[0]
+    assert res.b_max == NormalModes.of(best).bell(J)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -208,9 +208,22 @@ def test_route_check_accepts_every_legal_state(state):
 @given(states)
 def test_bell_at_zero_budget_is_two_over_h(state):
     modes = NormalModes.of(SqueezedStateParams(*state))
-    B, correlations = modes.bell(0.0)
-    assert correlations == (1.0 / modes.h,) * 4
-    assert abs(B - 2.0 / modes.h) <= EPS * 4.0 / modes.h
+    assert modes.correlations(0.0) == (1.0 / modes.h,) * 4
+    assert modes.bell(0.0) == 2.0 / modes.h
+
+
+@pytest.mark.parametrize("r", [354.0, 354.3, 354.5])
+@pytest.mark.parametrize("J", [0.0, 1e-310, 1e-308, 1e-300])
+def test_bell_at_the_top_of_the_squeezing_range(r, J):
+    # 4/s1 overflows from r ~ 354.2 on at d = 0, while bJ stays finite:
+    # J (4/s1) would be inf * 0 = NaN at J = 0 and drop e^-bJ at J = 1e-310
+    modes = NormalModes.of(SqueezedStateParams(r, 0.0))
+    with mpmath.workdps(50):
+        s1, s2 = mpmath.mpf(modes.s1), mpmath.mpf(modes.s2)
+        side, last = mpmath.exp(-J * (1 / s1 + 1 / s2)), mpmath.exp(-4 * J / s1)
+        want = (1 + 2 * side - last) / (s1 * s2)
+        scale = (1 + 2 * side + last) / (s1 * s2)
+        assert abs(modes.bell(J) - want) <= 4 * EPS * scale
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

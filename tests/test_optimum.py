@@ -12,8 +12,8 @@ from cvbell import SqueezedStateParams, maximize_bell
 from cvbell import bell as bell_module
 from cvbell.bell import _bell_optimum
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import (DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, _combine,
-                          _correlations, maximize_over_j)
+from cvbell.modes import (DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, _bell,
+                          maximize_over_j)
 
 from oracles import max_bell_dense
 
@@ -105,9 +105,9 @@ def test_a_fixed_j_is_the_interval_j_j(state, J):
     s1, s2 = variance_arrays(*(np.array([v]) for v in state))
     j_star, b = _bell_optimum(s1, s2, J, J)
     assert j_star[0] == J
-    assert b[0] == _combine(_correlations(J, s1, s2, np.exp))[0]
+    assert b[0] == _bell(J, s1, s2, np.exp)[0]
     modes = _modes(*state)
-    assert modes.bell_optimum(J, J) == (J, modes.bell(J)[0])
+    assert modes.bell_optimum(J, J) == (J, modes.bell(J))
 
 
 def test_j_alone_uses_neither_grid_nor_simplex(monkeypatch):
@@ -188,5 +188,5 @@ def test_refined_coordinates_next_to_a_bound_go_onto_it(free, fixed, slot):
     if "J" in free:
         want = _modes(*state).bell_optimum(*DEFAULT_BOUNDS["J"])[1]
     else:
-        want = _modes(*state).bell(fixed["J"])[0]
+        want = _modes(*state).bell(fixed["J"])
     assert res.b_max == want
