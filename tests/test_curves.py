@@ -331,7 +331,7 @@ def test_curves_at_zero_budget_where_the_pure_rate_overflows(kind):
 def test_tiny_budgets_where_the_pure_rate_overflows(kind):
     # 4(c + s) overflows from r ~ 354.2 on.  The pure curve then took its
     # last term as 0 for every J > 0, which holds only once 4(c + s) J is
-    # large: at J = 1e-310 the term is about 0.98, the curve read 2.98
+    # large: at J = 1e-310 the term is about 0.97, the curve read 2.98
     # and the CLI raised a false CrossCheckError
     p, r, J = 0.5, 354.5, 1e-310
     want_pure = mixture_bell_60(1.0, r, J, kind)[0]
