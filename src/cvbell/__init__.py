@@ -11,7 +11,7 @@ imports no numpy, and neither do the numpy-free names (the errors,
 reports, tolerances, the single-point core of :mod:`cvbell.modes`,
 which includes the closed-form maximum over J, the small-J slope and
 the mixtures' Bell values of :func:`cvbell.modes.mixture_correlations`,
-and :mod:`cvbell.curves`, the float grids, curves and threshold search
+and :mod:`cvbell.curves`, the float grids, curves and threshold report
 of the figures and thresholds).  Each name loads from the module that
 defines it.  Of the command-line paths only ``maximize`` with a state
 parameter free loads numpy.  Every result class is a frozen record

@@ -161,7 +161,8 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     Evaluated through the closed form :func:`cvbell.modes._bell`
     (itself pinned to the four-point assembly by the test suite) on the
     normal-mode variances of each d column: B = (1 + 2 e^{-aJ} -
-    e^{-bJ}) / h with a = 1/s1 + 1/s2, b = 4/s1 and h = s1 s2.  The
+    e^{-bJ}) / h with a = 1/s1 + 1/s2, b = 4/s1 and h = s1 s2; an
+    exponent that overflows at a huge budget gives its limit, 0.  The
     rows run in cache-sized blocks.  ``workers`` is accepted for
     compatibility and ignored.
 
@@ -172,9 +173,10 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     """
     r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)
-    values = chunked_rows(
-        lambda lo, hi: _bell(J_grid[lo:hi, None], s1, s2, np.exp),
-        len(J_grid), len(d_grid))
+    with np.errstate(over="ignore"):
+        values = chunked_rows(
+            lambda lo, hi: _bell(J_grid[lo:hi, None], s1, s2, np.exp),
+            len(J_grid), len(d_grid))
     return BellSurface(r=float(r), nbar=float(nbar), J_grid=J_grid,
                        d_grid=d_grid, values=values)
 

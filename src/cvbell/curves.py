@@ -3,13 +3,13 @@
 The mixtures' Bell value is affine in the weight p of the squeezed
 component, B = p B_pure + (1 - p) B_ref, so on a grid of budgets J the
 mixture violates B > 2 exactly when p > R(J) = (2 - B_ref)/(B_pure - B_ref)
-at a node where B_pure > B_ref.  :func:`threshold_search` turns min R
-into the weight that bisection of [0, 1] on the predicate would report;
-:func:`cvbell.mixtures.werner_violation_threshold` calls it with numpy
-curves, :func:`violation_threshold` with Python floats, both on the
-same fixed budget grid.  The grids and curves here are those of the figures
-and the thresholds, built without numpy so that those command-line
-paths start without it:
+at a node where B_pure > B_ref.  :func:`threshold_report` reports the
+2^-14 cell that holds min R, which
+:func:`cvbell.mixtures.werner_violation_threshold` computes on numpy
+curves and :func:`violation_threshold` on Python floats, both on the
+same fixed budget grid.  The grids and curves here are those of the
+figures and the thresholds, built without numpy so that those
+command-line paths start without it:
 
 * :func:`_linspace` is ``numpy.linspace`` bit for bit;
 * :func:`_geomspace` is ``numpy.geomspace`` within 1 ulp per node for
@@ -37,18 +37,18 @@ __all__ = [
     "component_bell_values",
     "mixed_values",
     "pure_bell_values",
-    "threshold_search",
+    "threshold_report",
     "violation_threshold",
 ]
 
-#: the default budget grid of the threshold search is
+#: the default budget grid of the thresholds is
 #: ``geomspace(BUDGET_LOW[kind], 1, BUDGET_COUNT)``; the phase-diffused
 #: one reaches down to 1e-6 because its threshold sits at vanishing weight
 BUDGET_COUNT = 200
 BUDGET_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
 
-#: bisection of [0, 1] halves it n times, down to the first width
-#: w = 2^-n <= ``TOLERANCES.threshold_p_abs`` (n = 14)
+#: the threshold lattice: the cells of width w = 2^-n that bisection of
+#: [0, 1] reaches first with w <= ``TOLERANCES.threshold_p_abs`` (n = 14)
 _LATTICE_BITS = 1 - math.frexp(TOLERANCES.threshold_p_abs)[1]
 
 
@@ -116,46 +116,27 @@ class ThresholdReport:
     best_b_at_unit_weight: float
 
 
-def threshold_search(kind: str, r: float, best_b,
+def threshold_report(kind: str, r: float, top: float,
                      min_r: float) -> ThresholdReport:
-    """The weight that bisection of [0, 1] on ``best_b(p) > 2`` reports.
+    """The threshold report from the grid's best pure B and min R.
 
-    ``best_b(p)`` is max_J B over the budget grid, and ``min_r`` the
-    minimum of 1 and of R over its nodes.  The reference states never
-    violate, and B is affine in p, so the predicate is monotone in p.
-    ``p_star`` is the value that bisection of [0, 1] down to a width of
-    at most ``TOLERANCES.threshold_p_abs`` returns: the midpoint of the
-    cell [k w, (k + 1) w], w = 2^-14, whose ends the predicate separates.
-
-    On the grid the predicate is p > min R, so the cell is guessed as
-    k = floor(min R / w), and the predicate is evaluated at its two
-    ends.  Where rounding near B = 2 moved the switch off the guess,
-    the whole lattice is bisected from [0, 2^14]: 14 more evaluations,
-    at the midpoints bisection of [0, 1] takes.
+    ``top`` is max_J B_pure over the budget grid and ``min_r`` the
+    minimum of 1 and of R over its nodes.  B is affine in p and the
+    reference states never violate, so on the grid the mixture violates
+    exactly when p > min R.  ``p_star`` is None unless ``top > 2``, and
+    otherwise the midpoint of the cell [k w, (k + 1) w], w = 2^-14, that
+    holds min R, with k clamped to [0, 2^14 - 1]: in exact arithmetic
+    the value that bisection of [0, 1] on the violation test returns
+    once its width is at most ``TOLERANCES.threshold_p_abs``.
     """
-    top = best_b(1.0)
     if not top > 2.0:
         return ThresholdReport(kind=kind, r=float(r), p_star=None,
                                violated_at_unit_weight=False,
                                best_b_at_unit_weight=top)
-    w = math.ldexp(1.0, -_LATTICE_BITS)
-    cells = 1 << _LATTICE_BITS
-
-    def violates(j: int) -> bool:
-        # at lattice point j w; bisection never evaluates p = 0, and
-        # p = 1 is ``top``
-        return j > 0 and (j == cells or best_b(j * w) > 2.0)
-
-    lo = min(max(int(min_r / w), 0), cells - 1)
-    if violates(lo) or not violates(lo + 1):
-        lo, hi = 0, cells
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if violates(mid):
-                hi = mid
-            else:
-                lo = mid
-    return ThresholdReport(kind=kind, r=float(r), p_star=(lo + 0.5) * w,
+    cell = min(max(int(math.ldexp(min_r, _LATTICE_BITS)), 0),
+               (1 << _LATTICE_BITS) - 1)
+    return ThresholdReport(kind=kind, r=float(r),
+                           p_star=math.ldexp(cell + 0.5, -_LATTICE_BITS),
                            violated_at_unit_weight=True,
                            best_b_at_unit_weight=top)
 
@@ -169,7 +150,9 @@ def violation_threshold(r: float,
     library's ``numpy.geomspace``, and the curves round like numpy's in
     all but the last bit of some exponentials.  The tests find the
     library's ``p_star`` for r in [0, 9] and at points up to r = 354,
-    and the best B at p = 1 within 4 ulp of it.
+    and the best B at p = 1 within 4 ulp of it.  For phase-diffused r in
+    about [5e-7, 2e-5], where R is formed from differences of nearly
+    equal B, the two min R can fall into different cells.
     """
     budgets = _geomspace(BUDGET_LOW[_mixture_kind(kind)], 1.0, BUDGET_COUNT)
     r = _require_squeezing(r)
@@ -177,5 +160,4 @@ def violation_threshold(r: float,
     reference = component_bell_values(budgets, r, kind)
     min_r = min([1.0] + [(2.0 - b) / (a - b)
                          for a, b in zip(pure, reference) if a - b > 0.0])
-    return threshold_search(
-        kind, r, lambda p: max(mixed_values(p, pure, reference)), min_r)
+    return threshold_report(kind, r, max(pure), min_r)

@@ -20,7 +20,7 @@ identity against the closed component curves, which this module
 evaluates on budget arrays.  The same affinity gives the violation
 threshold on the fixed budget grid in one vector pass: the mixture
 violates exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node
-(:mod:`cvbell.curves` holds the search).
+(:mod:`cvbell.curves` turns the minimum of that ratio into the report).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .bell import BellEvaluation, BellSettings
-from .curves import BUDGET_COUNT, BUDGET_LOW, ThresholdReport, threshold_search
+from .curves import BUDGET_COUNT, BUDGET_LOW, ThresholdReport, threshold_report
 from .modes import (  # the benchmark resolves cvbell.mixtures.MixtureSpec
     MixtureSpec,
     _mixture_kind,
@@ -165,14 +165,11 @@ def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
 # violation threshold in p
 # ----------------------------------------------------------------------
 
-def _budget_grid(low: float) -> np.ndarray:
-    grid = np.geomspace(low, 1.0, BUDGET_COUNT)
-    grid.flags.writeable = False
-    return grid
-
-
-#: default budget grids of the threshold search, built once
-_DEFAULT_BUDGETS = {kind: _budget_grid(low) for kind, low in BUDGET_LOW.items()}
+#: default budget grids of the thresholds, built once and read-only
+_DEFAULT_BUDGETS = {kind: np.geomspace(low, 1.0, BUDGET_COUNT)
+                    for kind, low in BUDGET_LOW.items()}
+for _grid in _DEFAULT_BUDGETS.values():
+    _grid.flags.writeable = False
 
 
 def werner_violation_threshold(r: float,
@@ -180,16 +177,14 @@ def werner_violation_threshold(r: float,
     """Weight p at which the Bell ceiling is first beaten, to
     ``TOLERANCES.threshold_p_abs``.
 
-    The violation predicate maxes B(p, J) over a fixed budget grid of
-    200 geometric points from 1e-4 (from 1e-6 for the phase-diffused
-    kind) to 1.  ``p_star`` is the value that bisection of [0, 1] on it
-    down to a width of at most ``TOLERANCES.threshold_p_abs`` returns,
-    found on the lattice of that width by
-    :func:`cvbell.curves.threshold_search` from min R(J),
-    R = (2 - B_ref) / (B_pure - B_ref) over the nodes where
-    B_pure > B_ref.  The curves are numpy arrays here;
-    :func:`cvbell.curves.violation_threshold` runs the same search on
-    Python floats.
+    The mixture is scanned over a fixed budget grid of 200 geometric
+    points from 1e-4 (from 1e-6 for the phase-diffused kind) to 1, where
+    it violates exactly when p > min R(J), R = (2 - B_ref) /
+    (B_pure - B_ref) over the nodes where B_pure > B_ref.  ``p_star`` is
+    the midpoint of the cell of width 2^-14 that holds min R
+    (:func:`cvbell.curves.threshold_report`).  The curves are numpy
+    arrays here; :func:`cvbell.curves.violation_threshold` computes the
+    same min R on Python floats.
 
     Raises
     ------
@@ -203,8 +198,4 @@ def werner_violation_threshold(r: float,
     gain = b_pure - b_ref
     up = gain > 0.0
     min_r = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))
-
-    def best_b(p: float) -> float:
-        return float((p * b_pure + (1.0 - p) * b_ref).max())
-
-    return threshold_search(kind, r, best_b, min_r)
+    return threshold_report(kind, r, float(b_pure.max()), min_r)

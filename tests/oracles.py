@@ -8,8 +8,9 @@ restructured for speed:
 * the coefficient triple (c1, c2, h) written out in p1 = d + 2r and
   p2 = d - 2r (:func:`coefficient_triple`), and the normal-mode
   variances to 50 digits (:func:`variances_50`),
-* the mixtures' Bell values and the scaled Bessel function e^-x I0(x)
-  to 60 digits (:func:`mixture_bell_60`, :func:`i0e_60`),
+* the mixtures' Bell values, the minimum ratio R of their threshold
+  and the scaled Bessel function e^-x I0(x) to 60 digits
+  (:func:`mixture_bell_60`, :func:`min_ratio_60`, :func:`i0e_60`),
 * the drift and diffusion of the Fokker-Planck equation, the RK4
   Lyapunov integrator, the analytic propagator and the series matrix
   exponential, which give the second moments Sigma(t) without the
@@ -385,6 +386,23 @@ def mixture_bell_60(p, r, J, kind) -> tuple:
                          i0e_60(4 * s * J) * mpmath.exp(-4 * mpmath.exp(-2 * r) * J))
         corr = tuple(p * a + (1 - p) * b for a, b in zip(pure, reference))
         return corr[0] + corr[1] + corr[2] - corr[3], corr
+
+
+def min_ratio_60(r, kind, grid):
+    """min R of the threshold on the budget ``grid``, to 60 digits.
+
+    R(J) = (2 - B_ref) / (B_pure - B_ref) over the nodes where
+    B_pure > B_ref, with both curves from :func:`mixture_bell_60`, and
+    the minimum taken with 1 as ``werner_violation_threshold`` takes it.
+    """
+    with mpmath.workdps(60):
+        ratios = [mpmath.mpf(1)]
+        for J in grid:
+            pure = mixture_bell_60(1, r, J, kind)[0]
+            reference = mixture_bell_60(0, r, J, kind)[0]
+            if pure > reference:
+                ratios.append((2 - reference) / (pure - reference))
+        return min(ratios)
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,13 @@ def test_surface_grid_and_determinism():
         bell_closed_form(form, float(J[5])), rel=1e-12)
 
 
+def test_surface_at_the_top_of_the_squeezing_range_does_not_warn():
+    # b J overflows at J = 1e10 and e^-inf = 0 is the limit; a
+    # RuntimeWarning fails the suite
+    surface = bell_surface(354.0, 0.0, [0, 1e-310, 1e10], [0])
+    assert surface.values.ravel().tolist() == [2.0, 2.005983065061828, 1.0]
+
+
 def test_surface_validates_grids():
     with pytest.raises(ValueError):
         bell_surface(1.5, 0.0, np.array([0.2, 0.1]), np.array([0.0, 1.0]))

@@ -26,13 +26,14 @@ from cvbell import (
     werner_violation_threshold,
     wigner_pure_2mss,
 )
-from cvbell.curves import threshold_search
+from cvbell.curves import threshold_report, violation_threshold
 from cvbell.mixtures import werner_wigner
 from cvbell.modes import mixture_slope
 
 from oracles import (
     SLOPE_REL,
     i0e_60,
+    min_ratio_60,
     phase_average_quadrature_oracle,
     threshold_bisection,
 )
@@ -271,7 +272,7 @@ def test_closed_slope_at_zero_budget():
 @pytest.mark.parametrize("r", [200.0, 300.0])
 def test_product_curve_past_the_square_overflow(r, recwarn):
     # cosh^2 2r overflows from r ~ 177 on; the product state's curve is
-    # then 0, and the threshold search reports no violation on its grid
+    # then 0, and the threshold reports no violation on its grid
     # instead of an OverflowError traceback
     J = np.geomspace(1e-4, 1.0, 200)
     assert np.array_equal(component_bell_curve(J, r, "werner-thermal"),
@@ -309,36 +310,59 @@ def test_threshold_equals_the_bisection_oracle(kind, r):
     assert rep.violated_at_unit_weight == (rep.p_star is not None)
 
 
-@pytest.mark.parametrize("kind, r", [
-    ("werner-thermal", 0.3),
-    ("werner-thermal", 4.0),
-    ("werner-thermal", 1.9166066908589496),
-    ("werner-thermal", 2.6384328539636015),
-    ("phase-diffused", 0.3),
-    ("phase-diffused", 1.5),
-    ("phase-diffused", 4.0),
+CELLS = 2 ** 14
+
+
+@pytest.mark.parametrize("top", [2.0, 1.5, math.nan])
+def test_threshold_report_without_a_violation_has_no_weight(top):
+    rep = threshold_report("werner-thermal", 1.0, top, 0.5)
+    assert rep.p_star is None and not rep.violated_at_unit_weight
+    assert rep.best_b_at_unit_weight is top
+
+
+@pytest.mark.parametrize("k", [0, 1, 12345, CELLS - 1])
+def test_threshold_report_of_a_lattice_point_is_the_cell_above_it(k):
+    rep = threshold_report("werner-thermal", 1.0, 2.5, k / CELLS)
+    assert rep.p_star == (k + 0.5) / CELLS
+    assert rep.violated_at_unit_weight and rep.best_b_at_unit_weight == 2.5
+
+
+@pytest.mark.parametrize("min_r, want", [
+    (1.0, 1.0 - 0.5 / CELLS),
+    (1.5, 1.0 - 0.5 / CELLS),
+    (0.0, 0.5 / CELLS),
+    (-0.0, 0.5 / CELLS),
+    (-1e-300, 0.5 / CELLS),
+    (-3.0, 0.5 / CELLS),
 ])
-def test_threshold_search_bisects_the_lattice_after_a_wrong_guess(kind, r):
-    # a min R whose cell the predicate does not bracket sends the search
-    # to bisection of the whole 2^-14 lattice: 14 more predicate calls,
-    # and the cell bisection of [0, 1] ends on
-    grid = _default_grid(kind)
-    b_pure = pure_bell_curve(grid, r)
-    b_ref = component_bell_curve(grid, r, kind)
-    want = threshold_bisection(r, grid, kind, TOLERANCES.threshold_p_abs)
-    calls = []
+def test_threshold_report_clamps_min_r_to_the_lattice(min_r, want):
+    assert threshold_report("phase-diffused", 1.0, 2.5, min_r).p_star == want
 
-    def best_b(p):
-        calls.append(p)
-        return float((p * b_pure + (1.0 - p) * b_ref).max())
 
-    cells = 2 ** 14
-    guesses = [p for p in (0.0, 1.0, want - 3.0 / cells, want + 3.0 / cells)
-               if min(max(int(p * cells), 0), cells - 1) != int(want * cells)]
-    assert len(guesses) >= 2
-    for wrong in guesses:
-        calls.clear()
-        rep = threshold_search(kind, r, best_b, wrong)
-        assert rep.p_star == want
-        # p = 1, one or two ends of the guessed cell, 14 bisection steps
-        assert len(calls) - 14 in (2, 3)
+def _cell_60(r, kind):
+    # the midpoint of the 2^-14 cell that holds the 60-digit min R
+    k = int(mpmath.floor(min_ratio_60(r, kind, _default_grid(kind)) * CELLS))
+    return (min(max(k, 0), CELLS - 1) + 0.5) / CELLS
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.5, 2.7, 4.0])
+def test_threshold_is_the_cell_of_the_60_digit_min_ratio(kind, r):
+    # each 60-digit min R lies at least 0.014 cells from a cell edge
+    want = _cell_60(r, kind)
+    assert werner_violation_threshold(r, kind).p_star == want
+    assert violation_threshold(r, kind).p_star == want
+
+
+@pytest.mark.parametrize("r, want", [
+    (5.493961497003613e-07, 0.910064697265625),
+    (7.421484740800455e-07, 0.673736572265625),
+    (9.209359249259617e-07, 0.542938232421875),
+    (2.90939092548579e-06, 0.171844482421875),
+])
+def test_tiny_r_phase_diffused_threshold_is_the_60_digit_cell(r, want):
+    # R is a ratio of differences of nearly equal B here; the float
+    # front end still misses the first and the third cell (ROADMAP
+    # item 3)
+    assert _cell_60(r, "phase-diffused") == want
+    assert werner_violation_threshold(r, "phase-diffused").p_star == want
