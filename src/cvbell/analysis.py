@@ -15,16 +15,18 @@ degenerate pair (s_i - 1)/2 and the separability margin is
 (min(s1, s2) - 1)/2 (the Simon PPT criterion in that frame).  Both the
 single-point report :func:`separability_eigenvalues` (through
 :class:`cvbell.modes.NormalModes`, without numpy) and the grid scan
-:func:`separability_map` (through
-:func:`cvbell.dynamics.variance_arrays`) take the spectrum from the
-normal modes, and both check it against the closed-form pair
+:func:`separability_map` take the spectrum from the normal modes, and
+both check it against the closed-form pair
 
     e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
-whose sign reproduces the separability law "separable iff r <= d nbar".
-The routes must agree to ``TOLERANCES.route_agreement`` times
-1 + min(s1, s2) for the margin, because both are the size of the
-smaller variance and round like it; disagreement (or a NaN) raises
+whose sign reproduces the separability law "separable iff r <= d nbar",
+formed as (E(p) d) nbar +- E(p) r, which stays finite where d nbar
+overflows.  The map forms only the smaller variance and the smaller
+root wherever rounding keeps them the smaller.  The routes must agree to
+``TOLERANCES.route_agreement`` times 1 + min(s1, s2) for the margin,
+because both are the size of the smaller variance and round like it;
+disagreement (or a NaN) raises
 :class:`~cvbell.errors.CrossCheckError` instead of returning a silently
 wrong verdict.  States with margin exactly on the boundary count as
 separable (the criterion is a non-strict inequality).  The 4x4
@@ -37,9 +39,14 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import frozen_record
-from .dynamics import chunked_rows, scan_inputs, variance_arrays
+from .dynamics import row_blocks, scan_inputs
 from .errors import CrossCheckError
-from .modes import NormalModes, SqueezedStateParams, separability_closed_pair
+from .modes import (
+    NormalModes,
+    SqueezedStateParams,
+    _mode_variance,
+    separability_closed_pair,
+)
 from .numerics import one_minus_exp_over
 from .tolerances import TOLERANCES
 
@@ -120,36 +127,51 @@ class SeparabilityMap:
     boundary_nbar: np.ndarray
 
 
-def _margin_rows(r: float, d_grid: np.ndarray, nbar_grid: np.ndarray,
-                 lo: int, hi: int) -> np.ndarray:
-    d = d_grid[lo:hi, None]
-    nbar = nbar_grid[None, :]
-    s1, s2 = variance_arrays(r, d, nbar)
-    margin = np.minimum(s1, s2, out=s1)
+def _mode_columns(r: float, d: np.ndarray) -> tuple:
+    """(d E(p), e^-p, r E(p)) on the d column, for p = p1 and p2: the
+    factors of the variance (:func:`cvbell.modes._mode_variance`) and of
+    the closed root (d E(p)) nbar -+ r E(p) that depend on d alone."""
+    columns = []
+    for p in (d + 2.0 * r, d - 2.0 * r):
+        e = one_minus_exp_over(p)
+        columns.append((d * e, np.exp(-p), r * e))
+    return tuple(columns)
+
+
+def _margin_rows(occ: np.ndarray, nbar: np.ndarray, first: tuple,
+                 second: tuple | None, margin: np.ndarray,
+                 separable: np.ndarray) -> None:
+    """Write the margin and the verdict of a block of rows into
+    ``margin`` and ``separable``, views of the map's outputs, from the
+    :func:`_mode_columns` of its rows; ``second`` is None where only
+    the first mode's variance and root are needed."""
+    d_e, decay, r_e = first
+    s = _mode_variance(occ, d_e, decay)
+    closed = d_e * nbar
+    closed -= r_e
+    if second is not None:
+        d_e, decay, r_e = second
+        np.minimum(s, _mode_variance(occ, d_e, decay), out=s)
+        e_large = d_e * nbar
+        e_large += r_e
+        np.minimum(closed, e_large, out=closed)
+    np.subtract(s, 1.0, out=margin)
+    margin *= 0.5
+    np.greater_equal(margin, TOLERANCES.boundary_margin, out=separable)
     # both routes are min(s1, s2)-sized and round like it, so the tolerance
     # scales with the smaller variance; the larger one (up to e^{4r}) would
-    # loosen it exactly where the verdict is decided
-    scale = margin + 1.0
-    margin -= 1.0
-    margin *= 0.5
-    # paired closed-form route must agree everywhere before we trust it;
-    # a NaN gap fails the comparison and raises as well.  Its E(p_i)
-    # depend on d alone, so they are taken on the d column
-    dn = d * nbar
-    e_small = dn - r
-    e_small *= one_minus_exp_over(d + 2.0 * r)
-    e_large = np.add(dn, r, out=dn)
-    e_large *= one_minus_exp_over(d - 2.0 * r)
-    dev = np.minimum(e_small, e_large, out=e_small)
-    dev -= margin
-    gap = np.abs(dev, out=dev)
+    # loosen it exactly where the verdict is decided.  The closed-form
+    # route must agree everywhere before we trust it; a NaN gap fails the
+    # comparison and raises as well
+    scale = np.add(s, 1.0, out=s)
+    closed -= margin
+    gap = np.abs(closed, out=closed)
     if not np.all(gap <= TOLERANCES.route_agreement * scale):
         worst = float(np.max(gap / scale))
         raise CrossCheckError(
             f"separability routes disagree by {worst:.3e} relative to "
             f"1 + min(s1, s2) (tolerance {TOLERANCES.route_agreement:.0e}) "
             f"on the scan grid")
-    return margin
 
 
 def separability_map(r: float, d_grid, nbar_grid,
@@ -158,19 +180,33 @@ def separability_map(r: float, d_grid, nbar_grid,
 
     The arguments are checked as :func:`cvbell.bell.bell_surface`'s
     (:func:`cvbell.dynamics.scan_inputs`).  The margin
-    (min(s1, s2) - 1)/2 comes from the normal-mode variances of
-    :func:`cvbell.dynamics.variance_arrays`, with the closed-form pair
-    asserted against it cell by cell; rows run in
-    cache-sized blocks.  ``workers`` is accepted for compatibility and
-    ignored.
+    (min(s1, s2) - 1)/2 is that of
+    :func:`cvbell.dynamics.variance_arrays`, bit for bit, with the
+    closed-form pair asserted against it cell by cell.  Rows run in the
+    cache-sized blocks of :func:`cvbell.dynamics.row_blocks`, written
+    straight into the margin and the verdict.  Where a block's computed
+    d E(p1) <= d E(p2) and e^-p1 <= e^-p2, s1 <= s2 and
+    e_small <= e_large in every cell of it, because correctly rounded
+    products and sums are monotone in each operand, so only s1 and
+    e_small are formed; elsewhere rounding can tie the pairs (r below
+    about 1e-15 max(1, d)), and both are formed and the smaller taken.
+    ``workers`` is accepted for compatibility and ignored.
     """
     r, d_grid, nbar_grid = scan_inputs(r, None, d_grid=d_grid,
                                        nbar_grid=nbar_grid)
-
-    margin = chunked_rows(
-        lambda lo, hi: _margin_rows(r, d_grid, nbar_grid, lo, hi),
-        len(d_grid), len(nbar_grid))
-    separable = margin >= TOLERANCES.boundary_margin
+    shape = (len(d_grid), len(nbar_grid))
+    margin = np.empty(shape)
+    separable = np.empty(shape, dtype=bool)
+    nbar = nbar_grid[None, :]
+    occ = 2.0 * nbar + 1.0
+    first, second = _mode_columns(r, d_grid[:, None])
+    ordered = (first[0] <= second[0]) & (first[1] <= second[1])
+    for lo, hi in row_blocks(*shape):
+        rows = slice(lo, hi)
+        _margin_rows(occ, nbar, tuple(c[rows] for c in first),
+                     None if ordered[rows].all()
+                     else tuple(c[rows] for c in second),
+                     margin[rows], separable[rows])
     boundary = np.where(separable.any(axis=1),
                         nbar_grid[separable.argmax(axis=1)], np.nan)
     return SeparabilityMap(r=r, d_grid=d_grid, nbar_grid=nbar_grid,

@@ -15,9 +15,10 @@ state at one point, which carries its Wigner coefficients as
 properties, :func:`variance_arrays` and :func:`coefficient_arrays` the
 same on numpy grids, and :func:`steady_state` the t -> infinity limit.
 The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell` check
-their arguments with :func:`scan_inputs`, take their variances from
-:func:`variance_arrays` and run in cache-sized row blocks through
-:func:`chunked_rows`.  The drift and diffusion matrices, the
+their arguments with :func:`scan_inputs` and run in the cache-sized row
+blocks of :func:`row_blocks`; :func:`chunked_rows` collects the blocks
+of a kernel that returns them.  Both take their variances from the
+kernel of :func:`variance_arrays`.  The drift and diffusion matrices, the
 brute-force RK4 integration of the Lyapunov equation and the analytic
 propagator live in the test suite as the oracles the closed form is
 checked against.
@@ -34,6 +35,7 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     _overflow,
+    _range_fault,
     _variances,
     _where,
     steady_limit,
@@ -44,14 +46,15 @@ __all__ = [
     "SteadyStateReport",
     "chunked_rows",
     "coefficient_arrays",
+    "row_blocks",
     "variance_arrays",
     "evolve_coefficients",
     "scan_inputs",
     "steady_state",
 ]
 
-#: cells per ``row_block`` call of :func:`chunked_rows`: 256 kB per float
-#: temporary, which keeps a block's working set in L2 cache
+#: cells per block of :func:`row_blocks`: 256 kB per float temporary,
+#: which keeps a block's working set in L2 cache
 BLOCK_CELLS = 32768
 
 
@@ -119,26 +122,32 @@ def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
         s1, s2 = variance_arrays(top.r, d_grid, top.nbar)
         in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
     if not in_range.all():
-        d = float(d_grid[np.argmin(in_range)])
-        raise _overflow(_where(SqueezedStateParams(top.r, d, top.nbar)))
+        i = int(np.argmin(in_range))
+        where = _where(SqueezedStateParams(top.r, float(d_grid[i]), top.nbar))
+        raise _overflow(where, _range_fault(float(s1[i]), float(s2[i])))
     return (top.r, *checked.values())
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """The contiguous row ranges (lo, hi) that tile ``n_rows`` rows in
+    order, each of about ``BLOCK_CELLS`` cells and at least one row, so
+    the temporaries of one block stay in the processor's L2 cache."""
+    rows = max(1, BLOCK_CELLS // max(1, n_cols))
+    for lo in range(0, n_rows, rows):
+        yield lo, min(lo + rows, n_rows)
 
 
 def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
                  n_cols: int) -> np.ndarray:
-    """Evaluate ``row_block(lo, hi)`` over contiguous row ranges.
+    """Evaluate ``row_block(lo, hi)`` over the ranges of
+    :func:`row_blocks`.
 
     ``row_block`` must return the ``(hi - lo, n_cols)`` block of rows
-    [lo, hi) of an elementwise kernel.  It is called in order on blocks
-    of about ``BLOCK_CELLS`` cells (at least one row each), so the
-    temporaries of one block stay in the processor's L2 cache, and every
-    block is written into a preallocated float ``(n_rows, n_cols)``
-    output.
+    [lo, hi) of an elementwise kernel, and every block is written into
+    a preallocated float ``(n_rows, n_cols)`` output.
     """
     out = np.empty((n_rows, n_cols))
-    rows = max(1, BLOCK_CELLS // max(1, n_cols))
-    for lo in range(0, n_rows, rows):
-        hi = min(lo + rows, n_rows)
+    for lo, hi in row_blocks(n_rows, n_cols):
         out[lo:hi] = row_block(lo, hi)
     return out
 

@@ -37,9 +37,9 @@ The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
 evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
 on lists of floats for the figures and thresholds.  This module imports
 only the standard library, so every command-line path but the
-multi-parameter maximiser starts without numpy.  Where a variance
-leaves the float range (e^{2r} at r > ~355) the constructors raise
-``ValueError`` naming the parameters.
+multi-parameter maximiser starts without numpy.  Where a variance, c1
+or h leaves the float range (e^{2r} at r > ~355) the constructors raise
+``ValueError`` naming that quantity and the parameters.
 """
 
 from __future__ import annotations
@@ -106,9 +106,19 @@ def _where(params) -> str:
     return f"r={params.r!r}, d={params.d!r}, nbar={params.nbar!r}"
 
 
-def _overflow(where: str) -> ValueError:
-    return ValueError(f"the normal-mode variances overflow the float range "
-                      f"at {where}")
+def _overflow(where: str,
+              what: str = "the normal-mode variances overflow") -> ValueError:
+    return ValueError(f"{what} the float range at {where}")
+
+
+def _range_fault(s1: float, s2: float) -> str:
+    """The :func:`_overflow` subject of variances whose c1 or h leaves the
+    float range."""
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        return "the normal-mode variances overflow"
+    if not math.isfinite(2.0 * (s1 + s2)):
+        return "c1 = 2(s1 + s2) overflows"
+    return "h = s1 s2 overflows"
 
 
 def exp_quotient(p: float) -> float:
@@ -122,18 +132,22 @@ def exp_quotient(p: float) -> float:
     return -math.expm1(-p) / p if p else 1.0
 
 
+def _mode_variance(occ, d_quotient, decay):
+    """One variance, occ (d E(p)) + e^-p with occ = 2 nbar + 1."""
+    s = occ * d_quotient
+    s += decay
+    return s
+
+
 def _variances(r, d, nbar, exp=math.exp, quotient=exp_quotient) -> tuple:
     """(s1, s2), e^-p + (2 nbar + 1) d E(p) at p = d + 2r and d - 2r.
 
     numpy passes its ``exp`` and E(p), and the sums run in place.
     """
     occ = 2.0 * nbar + 1.0
-
-    def mode(p):
-        s = occ * (d * quotient(p))
-        s += exp(-p)
-        return s
-    return mode(d + 2.0 * r), mode(d - 2.0 * r)
+    p1, p2 = d + 2.0 * r, d - 2.0 * r
+    return (_mode_variance(occ, d * quotient(p1), exp(-p1)),
+            _mode_variance(occ, d * quotient(p2), exp(-p2)))
 
 
 def _bell(J, s1, s2, exp=math.exp):
@@ -233,6 +247,10 @@ class SqueezedStateParams:
                    nbar: float = 0.0) -> "SqueezedStateParams":
         for name, v in (("kappa", kappa), ("gamma", gamma), ("t", t)):
             _require_nonnegative(name, v)
+        for name, rate in (("kappa", kappa), ("gamma", gamma)):
+            if not math.isfinite(rate * t):
+                raise ValueError(f"{name} * t overflows the float range at "
+                                 f"{name}={rate!r}, t={t!r}")
         return cls(r=kappa * t, d=gamma * t, nbar=nbar)
 
     @property
@@ -248,14 +266,15 @@ def separability_closed_pair(params: SqueezedStateParams) -> tuple:
     """Closed-form eigenvalue pair (e_large, e_small) of V - I/2.
 
     e_large = E(p2) (d nbar + r) and e_small = E(p1) (d nbar - r), whose
-    sign reproduces the law "separable iff r <= d nbar".
+    sign reproduces the law "separable iff r <= d nbar", formed as
+    (E(p) d) nbar +- E(p) r: each term is at most s2, d nbar can overflow.
     """
-    dn = params.d * params.nbar
+    d, nbar, r = params.d, params.nbar, params.r
     try:
-        return (exp_quotient(params.p2) * (dn + params.r),
-                exp_quotient(params.p1) * (dn - params.r))
+        e2, e1 = exp_quotient(params.p2), exp_quotient(params.p1)
     except OverflowError:
         raise _overflow(_where(params)) from None
+    return (e2 * d) * nbar + e2 * r, (e1 * d) * nbar - e1 * r
 
 
 @frozen_record
@@ -282,7 +301,7 @@ class NormalModes:
         # c1 and h are the largest derived values; both must stay finite.
         # ``where()`` names the state, and is formatted only on failure
         if not (math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)):
-            raise _overflow(where())
+            raise _overflow(where(), _range_fault(s1, s2))
         return cls(s1, s2)
 
     @classmethod

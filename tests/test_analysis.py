@@ -20,7 +20,7 @@ from cvbell import (
     separability_eigenvalues,
     separability_map,
 )
-from cvbell.dynamics import variance_arrays
+from cvbell.dynamics import row_blocks, variance_arrays
 from cvbell.modes import exp_quotient
 
 # frozen margin of the strongly nonseparable reference point
@@ -345,3 +345,68 @@ def test_map_margin_is_the_smaller_variance_bit_for_bit(r):
     m = separability_map(r, d_grid, n_grid)
     s1, s2 = variance_arrays(r, d_grid[:, None], n_grid[None, :])
     assert np.array_equal(m.margin, (np.minimum(s1, s2) - 1.0) / 2.0)
+
+
+# ----------------------------------------------------------------------
+# the map's two paths: a block whose rows order d E(p_i) and e^-p_i forms
+# s1 and e_small alone, any other block both pairs and their minima
+# ----------------------------------------------------------------------
+
+# geometric d down to 1e-20: at r = 2e-17 a few rows near d ~ 1e-10 round
+# their factors out of order, so the blocks mix both paths
+MIXED_D = np.concatenate([[0.0], np.geomspace(1e-20, 1e3, 399)])
+MIXED_N = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 199)])
+
+
+def _spy_variances(monkeypatch):
+    import cvbell.analysis as analysis
+    calls = []
+    real = analysis._mode_variance
+
+    def spy(occ, d_e, decay):
+        calls.append(len(d_e))
+        return real(occ, d_e, decay)
+    monkeypatch.setattr(analysis, "_mode_variance", spy)
+    return calls
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-300, 1e-15),
+                 st.floats(0.0, 350.0)))
+@example(2e-17)  # rows of both paths in the second block
+@example(1e-18)
+def test_map_is_the_smaller_variance_on_both_paths(r):
+    m = separability_map(r, MIXED_D, MIXED_N)
+    s1, s2 = variance_arrays(r, MIXED_D[:, None], MIXED_N[None, :])
+    margin = (np.minimum(s1, s2) - 1.0) / 2.0
+    assert np.array_equal(m.margin, margin)
+    assert np.array_equal(m.separable,
+                          margin >= TOLERANCES.boundary_margin)
+
+
+def test_mixed_grid_takes_both_paths(monkeypatch):
+    calls = _spy_variances(monkeypatch)
+    separability_map(2e-17, MIXED_D, MIXED_N)
+    blocks = len(list(row_blocks(len(MIXED_D), len(MIXED_N))))
+    # one block forms both variances, the others s1 alone
+    assert len(calls) == blocks + 1
+
+
+def test_ordered_map_never_forms_the_larger_variance(monkeypatch):
+    # the gain of the guard: at r = 1.5 every row orders its factors, so
+    # each block forms s1 once and s2 never
+    calls = _spy_variances(monkeypatch)
+    d_grid, n_grid = np.linspace(0.0, 4.5, 1000), np.linspace(0.0, 2.0, 1000)
+    separability_map(1.5, d_grid, n_grid)
+    blocks = list(row_blocks(1000, 1000))
+    assert calls == [hi - lo for lo, hi in blocks]
+
+
+def test_map_where_d_nbar_overflows():
+    # d nbar = 1e330 overflows, but the variances 1 and 2e88 + 1 do not;
+    # the closed pair (E d) nbar -+ E r stays in range too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = separability_map(0.0, [1e242], [0.0, 1e88])
+    assert m.margin.tolist() == [[0.0, 1e88]]
+    assert m.separable.tolist() == [[True, True]]

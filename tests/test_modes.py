@@ -31,6 +31,7 @@ from cvbell.modes import (
     NormalModes,
     mixture_correlations,
     mixture_slope,
+    separability_closed_pair,
     steady_limit,
 )
 from oracles import coefficient_triple, variances_50
@@ -379,6 +380,55 @@ def test_overflow_is_a_value_error():
         NormalModes.of(SqueezedStateParams(1.0, 1.0, 1e307))
     with pytest.raises(ValueError, match="r=400.0 overflows"):
         MixtureSpec(p=0.5, r=400.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("separability", "--r", "1e-200", "--d", "1e242", "--nbar", "1e88"),
+    ("bell", "--J", "1", "--r", "0", "--d", "1e200", "--nbar", "1e120"),
+])
+def test_closed_pair_where_d_nbar_overflows(argv):
+    # d nbar overflows, the variances do not: the closed pair is formed as
+    # (E d) nbar -+ E r and the cross-check passes
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    nbar = float(argv[-1])
+    form = NormalModes.of(SqueezedStateParams(*map(float, argv[-5::2])))
+    assert form.margin == nbar
+    assert separability_closed_pair(
+        SqueezedStateParams(*map(float, argv[-5::2]))) == (nbar, nbar)
+
+
+@pytest.mark.parametrize("argv, what", [
+    # s1 = s2 = 2.6e200 are finite, h = 6.8e400 is not
+    (("separability", "--r", "5.2e-51", "--d", "3.9e222", "--nbar",
+      "1.3e200"), "h = s1 s2 overflows"),
+    # s1 = s2 = 6.3e307, c1 = 2.5e308
+    (("coeffs", "--r", "0", "--d", "1", "--nbar", "5e307"),
+     "c1 = 2(s1 + s2) overflows"),
+    (("coeffs", "--r", "400", "--d", "0"),
+     "the normal-mode variances overflow"),
+])
+def test_overflow_names_the_quantity(argv, what):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cvbell: error: {what} the float range at r=")
+
+
+@pytest.mark.parametrize("kappa, gamma, name", [
+    ("1e300", "1", "kappa"), ("1", "1e300", "gamma")])
+def test_time_scan_overflow_names_the_rate(kappa, gamma, name):
+    code, out, err = run_cli("coeffs", "--kappa", kappa, "--gamma", gamma,
+                             "--t-max", "1e10", "--t-count", "3")
+    assert (code, out) == (3, "")
+    rate = float(kappa if name == "kappa" else gamma)
+    assert err == (f"cvbell: error: {name} * t overflows the float range "
+                   f"at {name}={rate!r}, t=5000000000.0\n")
+
+
+def test_scan_overflow_names_the_quantity():
+    with pytest.raises(ValueError, match="^h = s1 s2 overflows .*d=1e\\+222"):
+        # s1 = s2 ~ 1 at d = 1e-200, ~ 2e160 at d = 1e222
+        separability_map(1e-60, [1e-200, 1e222], [0.0, 1e160])
 
 
 def test_werner_below_overflow_gives_finite_values():

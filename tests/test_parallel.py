@@ -2,13 +2,11 @@
 bit-identical to one whole-grid kernel call, bad arguments raise first."""
 
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
 from cvbell import bell_surface, separability_map
-from cvbell.analysis import _margin_rows
 from cvbell.dynamics import coefficient_arrays
 from cvbell.dynamics import BLOCK_CELLS, chunked_rows
 
@@ -23,7 +21,7 @@ def _bell_kernel(J, c1, c2, h):
 def _map_block(n_rows, n_cols):
     d = np.linspace(0.0, 6.0, n_rows)
     nbar = np.linspace(0.0, 3.0, n_cols)
-    return partial(_margin_rows, 1.5, d, nbar)
+    return lambda lo, hi: separability_map(1.5, d[lo:hi], nbar).margin
 
 
 def _surface_block(n_rows, n_cols):
