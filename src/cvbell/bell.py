@@ -21,8 +21,10 @@ c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2, it reads
 B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2 and b = 4/s1,
 the one closed form of B, :func:`cvbell.modes._bell`: on one state
 through :meth:`cvbell.modes.NormalModes.bell` (:func:`bell_closed_form`),
-and on arrays in the surface and the maximiser's coarse scan.  The
-tests pin it to the assembly.
+and on arrays in the surface.  Its maximum over J is
+:func:`cvbell.modes._bell_optimum`, which the maximiser's coarse scan
+evaluates on arrays and its refinement on floats.  The tests pin B to
+the assembly.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from ._record import frozen_record
 from .dynamics import (
-    chunked_rows,
     evolve_coefficients,
+    row_blocks,
     scan_inputs,
     variance_arrays,
 )
@@ -44,8 +46,9 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     _bell,
+    _bell_optimum,
     _maximize_inputs,
-    _optimal_budget,
+    _model_variances,
     _require_nonnegative,
     maximize_over_j,
 )
@@ -163,8 +166,9 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     normal-mode variances of each d column: B = (1 + 2 e^{-aJ} -
     e^{-bJ}) / h with a = 1/s1 + 1/s2, b = 4/s1 and h = s1 s2; an
     exponent that overflows at a huge budget gives its limit, 0.  The
-    rows run in cache-sized blocks.  ``workers`` is accepted for
-    compatibility and ignored.
+    rows run in the cache-sized blocks of
+    :func:`cvbell.dynamics.row_blocks`, each written straight into the
+    surface.  ``workers`` is accepted for compatibility and ignored.
 
     Raises ``ValueError`` (:func:`cvbell.dynamics.scan_inputs`) unless
     r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
@@ -173,10 +177,10 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     """
     r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)
+    values = np.empty((len(J_grid), len(d_grid)))
     with np.errstate(over="ignore"):
-        values = chunked_rows(
-            lambda lo, hi: _bell(J_grid[lo:hi, None], s1, s2, np.exp),
-            len(J_grid), len(d_grid))
+        for lo, hi in row_blocks(*values.shape):
+            values[lo:hi] = _bell(J_grid[lo:hi, None], s1, s2, np.exp)
     return BellSurface(r=float(r), nbar=float(nbar), J_grid=J_grid,
                        d_grid=d_grid, values=values)
 
@@ -189,17 +193,6 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
 _GRID_POINTS = 32
 
 
-def _modes(r, d, nbar) -> NormalModes:
-    return NormalModes.of(SqueezedStateParams(r, d, nbar))
-
-
-def _bell_optimum(s1, s2, lo: float, hi: float) -> tuple:
-    """:meth:`NormalModes.bell_optimum` on arrays: (J*, B*) per cell."""
-    J = _optimal_budget(s1, s2, np.log1p)
-    np.clip(J, lo, hi, out=J)
-    return J, _bell(J, s1, s2, np.exp)
-
-
 def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
                  fixed: Mapping[str, float], j_bounds: tuple) -> list:
     """Coordinates of the best coarse cell, as floats.
@@ -208,10 +201,11 @@ def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
     subset of r, d, nbar, in that order); each lies along its own
     dimension and broadcasts, so nothing is computed on a full meshgrid
     that depends on fewer parameters.  The value of a cell is max_J B
-    over ``j_bounds`` in closed form (:func:`_bell_optimum`); a fixed J
-    is the interval (J, J).  The first maximum wins (the flat
-    ``np.argmax``), so exact ties go to the lexicographically smallest
-    (r, d, nbar) cell.  A non-finite cell raises ``ValueError``.
+    over ``j_bounds`` in closed form (:func:`cvbell.modes._bell_optimum`
+    on arrays); a fixed J is the interval (J, J).  The first maximum
+    wins (the flat ``np.argmax``), so exact ties go to the
+    lexicographically smallest (r, d, nbar) cell.  A non-finite cell
+    raises ``ValueError``.
     """
     k = len(names)
     arrays = dict(fixed)
@@ -221,7 +215,8 @@ def _coarse_best(axes: Sequence[np.ndarray], names: tuple,
     # an overflowing cell raises below; numpy's warnings would only repeat it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s1, s2 = variance_arrays(*state)
-        values = _bell_optimum(s1, s2, *j_bounds)[1]
+        values = _bell_optimum(s1, s2, *j_bounds, np.clip, np.log1p,
+                               np.exp)[1]
     if not np.isfinite(values).all():
         raise ValueError("B is not finite on part of the coarse grid (the "
                          "coefficients overflow there); narrow the bounds")
@@ -258,9 +253,11 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     until the simplex diameter is below ``TOLERANCES.simplex_diameter``.
     Refined coordinates within that tolerance of a bound are moved onto
     it unless that costs more than a few ulp of B, and the refined point
-    is only adopted if strictly better than the scan.  Every reported
-    B is that of :class:`cvbell.modes.NormalModes` at the reported
-    point.
+    is only adopted if strictly better than the scan.  Both stages score
+    a point on the variance kernels alone, max_J B by
+    :func:`cvbell.modes._bell_optimum`; only the reported point is
+    built and cross-checked as a :class:`cvbell.modes.NormalModes`
+    state, once, and the reported J and B are that state's.
 
     Parameters
     ----------
@@ -294,16 +291,16 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     box = [(slot,) + limits[n] for slot, n in zip(slots, names)]
     base = [fixed_values.get(n, 0.0) for n in ("r", "d", "nbar")]
 
-    def value(r, d, nbar):
-        return _modes(r, d, nbar).bell_optimum(*j_bounds)[1]
-
-    # the scalar closed form of the adopted cell, which the refinement
-    # must beat and which the result reports
-    best_val = value(*_point(base, box, best_x))
-
     def objective(x: list) -> float:
         point = _point(base, box, x)
-        return math.inf if point is None else -value(*point)
+        if point is None:
+            return math.inf
+        # the float kernels alone, without the state's route check; a
+        # point whose variances leave the float range raises
+        return -_bell_optimum(*_model_variances(*point), *j_bounds)[1]
+
+    # the value of the adopted cell, which the refinement must beat
+    best_val = -objective(best_x)
 
     step = [(hi - lo) / 64.0 for _, lo, hi in box]
     step = [-s if x + s > hi else s
@@ -320,11 +317,12 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
     if -refined_neg > best_val:
         best_x, best_val = refined_x, -refined_neg
 
+    # the one checked state, at the reported point; its B is best_val
     params = dict(fixed_values)
     params.update(zip(names, best_x))
-    params["J"] = _modes(params["r"], params["d"],
-                         params["nbar"]).bell_optimum(*j_bounds)[0]
-    return MaximizeResult(params=params, b_max=best_val, free=free_ordered)
+    state = SqueezedStateParams(params["r"], params["d"], params["nbar"])
+    params["J"], b_max = NormalModes.of(state).bell_optimum(*j_bounds)
+    return MaximizeResult(params=params, b_max=b_max, free=free_ordered)
 
 
 def small_j_slope(evaluator: Callable[[TwoModePoint], float],

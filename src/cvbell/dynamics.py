@@ -15,18 +15,15 @@ state at one point, which carries its Wigner coefficients as
 properties, :func:`variance_arrays` and :func:`coefficient_arrays` the
 same on numpy grids, and :func:`steady_state` the t -> infinity limit.
 The grid scans of :mod:`cvbell.analysis` and :mod:`cvbell.bell` check
-their arguments with :func:`scan_inputs` and run in the cache-sized row
-blocks of :func:`row_blocks`; :func:`chunked_rows` collects the blocks
-of a kernel that returns them.  Both take their variances from the
-kernel of :func:`variance_arrays`.  The drift and diffusion matrices, the
-brute-force RK4 integration of the Lyapunov equation and the analytic
-propagator live in the test suite as the oracles the closed form is
-checked against.
+their arguments with :func:`scan_inputs`, take their variances from the
+kernel of :func:`variance_arrays`, and write the cache-sized row blocks
+of :func:`row_blocks` into their preallocated outputs.  The drift and
+diffusion matrices, the brute-force RK4 integration of the Lyapunov
+equation and the analytic propagator live in the test suite as the
+oracles the closed form is checked against.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -34,8 +31,7 @@ from ._record import frozen_record
 from .modes import (
     NormalModes,
     SqueezedStateParams,
-    _overflow,
-    _range_fault,
+    _in_range,
     _variances,
     _where,
     steady_limit,
@@ -44,7 +40,6 @@ from .numerics import one_minus_exp_over
 
 __all__ = [
     "SteadyStateReport",
-    "chunked_rows",
     "coefficient_arrays",
     "row_blocks",
     "variance_arrays",
@@ -123,8 +118,9 @@ def scan_inputs(r: float, nbar: float | None, **grids) -> tuple:
         in_range = np.isfinite(2.0 * (s1 + s2)) & np.isfinite(s1 * s2)
     if not in_range.all():
         i = int(np.argmin(in_range))
-        where = _where(SqueezedStateParams(top.r, float(d_grid[i]), top.nbar))
-        raise _overflow(where, _range_fault(float(s1[i]), float(s2[i])))
+        # the float checks of that cell repeat the array ones, and raise
+        _in_range(float(s1[i]), float(s2[i]),
+                  lambda: _where(top.r, float(d_grid[i]), top.nbar))
     return (top.r, *checked.values())
 
 
@@ -135,21 +131,6 @@ def row_blocks(n_rows: int, n_cols: int):
     rows = max(1, BLOCK_CELLS // max(1, n_cols))
     for lo in range(0, n_rows, rows):
         yield lo, min(lo + rows, n_rows)
-
-
-def chunked_rows(row_block: Callable[[int, int], np.ndarray], n_rows: int,
-                 n_cols: int) -> np.ndarray:
-    """Evaluate ``row_block(lo, hi)`` over the ranges of
-    :func:`row_blocks`.
-
-    ``row_block`` must return the ``(hi - lo, n_cols)`` block of rows
-    [lo, hi) of an elementwise kernel, and every block is written into
-    a preallocated float ``(n_rows, n_cols)`` output.
-    """
-    out = np.empty((n_rows, n_cols))
-    for lo, hi in row_blocks(n_rows, n_cols):
-        out[lo:hi] = row_block(lo, hi)
-    return out
 
 
 def evolve_coefficients(params: SqueezedStateParams) -> NormalModes:

@@ -19,9 +19,9 @@ of (s1, s2):
 * purity, which holds exactly when h = 1;
 * the displaced-parity correlations [1, e^-aJ, e^-aJ, e^-bJ]/h, with
   a = 1/s1 + 1/s2 and b = 4/s1, their Bell value
-  B = (1 + 2 e^-aJ - e^-bJ)/h (:func:`_bell`), and its optimum over J
-  in closed form, J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2), which
-  tends to the Banaszek-Wodkiewicz value 1 + 2^{2/3} - 2^{-4/3} of B
+  B = (1 + 2 e^-aJ - e^-bJ)/h (:func:`_bell`), and its optimum over J,
+  J* = s1 ln(2 s2/(s1 + s2)) / (3 - s1/s2) (:func:`_bell_optimum`),
+  where B tends to the Banaszek-Wodkiewicz value 1 + 2^{2/3} - 2^{-4/3}
   as r grows (PRL 82, 2009, 1999);
 * the small-J slope 4 p sinh 2r of the mixtures.
 
@@ -34,8 +34,9 @@ through the scaled Bessel function e^-x I0(x) as a Horner polynomial
 on one float (:func:`_i0e`).
 
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
-evaluate the same formulas on numpy arrays, and :mod:`cvbell.curves`
-on lists of floats for the figures and thresholds.  This module imports
+evaluate the same formulas on numpy arrays, the maximiser's refinement
+on floats without building a state, and :mod:`cvbell.curves` on lists
+of floats for the figures and thresholds.  This module imports
 only the standard library, so every command-line path but the
 multi-parameter maximiser starts without numpy.  Where a variance, c1
 or h leaves the float range (e^{2r} at r > ~355) the constructors raise
@@ -102,8 +103,8 @@ def _check_rates(gamma: float, kappa: float, nbar: float = 0.0):
         _require_nonnegative(name, v)
 
 
-def _where(params) -> str:
-    return f"r={params.r!r}, d={params.d!r}, nbar={params.nbar!r}"
+def _where(r, d, nbar) -> str:
+    return f"r={r!r}, d={d!r}, nbar={nbar!r}"
 
 
 def _overflow(where: str,
@@ -111,14 +112,19 @@ def _overflow(where: str,
     return ValueError(f"{what} the float range at {where}")
 
 
-def _range_fault(s1: float, s2: float) -> str:
-    """The :func:`_overflow` subject of variances whose c1 or h leaves the
-    float range."""
+def _in_range(s1: float, s2: float, where) -> tuple:
+    """(s1, s2) if they, c1 = 2(s1 + s2) and h = s1 s2 are finite, else
+    the :func:`_overflow` ``ValueError`` naming what is not; ``where()``
+    names the state, and is formatted only on failure."""
     if not (math.isfinite(s1) and math.isfinite(s2)):
-        return "the normal-mode variances overflow"
-    if not math.isfinite(2.0 * (s1 + s2)):
-        return "c1 = 2(s1 + s2) overflows"
-    return "h = s1 s2 overflows"
+        what = "the normal-mode variances overflow"
+    elif not math.isfinite(2.0 * (s1 + s2)):
+        what = "c1 = 2(s1 + s2) overflows"
+    elif not math.isfinite(s1 * s2):
+        what = "h = s1 s2 overflows"
+    else:
+        return s1, s2
+    raise _overflow(where(), what)
 
 
 def exp_quotient(p: float) -> float:
@@ -150,6 +156,16 @@ def _variances(r, d, nbar, exp=math.exp, quotient=exp_quotient) -> tuple:
             _mode_variance(occ, d * quotient(p2), exp(-p2)))
 
 
+def _model_variances(r: float, d: float, nbar: float) -> tuple:
+    """:func:`_variances` of floats, or ``ValueError`` naming what leaves
+    the float range at (r, d, nbar), as :meth:`NormalModes.of` raises."""
+    try:
+        s1, s2 = _variances(r, d, nbar)
+    except OverflowError:
+        raise _overflow(_where(r, d, nbar)) from None
+    return _in_range(s1, s2, lambda: _where(r, d, nbar))
+
+
 def _bell(J, s1, s2, exp=math.exp):
     """B = (1 + 2 e^-aJ - e^-bJ)/h of the variances (s1, s2) at budget
     J, a = 1/s1 + 1/s2, b = 4/s1, h = s1 s2; ``exp`` as in
@@ -168,9 +184,18 @@ def _bell(J, s1, s2, exp=math.exp):
     return B
 
 
-def _optimal_budget(s1, s2, log1p=math.log1p):
-    """J* of :meth:`NormalModes.bell_optimum`, before its clamp."""
-    return s1 * log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2)
+def _clip(x, lo, hi):
+    """x clamped to [lo, hi], the float form of ``numpy.clip``."""
+    return min(max(x, lo), hi)
+
+
+def _bell_optimum(s1, s2, lo, hi, clip=_clip, log1p=math.log1p,
+                  exp=math.exp) -> tuple:
+    """(J*, B*) of :meth:`NormalModes.bell_optimum` without its checks:
+    J* clamped to [lo, hi] and :func:`_bell` there; numpy passes its
+    ``clip``, ``log1p`` and ``exp``, as in :func:`_variances`."""
+    J = clip(s1 * log1p((s2 - s1) / (s1 + s2)) / (3.0 - s1 / s2), lo, hi)
+    return J, _bell(J, s1, s2, exp)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +298,7 @@ def separability_closed_pair(params: SqueezedStateParams) -> tuple:
     try:
         e2, e1 = exp_quotient(params.p2), exp_quotient(params.p1)
     except OverflowError:
-        raise _overflow(_where(params)) from None
+        raise _overflow(_where(r, d, nbar)) from None
     return (e2 * d) * nbar + e2 * r, (e1 * d) * nbar - e1 * r
 
 
@@ -297,14 +322,6 @@ class NormalModes:
                                  f"{getattr(self, name)!r}")
 
     @classmethod
-    def _within_range(cls, s1: float, s2: float, where) -> "NormalModes":
-        # c1 and h are the largest derived values; both must stay finite.
-        # ``where()`` names the state, and is formatted only on failure
-        if not (math.isfinite(2.0 * (s1 + s2)) and math.isfinite(s1 * s2)):
-            raise _overflow(where(), _range_fault(s1, s2))
-        return cls(s1, s2)
-
-    @classmethod
     def of(cls, params: SqueezedStateParams) -> "NormalModes":
         """Variances of the state at reduced parameters.
 
@@ -315,11 +332,9 @@ class NormalModes:
         1 + min(s1, s2), as in :func:`cvbell.analysis.separability_map`.
         A gap beyond it, or a NaN, raises :class:`CrossCheckError`.
         """
-        try:
-            s1, s2 = _variances(params.r, params.d, params.nbar)
-        except OverflowError:
-            raise _overflow(_where(params)) from None
-        modes = cls._within_range(s1, s2, lambda: _where(params))
+        state = params.r, params.d, params.nbar
+        s1, s2 = _model_variances(*state)
+        modes = cls(s1, s2)
         e_large, e_small = separability_closed_pair(params)
         for s, closed in ((s1, e_small), (s2, e_large)):
             gap = abs((s - 1.0) / 2.0 - closed)
@@ -327,7 +342,7 @@ class NormalModes:
                 raise CrossCheckError(
                     f"separability routes disagree by {gap / (1.0 + s):.3e} "
                     f"relative to 1 + s (tolerance "
-                    f"{TOLERANCES.route_agreement:.0e}) at ({_where(params)})")
+                    f"{TOLERANCES.route_agreement:.0e}) at ({_where(*state)})")
         return modes
 
     @property
@@ -402,16 +417,19 @@ class NormalModes:
         B rises below it and falls above it, so J* clamped to [lo, hi]
         maximises B on the interval.  At s1 = s2 (r = 0) J* = 0 and the
         clamp gives lo.  For s1 >= 3 s2, which no model state has, b <= a
-        and the stationary point is a minimum: ``ValueError``.
-        :func:`cvbell.bell.maximize_bell` evaluates the same kernels on
-        arrays.
+        and the stationary point is a minimum: ``ValueError``, as for an
+        interval other than 0 <= lo <= hi with lo finite (hi may be
+        inf).  The formula is :func:`_bell_optimum`, which
+        :func:`cvbell.bell.maximize_bell` evaluates on arrays too.
         """
+        if not (math.isfinite(lo) and 0.0 <= lo <= hi):  # a NaN hi fails
+            raise ValueError(f"the J interval needs 0 <= lo <= hi with lo "
+                             f"finite, got lo={lo!r}, hi={hi!r}")
         s1, s2 = self.s1, self.s2
         if not s1 < 3.0 * s2:
             raise ValueError(f"the optimum over J needs s1 < 3 s2, got "
                              f"s1={s1!r}, s2={s2!r}")
-        J = min(max(_optimal_budget(s1, s2), lo), hi)
-        return J, self.bell(J)
+        return _bell_optimum(s1, s2, lo, hi)
 
 
 def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
@@ -430,9 +448,9 @@ def steady_limit(gamma: float, kappa: float, nbar: float = 0.0) -> tuple:
         return "none", None
     q = 2.0 * kappa / gamma
     occ = 2.0 * nbar + 1.0
-    modes = NormalModes._within_range(
+    modes = NormalModes(*_in_range(
         occ / (1.0 + q), occ / (1.0 - q),
-        lambda: f"gamma={gamma!r}, kappa={kappa!r}, nbar={nbar!r}")
+        lambda: f"gamma={gamma!r}, kappa={kappa!r}, nbar={nbar!r}"))
     return ("thermal" if kappa == 0.0 else "squeezed-thermal"), modes
 
 

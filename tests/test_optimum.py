@@ -2,6 +2,8 @@
 
 import math
 import sys
+import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 
 from cvbell import SqueezedStateParams, maximize_bell
 from cvbell import bell as bell_module
-from cvbell.bell import _bell_optimum
+from cvbell import modes as modes_module
 from cvbell.dynamics import variance_arrays
 from cvbell.modes import (DEFAULT_BOUNDS, PARAM_ORDER, NormalModes, _bell,
-                          maximize_over_j)
+                          _bell_optimum, maximize_over_j)
 
 from oracles import max_bell_dense
 
@@ -87,7 +89,7 @@ def test_grid_form_is_the_scalar_form():
     d[:60] = 0.0
     s1, s2 = variance_arrays(r, d, nbar)
     for lo, hi in (DEFAULT_BOUNDS["J"], (1e-12, 10.0)):
-        J, B = _bell_optimum(s1, s2, lo, hi)
+        J, B = _bell_optimum(s1, s2, lo, hi, np.clip, np.log1p, np.exp)
         for i in range(r.size):
             modes = _modes(float(r[i]), float(d[i]), float(nbar[i]))
             assert abs(s1[i] - modes.s1) <= 1e-15 * modes.s1
@@ -103,7 +105,7 @@ def test_a_fixed_j_is_the_interval_j_j(state, J):
     # the maximiser scores a fixed J as max_J B on (J, J): the clamp
     # returns J, so the value is B(J) bit for bit, on arrays and floats
     s1, s2 = variance_arrays(*(np.array([v]) for v in state))
-    j_star, b = _bell_optimum(s1, s2, J, J)
+    j_star, b = _bell_optimum(s1, s2, J, J, np.clip, np.log1p, np.exp)
     assert j_star[0] == J
     assert b[0] == _bell(J, s1, s2, np.exp)[0]
     modes = _modes(*state)
@@ -190,3 +192,80 @@ def test_refined_coordinates_next_to_a_bound_go_onto_it(free, fixed, slot):
     else:
         want = _modes(*state).bell(fixed["J"])
     assert res.b_max == want
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.5, 0.1), (math.nan, 1.0), (0.0, math.nan), (-1.0, 1.0),
+    (math.inf, math.inf),
+], ids=["lo>hi", "lo nan", "hi nan", "lo<0", "lo inf"])
+def test_optimum_rejects_a_bad_interval(lo, hi):
+    # regression: (0.5, 0.1) returned (0.1, 0.972...) as the maximum of an
+    # empty interval, and a NaN bound was ignored
+    with pytest.raises(ValueError, match="J interval"):
+        _modes(1.5, 0.1, 0.2).bell_optimum(lo, hi)
+
+
+def test_optimum_accepts_an_unbounded_interval():
+    modes = _modes(1.5, 0.1, 0.2)
+    J, B = modes.bell_optimum(0.0, math.inf)
+    assert (J, B) == modes.bell_optimum(0.0, 1e300)
+    assert 0.0 < J < 1.0 and B == modes.bell(J)
+
+
+@pytest.mark.parametrize("free, fixed", [
+    (PARAM_ORDER, {}),
+    (("r", "d", "nbar"), {"J": 0.01}),
+], ids=["4-free", "3-free, J fixed"])
+def test_search_builds_one_checked_state(monkeypatch, free, fixed):
+    # the refinement scores points on the variance kernels; only the
+    # reported point becomes a cross-checked state (the parent built 197)
+    calls = []
+    of = NormalModes.of.__func__
+
+    def spy(cls, params):
+        calls.append(params)
+        return of(cls, params)
+
+    monkeypatch.setattr(NormalModes, "of", classmethod(spy))
+    res = maximize_bell(free, fixed)
+    (params,) = calls
+    assert (params.r, params.d, params.nbar) == tuple(
+        res.params[n] for n in ("r", "d", "nbar"))
+
+
+def test_every_optimum_over_j_is_the_one_kernel(monkeypatch):
+    # the coarse stage (on arrays), the simplex objective and
+    # NormalModes.bell_optimum (on floats) all evaluate modes._bell_optimum
+    assert bell_module._bell_optimum is modes_module._bell_optimum
+    kernel = modes_module._bell_optimum
+    callers = []
+
+    def spy(s1, *args):
+        stack = {frame.name for frame in traceback.extract_stack()}
+        callers.append((isinstance(s1, np.ndarray), stack))
+        return kernel(s1, *args)
+
+    monkeypatch.setattr(modes_module, "_bell_optimum", spy)
+    monkeypatch.setattr(bell_module, "_bell_optimum", spy)
+    maximize_bell(PARAM_ORDER, {})
+    assert any(array and "_coarse_best" in stack for array, stack in callers)
+    assert any(not array and "objective" in stack for array, stack in callers)
+    assert any(not array and "bell_optimum" in stack
+               for array, stack in callers)
+
+
+@pytest.mark.parametrize("free, fixed, bounds, start, match", [
+    (("r",), {"J": 0.01, "d": 0.0, "nbar": 0.0}, {"r": (0.0, 400.0)},
+     [354.0], "variances overflow.*r=360.25, d=0.0, nbar=0.0"),
+    (("nbar",), {"J": 0.01, "r": 1.0, "d": 1.0}, {"nbar": (0.0, 1e300)},
+     [1e150], "h = s1 s2 overflows.*nbar=1.5625e\\+298"),
+], ids=["variances", "h"])
+def test_an_overflowing_objective_point_raises(monkeypatch, free, fixed,
+                                               bounds, start, match):
+    # the coarse stage is bypassed so that the simplex's first step lands
+    # beyond the float range: a true ValueError, and no NaN or warning
+    monkeypatch.setattr(bell_module, "_coarse_best", lambda *args: start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            maximize_bell(free, fixed, bounds)

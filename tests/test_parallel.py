@@ -8,7 +8,16 @@ import pytest
 
 from cvbell import bell_surface, separability_map
 from cvbell.dynamics import coefficient_arrays
-from cvbell.dynamics import BLOCK_CELLS, chunked_rows
+from cvbell.dynamics import BLOCK_CELLS, row_blocks
+
+
+def _stitch(row_block, n_rows, n_cols):
+    # the scans' block loop: each row range of row_blocks written into a
+    # preallocated output
+    out = np.empty((n_rows, n_cols))
+    for lo, hi in row_blocks(n_rows, n_cols):
+        out[lo:hi] = row_block(lo, hi)
+    return out
 
 
 def _bell_kernel(J, c1, c2, h):
@@ -22,6 +31,12 @@ def _map_block(n_rows, n_cols):
     d = np.linspace(0.0, 6.0, n_rows)
     nbar = np.linspace(0.0, 3.0, n_cols)
     return lambda lo, hi: separability_map(1.5, d[lo:hi], nbar).margin
+
+
+def _surface_rows(n_rows, n_cols):
+    J = np.geomspace(1e-5, 1.0, n_rows)
+    d = np.linspace(0.0, 5.0, n_cols)
+    return lambda lo, hi: bell_surface(1.5, 0.2, J[lo:hi], d).values
 
 
 def _surface_block(n_rows, n_cols):
@@ -38,13 +53,13 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("make", [_map_block, _surface_block])
+@pytest.mark.parametrize("make", [_map_block, _surface_block, _surface_rows])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_chunked_rows_bit_identical_to_one_call(make, shape):
     n_rows, n_cols = shape
     block = make(n_rows, n_cols)
     whole = block(0, n_rows)
-    got = chunked_rows(block, n_rows, n_cols)
+    got = _stitch(block, n_rows, n_cols)
     assert got.dtype == np.float64
     assert np.array_equal(got, whole)
 
@@ -59,7 +74,7 @@ def test_chunked_rows_block_bounds():
         return np.full((hi - lo, 1), float(lo))  # broadcasts over the row
 
     n_rows, n_cols = 1001, 300
-    out = chunked_rows(block, n_rows, n_cols)
+    out = _stitch(block, n_rows, n_cols)
     assert calls[0][0] == 0 and calls[-1][1] == n_rows
     assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
     assert all(1 <= hi - lo and (hi - lo) * n_cols <= BLOCK_CELLS
@@ -68,18 +83,8 @@ def test_chunked_rows_block_bounds():
         assert np.all(out[lo:hi] == lo)
 
     calls.clear()
-    chunked_rows(block, 2, BLOCK_CELLS * 3)
+    _stitch(block, 2, BLOCK_CELLS * 3)
     assert calls == [(0, 1), (1, 2)]
-
-
-def test_chunked_rows_reraises_block_errors():
-    def block(lo, hi):
-        if lo > 0:
-            raise ValueError("bad block")
-        return np.zeros((hi - lo, 400))
-
-    with pytest.raises(ValueError, match="bad block"):
-        chunked_rows(block, 1000, 400)
 
 
 def test_workers_argument_is_ignored():
