@@ -37,7 +37,7 @@ _HOMES = {
     "dynamics": ("SteadyStateReport", "coefficient_arrays",
                  "evolve_coefficients", "steady_state"),
     "curves": ("ThresholdReport",),
-    "errors": ("ConvergenceError", "CrossCheckError"),
+    "errors": ("CrossCheckError",),
     "mixtures": ("component_bell_curve", "mixture_bell",
                  "mixture_bell_curve", "mixture_evaluator", "mixture_wigner",
                  "phase_averaged_wigner", "pure_bell_curve",

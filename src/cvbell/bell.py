@@ -267,7 +267,8 @@ def maximize_bell(free: Sequence[str], fixed: Mapping[str, float],
         Values for the remaining names (exactly the complement); each
         must be finite and nonnegative.
     bounds : mapping, optional
-        (lo, hi) per free name; J bounds must be positive.  Defaults:
+        (lo, hi) per free name, finite but for an upper J bound of inf;
+        J bounds must be positive.  Defaults:
         J (1e-4, 1), r (0, 3), d (0, 5), nbar (0, 2).
 
     Raises

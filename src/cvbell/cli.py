@@ -378,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="displacement intensity for a single Bell value")
         p.add_argument("--threshold", action="store_true",
                        help="smallest violating weight on the default "
-                            "budget grid, to the lattice of width 2^-14 "
-                            "(at most threshold_p_abs = "
-                            f"{TOLERANCES.threshold_p_abs:g})")
+                            "budget grid: the grid's min of "
+                            "(2 - B_ref)/(B_pure - B_ref)")
         if name == "werner":
             p.add_argument("--finite-dim", dest="finite_dim", type=int,
                            default=None, metavar="DIM",

@@ -2,14 +2,15 @@
 
 The mixtures' Bell value is affine in the weight p of the squeezed
 component, B = p B_pure + (1 - p) B_ref, so on a grid of budgets J the
-mixture violates B > 2 exactly when p > R(J) = (2 - B_ref)/(B_pure - B_ref)
-at a node where B_pure > B_ref.  :func:`threshold_report` reports the
-2^-14 cell that holds min R, which
-:func:`cvbell.mixtures.werner_violation_threshold` computes on numpy
-curves and :func:`violation_threshold` on Python floats, both on the
-same fixed budget grid.  The grids and curves here are those of the
-figures and the thresholds, built without numpy so that those
-command-line paths start without it:
+mixture violates B > 2 exactly when p > R(J) = loss / (gain + loss) at
+a node where gain = B_pure - 2 > 0, with loss = 2 - B_ref.  The
+threshold is min R over a fixed budget grid: :func:`violation_threshold`
+locates its node and that of the best pure B on Python floats,
+:func:`cvbell.mixtures.werner_violation_threshold` on numpy arrays, and
+:func:`threshold_report` evaluates the one record at those nodes for
+both.  The grids and curves here are those of the figures and the
+thresholds, built without numpy so that those command-line paths start
+without it:
 
 * :func:`_linspace` is ``numpy.linspace`` bit for bit;
 * :func:`_geomspace` is ``numpy.geomspace`` within 1 ulp per node for
@@ -25,10 +26,11 @@ from ._record import frozen_record
 from .modes import (
     _mixture_kind,
     _pure_curve,
+    _pure_gain,
     _reference_curve,
+    _reference_loss,
     _require_squeezing,
 )
-from .tolerances import TOLERANCES
 
 __all__ = [
     "BUDGET_COUNT",
@@ -46,10 +48,6 @@ __all__ = [
 #: one reaches down to 1e-6 because its threshold sits at vanishing weight
 BUDGET_COUNT = 200
 BUDGET_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
-
-#: the threshold lattice: the cells of width w = 2^-n that bisection of
-#: [0, 1] reaches first with w <= ``TOLERANCES.threshold_p_abs`` (n = 14)
-_LATTICE_BITS = 1 - math.frexp(TOLERANCES.threshold_p_abs)[1]
 
 
 def _linspace(start: float, stop: float, num: int) -> list:
@@ -116,48 +114,43 @@ class ThresholdReport:
     best_b_at_unit_weight: float
 
 
-def threshold_report(kind: str, r: float, top: float,
-                     min_r: float) -> ThresholdReport:
-    """The threshold report from the grid's best pure B and min R.
+def threshold_report(kind: str, r: float, j_min: float,
+                     j_top: float) -> ThresholdReport:
+    """The threshold report from two nodes of the budget grid.
 
-    ``top`` is max_J B_pure over the budget grid and ``min_r`` the
-    minimum of 1 and of R over its nodes.  B is affine in p and the
-    reference states never violate, so on the grid the mixture violates
-    exactly when p > min R.  ``p_star`` is None unless ``top > 2``, and
-    otherwise the midpoint of the cell [k w, (k + 1) w], w = 2^-14, that
-    holds min R, with k clamped to [0, 2^14 - 1]: in exact arithmetic
-    the value that bisection of [0, 1] on the violation test returns
-    once its width is at most ``TOLERANCES.threshold_p_abs``.
+    ``j_top`` is the node of the largest gain B_pure - 2 and ``j_min``
+    that of min R among the nodes where the gain is positive.  The best
+    B at p = 1 is B_pure at ``j_top``; ``p_star`` is None unless it
+    exceeds 2, and otherwise R at ``j_min``.
     """
-    if not top > 2.0:
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    best = _pure_curve(j_top, c, s)
+    if not best > 2.0:
         return ThresholdReport(kind=kind, r=float(r), p_star=None,
                                violated_at_unit_weight=False,
-                               best_b_at_unit_weight=top)
-    cell = min(max(int(math.ldexp(min_r, _LATTICE_BITS)), 0),
-               (1 << _LATTICE_BITS) - 1)
+                               best_b_at_unit_weight=best)
+    gain = _pure_gain(j_min, c, s)
+    loss = _reference_loss(j_min, c, s, kind)
     return ThresholdReport(kind=kind, r=float(r),
-                           p_star=math.ldexp(cell + 0.5, -_LATTICE_BITS),
+                           p_star=loss / (gain + loss),
                            violated_at_unit_weight=True,
-                           best_b_at_unit_weight=top)
+                           best_b_at_unit_weight=best)
 
 
 def violation_threshold(r: float,
                         kind: str = "werner-thermal") -> ThresholdReport:
     """:func:`cvbell.mixtures.werner_violation_threshold` with Python
-    floats in place of numpy arrays.
-
-    The grid is :func:`_geomspace`, within 1 ulp per node of the
-    library's ``numpy.geomspace``, and the curves round like numpy's in
-    all but the last bit of some exponentials.  The tests find the
-    library's ``p_star`` for r in [0, 9] and at points up to r = 354,
-    and the best B at p = 1 within 4 ulp of it.  For phase-diffused r in
-    about [5e-7, 2e-5], where R is formed from differences of nearly
-    equal B, the two min R can fall into different cells.
+    floats in place of numpy arrays, on the same :func:`_geomspace`
+    grid.  ``math.exp`` and numpy's ``exp`` can differ in the last bit,
+    which could move a node only where two nodes tie to rounding; the
+    tests find the same report for r in [0, 9] and up to r = 354.
     """
     budgets = _geomspace(BUDGET_LOW[_mixture_kind(kind)], 1.0, BUDGET_COUNT)
     r = _require_squeezing(r)
-    pure = pure_bell_values(budgets, r)
-    reference = component_bell_values(budgets, r, kind)
-    min_r = min([1.0] + [(2.0 - b) / (a - b)
-                         for a, b in zip(pure, reference) if a - b > 0.0])
-    return threshold_report(kind, r, max(pure), min_r)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    gains = [_pure_gain(J, c, s) for J in budgets]
+    top = max(range(BUDGET_COUNT), key=gains.__getitem__)
+    ratios = [(loss := _reference_loss(J, c, s, kind)) / (gain + loss)
+              if gain > 0.0 else math.inf for J, gain in zip(budgets, gains)]
+    low = min(range(BUDGET_COUNT), key=ratios.__getitem__)
+    return threshold_report(kind, r, budgets[low], budgets[top])

@@ -1,10 +1,6 @@
 """Package-specific exception types."""
 
 
-class ConvergenceError(RuntimeError):
-    """A numeric iteration could not reach its documented tolerance."""
-
-
 class CrossCheckError(RuntimeError):
     """Two independent computation routes for the same quantity disagree
     beyond their paired tolerance; indicates an internal defect."""

@@ -20,7 +20,7 @@ identity against the closed component curves, which this module
 evaluates on budget arrays.  The same affinity gives the violation
 threshold on the fixed budget grid in one vector pass: the mixture
 violates exactly when p > (2 - B_ref) / (B_pure - B_ref) at some node
-(:mod:`cvbell.curves` turns the minimum of that ratio into the report).
+(:mod:`cvbell.curves` evaluates the report at the smallest ratio).
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ from typing import Callable
 import numpy as np
 
 from .bell import BellEvaluation, BellSettings
-from .curves import BUDGET_COUNT, BUDGET_LOW, ThresholdReport, threshold_report
+from .curves import (BUDGET_COUNT, BUDGET_LOW, ThresholdReport, _geomspace,
+                     threshold_report)
 from .modes import (  # the benchmark resolves cvbell.mixtures.MixtureSpec
     MixtureSpec,
     _mixture_kind,
     _pure_curve,
+    _pure_gain,
     _reference_curve,
+    _reference_loss,
     _require_squeezing,
     mixture_correlations,
 )
-from .numerics import _i0e_array
+from .numerics import _bessel_excess_array, _i0e_array
 from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
 
 __all__ = [
@@ -165,8 +168,9 @@ def mixture_bell(spec: MixtureSpec, J: float) -> BellEvaluation:
 # violation threshold in p
 # ----------------------------------------------------------------------
 
-#: default budget grids of the thresholds, built once and read-only
-_DEFAULT_BUDGETS = {kind: np.geomspace(low, 1.0, BUDGET_COUNT)
+#: default budget grids of the thresholds, the float front end's grid,
+#: built once and read-only
+_DEFAULT_BUDGETS = {kind: np.array(_geomspace(low, 1.0, BUDGET_COUNT))
                     for kind, low in BUDGET_LOW.items()}
 for _grid in _DEFAULT_BUDGETS.values():
     _grid.flags.writeable = False
@@ -174,28 +178,28 @@ for _grid in _DEFAULT_BUDGETS.values():
 
 def werner_violation_threshold(r: float,
                                kind: str = "werner-thermal") -> ThresholdReport:
-    """Weight p at which the Bell ceiling is first beaten, to
-    ``TOLERANCES.threshold_p_abs``.
+    """Smallest weight p at which the mixture beats the Bell ceiling on
+    the default budget grid.
 
-    The mixture is scanned over a fixed budget grid of 200 geometric
-    points from 1e-4 (from 1e-6 for the phase-diffused kind) to 1, where
-    it violates exactly when p > min R(J), R = (2 - B_ref) /
-    (B_pure - B_ref) over the nodes where B_pure > B_ref.  ``p_star`` is
-    the midpoint of the cell of width 2^-14 that holds min R
-    (:func:`cvbell.curves.threshold_report`).  The curves are numpy
-    arrays here; :func:`cvbell.curves.violation_threshold` computes the
-    same min R on Python floats.
+    The grid has 200 geometric points from 1e-4 (from 1e-6 for the
+    phase-diffused kind) to 1.  B is affine in p, so the mixture
+    violates exactly when p > min R(J), R = loss / (gain + loss) over
+    the nodes where gain = B_pure - 2 > 0, with loss = 2 - B_ref.  The
+    arrays locate the node of min R and that of the largest gain, and
+    :func:`cvbell.curves.threshold_report` evaluates the report there.
 
     Raises
     ------
     ValueError
         On an unknown kind or a bad r.
     """
-    J_grid = _DEFAULT_BUDGETS[_mixture_kind(kind)]
+    J = _DEFAULT_BUDGETS[_mixture_kind(kind)]
     r = _require_squeezing(r)
-    b_pure = pure_bell_curve(J_grid, r)
-    b_ref = component_bell_curve(J_grid, r, kind)
-    gain = b_pure - b_ref
-    up = gain > 0.0
-    min_r = float(np.min((2.0 - b_ref[up]) / gain[up], initial=1.0))
-    return threshold_report(kind, r, float(b_pure.max()), min_r)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    with np.errstate(over="ignore"):  # 4 s J past the float range: inf
+        gain = _pure_gain(J, c, s, np.exp, np.expm1)
+        loss = _reference_loss(J, c, s, kind, np.expm1, _bessel_excess_array)
+    ratio = np.divide(loss, gain + loss, out=np.full_like(J, np.inf),
+                      where=gain > 0.0)
+    return threshold_report(kind, r, float(J[np.argmin(ratio)]),
+                            float(J[np.argmax(gain)]))

@@ -31,7 +31,9 @@ the Werner-type mixture has two Gaussian components, and the
 phase-diffused reference state has the correlations [1, e^{-2cJ},
 e^{-2cJ}, I0(4sJ) e^{-4cJ}] (c = cosh 2r, s = sinh 2r), the last one
 through the scaled Bessel function e^-x I0(x) as a Horner polynomial
-on one float (:func:`_i0e`).
+on one float (:func:`_i0e`).  Their violation threshold is built from
+B_pure - 2 and 2 - B_ref, each formed without cancellation
+(:func:`_pure_gain`, :func:`_reference_loss`).
 
 The grid kernels of :mod:`cvbell.analysis` and :mod:`cvbell.bell`
 evaluate the same formulas on numpy arrays, the maximiser's refinement
@@ -472,7 +474,8 @@ def _maximize_inputs(free, fixed, bounds) -> tuple:
 
     Checks the arguments of :func:`cvbell.bell.maximize_bell`: known
     names, each either free or fixed, finite nonnegative fixed values,
-    nonempty bounds, positive J bounds and nonnegative other bounds.
+    finite nonempty bounds (the upper J bound may be inf), positive J
+    bounds and nonnegative other bounds.
     """
     free = tuple(free)
     if not free:
@@ -500,6 +503,9 @@ def _maximize_inputs(free, fixed, bounds) -> tuple:
     limits = {}
     for name in free_ordered:
         lo, hi = merged[name]
+        if not (math.isfinite(lo)
+                and (math.isfinite(hi) or name == "J" and hi == math.inf)):
+            raise ValueError(f"{name} bounds must be finite")
         if not hi > lo:
             raise ValueError(f"empty bounds for {name}: ({lo}, {hi})")
         if name == "J" and lo <= 0:
@@ -615,6 +621,44 @@ def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
         return (1.0 + 2.0 * exp(-2.0 * J / c) - exp(-4.0 * J / c)) / _square(c)
     return (1.0 + 2.0 * exp(-2.0 * c * J)
             - _bessel_correlation(J, c, s, exp, i0e))
+
+
+# ----------------------------------------------------------------------
+# the two parts of the violation threshold, without cancellation
+# ----------------------------------------------------------------------
+
+def _pure_gain(J, c: float, s: float, exp=math.exp, expm1=math.expm1):
+    """B_pure - 2 = e^{-4cJ} (1 - e^{-4sJ}) - (1 - e^{-2cJ})^2 at J > 0,
+    accurate where B_pure is within rounding of 2; ``exp`` and ``expm1``
+    as in :func:`_variances`."""
+    return (exp(-4.0 * c * J) * -expm1(-4.0 * (s * J))
+            - expm1(-2.0 * c * J) ** 2)
+
+
+def _bessel_excess(J, c: float, s: float):
+    """e^{-4cJ} (I0(4sJ) - 1) of a float J > 0: below
+    ``TOLERANCES.bessel_switch`` e^{-4cJ} times the power series without
+    its constant term, above it :func:`_bessel_correlation` - e^{-4cJ}.
+    :func:`cvbell.numerics._bessel_excess_array` is its form on arrays.
+    """
+    decay = math.exp(-4.0 * c * J)
+    x = 4.0 * (s * J)
+    if x < TOLERANCES.bessel_switch:
+        return decay * _horner_tail(x * x / 4.0, _I0_SERIES)
+    return _bessel_correlation(J, c, s) - decay
+
+
+def _reference_loss(J, c: float, s: float, kind: str, expm1=math.expm1,
+                    excess=_bessel_excess):
+    """2 - B_ref of the reference state of ``kind`` at J > 0, a sum of
+    nonnegative terms: 2 (s/c)^2 + (expm1(-2J/c)/c)^2 for the product
+    of the thermal marginals (no c^2 is formed), and
+    (1 - e^{-2cJ})^2 + e^{-4cJ} (I0(4sJ) - 1) for the phase average.
+    numpy passes its ``expm1`` and
+    :func:`cvbell.numerics._bessel_excess_array`."""
+    if kind == "werner-thermal":
+        return 2.0 * (s / c) ** 2 + (expm1(-2.0 * J / c) / c) ** 2
+    return expm1(-2.0 * c * J) ** 2 + excess(J, c, s)
 
 
 def mixture_correlations(spec: MixtureSpec, J: float) -> tuple:

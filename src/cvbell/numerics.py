@@ -34,6 +34,7 @@ from .modes import (  # the I0 tables and Horner rule are shared
     _I0_ASYMPTOTIC,
     _I0_SERIES,
     _INV_SQRT_2PI,
+    _bessel_correlation,
     _horner_tail,
 )
 from .tolerances import TOLERANCES
@@ -107,6 +108,22 @@ def _i0e_array(x):
         out[~small] = ((1.0 + _horner_tail(1.0 / xl, _I0_ASYMPTOTIC))
                        * _INV_SQRT_2PI / np.sqrt(xl))
     return _maybe_scalar(out, scalar)
+
+
+def _bessel_excess_array(J: np.ndarray, c: float, s: float) -> np.ndarray:
+    """:func:`cvbell.modes._bessel_excess` elementwise on an array of
+    budgets J > 0: e^{-4cJ} (I0(4sJ) - 1)."""
+    x = 4.0 * (s * J)
+    out = np.exp(-4.0 * c * J)
+    small = x < TOLERANCES.bessel_switch
+    if np.any(small):
+        xs = x[small]
+        out[small] *= _horner_tail(xs * xs / 4.0, _I0_SERIES)
+    if not np.all(small):
+        large = ~small
+        out[large] = (_bessel_correlation(J[large], c, s, np.exp, _i0e_array)
+                      - out[large])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -67,18 +67,6 @@ class TwoModePoint:
     alpha1: complex
     alpha2: complex
 
-    @classmethod
-    def from_xvec(cls, x1, x2, x3, x4) -> "TwoModePoint":
-        """Build from real coordinates (Re a1, Im a1, Re a2, Im a2)."""
-        return cls(alpha1=x1 + 1j * x2, alpha2=x3 + 1j * x4)
-
-    def to_xvec(self):
-        """Real coordinates (Re a1, Im a1, Re a2, Im a2); exact inverse
-        of :meth:`from_xvec`."""
-        a1 = np.asarray(self.alpha1)
-        a2 = np.asarray(self.alpha2)
-        return a1.real, a1.imag, a2.real, a2.imag
-
 
 @frozen_record
 class CovarianceMatrix:

@@ -41,9 +41,6 @@ class Tolerances:
     boundary_margin: float = -1e-12
     #: simplex diameter at which Nelder-Mead refinement stops
     simplex_diameter: float = 1e-6
-    #: bound on the width of the lattice cell that holds the mixture
-    #: violation threshold in p
-    threshold_p_abs: float = 1e-4
     #: |B(0) - 2| below which a Bell curve counts as anchored
     anchor_abs: float = 1e-9
     #: internal check that mixture Bell values are affine in p, relative

@@ -38,7 +38,8 @@ SUBCOMMANDS = ("coeffs", "figure", "maximize", "bell", "separability",
 #: families, including where the budget grid misses the minimiser
 THRESHOLD_R = {
     "werner": ("1.5", "4", "4.5", "6", "1e-4", "5e-5", "354"),
-    "phase-diffused": ("0.3", "1", "1.5", "1e-6", "1e-7", "354"),
+    "phase-diffused": ("0.3", "1", "1.5", "1e-6", "1e-7", "354",
+                       "5.493961497003613e-07"),
 }
 
 EXTRA = [
@@ -75,6 +76,8 @@ EXTRA = [
     ["steady", "--gamma", "-1", "--kappa", "1"],
     ["maximize", "--free", "J", "--r", "1.5"],
     ["maximize", "--free", "J,x", "--r", "1.5"],
+    ["maximize", "--free", "r", "--J", "0.01", "--d", "0", "--nbar", "0",
+     "--r-bounds", "0", "inf"],
     ["phase-diffused", "--slope", "--p", "0.5", "--r", "400"],
 ]
 

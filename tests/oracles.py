@@ -19,8 +19,8 @@ restructured for speed:
 * the real-coordinate moment matrices of a state's coefficient triple,
 * Gauss-Legendre and periodic trapezoidal quadrature, and the
   phase-diffused density by a brute-force double phase average,
-* Nelder-Mead, log I0 and the threshold bisection as the runtime had
-  them before they were restructured,
+* Nelder-Mead and log I0 as the runtime had them before they were
+  restructured,
 * cyclic Jacobi eigenvalues of a symmetric matrix, the reference of
   the runtime's closed 4x4 cross-pattern split.
 
@@ -36,11 +36,16 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from cvbell import ConvergenceError, NormalModes, TwoModePoint, wigner_pure_2mss
-from cvbell.mixtures import component_bell_curve, pure_bell_curve
+from cvbell import NormalModes, TwoModePoint, wigner_pure_2mss
 from cvbell.modes import _check_rates, _require_finite
 from cvbell.numerics import one_minus_exp_over
 from cvbell.tolerances import TOLERANCES
+
+
+class ConvergenceError(RuntimeError):
+    """An oracle's quadrature or integration could not reach its
+    documented tolerance (it is under-resolved)."""
+
 
 #: off-diagonal Frobenius residual, relative to the matrix norm, at which
 #: the Jacobi oracle stops
@@ -262,33 +267,6 @@ def bessel_i0_log_loops(x):
         out[~small] = (xl - 0.5 * np.log(2.0 * np.pi * xl)
                        + np.log(i0_asymptotic_tail(xl)))
     return float(out) if out.ndim == 0 else out
-
-
-def threshold_bisection(r, J_grid, kind, p_tol):
-    """p* of ``cvbell.mixtures.werner_violation_threshold`` by bisection.
-
-    The form the runtime had before it located the bisection's final
-    cell directly: halve [0, 1] until its width is at most ``p_tol``,
-    keeping the predicate max_J B(p, J) > 2 true at the upper end.
-    Returns None when p = 1 does not violate.
-    """
-    J_grid = np.asarray(J_grid, dtype=float)
-    b_pure = pure_bell_curve(J_grid, r)
-    b_ref = component_bell_curve(J_grid, r, kind)
-
-    def best_b(p):
-        return float((p * b_pure + (1.0 - p) * b_ref).max())
-
-    if not best_b(1.0) > 2.0:
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > p_tol:
-        mid = 0.5 * (lo + hi)
-        if best_b(mid) > 2.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 # ----------------------------------------------------------------------

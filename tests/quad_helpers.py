@@ -33,6 +33,19 @@ from oracles import gauss_legendre
 SQRT_HALF = math.sqrt(0.5)
 
 
+def point_from_xvec(x1, x2, x3, x4) -> TwoModePoint:
+    """The point of real coordinates (Re a1, Im a1, Re a2, Im a2)."""
+    return TwoModePoint(alpha1=x1 + 1j * x2, alpha2=x3 + 1j * x4)
+
+
+def xvec_of(point: TwoModePoint) -> tuple:
+    """Real coordinates (Re a1, Im a1, Re a2, Im a2) of ``point``; the
+    exact inverse of :func:`point_from_xvec`."""
+    a1 = np.asarray(point.alpha1)
+    a2 = np.asarray(point.alpha2)
+    return a1.real, a1.imag, a2.real, a2.imag
+
+
 def gaussian_sigmas(form: NormalModes):
     """(wide, narrow) standard deviations of a form in the rotated frame."""
     wide = math.sqrt(form.h / (form.c1 + form.c2))
@@ -73,8 +86,8 @@ def rotated_box_integral(evaluator, axes) -> float:
     for i in range(len(up)):
         x1 = (SQRT_HALF * (up[i] + um))[:, None, None]
         x3 = (SQRT_HALF * (up[i] - um))[:, None, None]
-        vals = evaluator(TwoModePoint.from_xvec(x1, x2[None, :, :],
-                                                x3, x4[None, :, :]))
+        vals = evaluator(point_from_xvec(x1, x2[None, :, :],
+                                         x3, x4[None, :, :]))
         total += cup[i] * float(np.einsum("b,bcd,cd->", cum, vals, w_cd))
     return total
 

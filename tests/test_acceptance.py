@@ -46,6 +46,7 @@ from oracles import (
 from quad_helpers import (
     form_normalization,
     marginal_by_quadrature,
+    point_from_xvec,
     polar_normalization,
     rotated_box_integral,
     uniform_box_axes,
@@ -85,7 +86,7 @@ def test_criterion_02_pure_reduction():
         form = evolve_coefficients(SqueezedStateParams(r, 0.0, 0.0))
         for _ in range(100):
             x = rng.uniform(-0.5, 0.5, size=4)
-            pt = TwoModePoint.from_xvec(*x)
+            pt = point_from_xvec(*x)
             ref = wigner_pure_2mss(pt, r)
             got = wigner_gaussian_eval(pt, form)
             worst = max(worst, abs(got - ref) / ref)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -127,6 +128,30 @@ def test_maximize_subcommand():
     header, row = (l.split(",") for l in data_lines(out))
     vals = dict(zip(header, row))
     assert float(vals["B_max"]) == pytest.approx(2.1896428837, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("r", ["--free", "r", "--J", "0.01", "--d", "0", "--nbar", "0",
+           "--r-bounds", "0", "inf"]),
+    ("r", ["--free", "r", "--J", "0.01", "--d", "0", "--nbar", "0",
+           "--r-bounds", "0", "nan"]),
+    ("d", ["--free", "d", "--J", "0.01", "--r", "1", "--nbar", "0",
+           "--d-bounds", "inf", "inf"]),
+    ("nbar", ["--free", "nbar", "--J", "0.01", "--r", "1", "--d", "1",
+              "--nbar-bounds", "nan", "1"]),
+    ("J", ["--free", "J,r", "--d", "0", "--nbar", "0",
+           "--j-bounds", "1e-4", "nan"]),
+])
+def test_maximize_rejects_a_bound_that_is_not_finite(name, argv):
+    # regression: --r-bounds 0 inf warned "invalid value encountered in
+    # multiply" and blamed an overflow of the coefficients; 0 nan read
+    # "empty bounds"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("maximize", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cvbell: error: {name} bounds must be finite")
+    assert err.count("\n") == 1
 
 
 def test_separability_subcommand():

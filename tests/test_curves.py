@@ -35,8 +35,13 @@ from cvbell import (
 from cvbell import cli
 from cvbell.curves import _geomspace, pure_bell_values, violation_threshold
 from cvbell.dynamics import variance_arrays
-from cvbell.modes import _i0e, mixture_correlations
-from cvbell.numerics import _i0e_array
+from cvbell.modes import (
+    _i0e,
+    _pure_gain,
+    _reference_loss,
+    mixture_correlations,
+)
+from cvbell.numerics import _bessel_excess_array, _i0e_array
 from oracles import i0e_60, mixture_bell_60
 
 EPS = 2.0 ** -52
@@ -49,13 +54,9 @@ R = cli.FIGURE_SQUEEZING
 # ----------------------------------------------------------------------
 
 def _assert_same_threshold(kind, r):
-    library = werner_violation_threshold(r, kind=kind)
-    floats = violation_threshold(r, kind=kind)
-    assert floats.p_star == library.p_star
-    assert floats.violated_at_unit_weight == library.violated_at_unit_weight
-    best = library.best_b_at_unit_weight
-    assert abs(floats.best_b_at_unit_weight - best) <= 4 * math.ulp(best)
-    assert (floats.kind, floats.r) == (library.kind, library.r)
+    # one float function evaluates both reports, at the same two nodes
+    assert violation_threshold(r, kind=kind) == werner_violation_threshold(
+        r, kind=kind)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -65,10 +66,13 @@ def test_cli_threshold_is_the_library_threshold(kind, r):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("r", [0.0, 0.3, 1.5, 4.5, 6.0, 8.0, 200.0, 354.0])
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.5, 4.5, 6.0, 8.0, 200.0, 354.0,
+                               5.493961497003613e-07])
 def test_cli_threshold_at_the_documented_points(kind, r):
     # r = 4.5 and up: the Werner optimum lies below the grid; r = 200:
-    # the product state's curve is 0 past the overflow of cosh^2 2r
+    # the product state's curve is 0 past the overflow of cosh^2 2r;
+    # r = 5.49e-7: the phase-diffused R was a ratio of differences of
+    # nearly equal B, and the two front ends printed different p*
     _assert_same_threshold(kind, r)
 
 
@@ -118,6 +122,44 @@ def test_i0e_domain():
     assert _i0e(1.7e308) == pytest.approx(1.0 / math.sqrt(2 * math.pi * 1e308)
                                           / math.sqrt(1.7), rel=1e-15)
     assert _i0e_array(np.array([0.0, math.inf])).tolist() == [1.0, 0.0]
+
+
+# ----------------------------------------------------------------------
+# the gain B_pure - 2 and the loss 2 - B_ref of the threshold
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(KINDS), r=st.floats(1e-7, 9.0),
+       J=st.floats(1e-6, 1.0))
+def test_gain_and_loss_against_60_digits(kind, r, J):
+    # on floats and on arrays.  The gain is held - lost, the difference
+    # of two positive terms, and held carries the rounding of c in
+    # e^{-4cJ}; the loss is a sum of nonnegative terms, and the Bessel
+    # series adds I0E_REL of the phase-diffused correlation
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    gains = (_pure_gain(J, c, s),
+             _pure_gain(np.array([J]), c, s, np.exp, np.expm1)[0])
+    losses = (_reference_loss(J, c, s, kind),
+              _reference_loss(np.array([J]), c, s, kind, np.expm1,
+                              _bessel_excess_array)[0])
+    with mpmath.workdps(60):
+        R, J = mpmath.mpf(r), mpmath.mpf(J)
+        C, S = mpmath.cosh(2 * R), mpmath.sinh(2 * R)
+        decay = mpmath.exp(-4 * C * J)
+        held = decay * (1 - mpmath.exp(-4 * S * J))
+        lost = (1 - mpmath.exp(-2 * C * J)) ** 2
+        if kind == "werner-thermal":
+            bessel = 0
+            loss = 2 * (S / C) ** 2 + ((1 - mpmath.exp(-2 * J / C)) / C) ** 2
+        else:
+            bessel = (i0e_60(4 * S * J)
+                      * mpmath.exp(-4 * mpmath.exp(-2 * R) * J))
+            loss = lost + bessel - decay
+        for got in gains:
+            assert abs(got - (held - lost)) <= 8 * EPS * (
+                held * (1 + 4 * C * J) + lost)
+        for got in losses:
+            assert abs(got - loss) <= 8 * EPS * loss + I0E_REL * bessel
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cvbell import (
-    ConvergenceError,
     NormalModes,
     SqueezedStateParams,
     coefficient_arrays,
@@ -17,6 +16,7 @@ from cvbell import (
 )
 from cvbell.phase_space import w_matrix_from_form
 from oracles import (
+    ConvergenceError,
     covariance_ode_oracle,
     covariance_xvec,
     drift_eigenvalues,

@@ -18,7 +18,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbell import (MixtureSpec, bell_surface, maximize_bell,
@@ -86,6 +86,8 @@ def searches(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(searches())
+# an infinite r bound: a numpy warning and an untrue overflow message
+@example((["r"], {"J": 0.01, "d": 0.0, "nbar": 0.0}, {"r": (0.0, math.inf)}))
 def test_maximize_bell(search):
     res = call(maximize_bell, *search)
     if res is not None:

@@ -1,6 +1,7 @@
 """Unit tests for Werner-type and phase-diffused mixtures."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbell import (
-    ConvergenceError,
     MixtureSpec,
-    TOLERANCES,
     TwoModePoint,
     component_bell_curve,
     finite_dim_werner_threshold,
@@ -26,16 +25,17 @@ from cvbell import (
     werner_violation_threshold,
     wigner_pure_2mss,
 )
-from cvbell.curves import threshold_report, violation_threshold
-from cvbell.mixtures import werner_wigner
+from cvbell.curves import _geomspace, threshold_report, violation_threshold
+from cvbell.mixtures import _DEFAULT_BUDGETS, werner_wigner
 from cvbell.modes import mixture_slope
 
 from oracles import (
     SLOPE_REL,
+    ConvergenceError,
     i0e_60,
     min_ratio_60,
+    mixture_bell_60,
     phase_average_quadrature_oracle,
-    threshold_bisection,
 )
 from quad_helpers import marginal_by_quadrature
 
@@ -233,14 +233,17 @@ def test_small_j_slope_with_scaled_probe(kind, r):
 @pytest.mark.parametrize("kind, low", [("werner-thermal", 1e-4),
                                        ("phase-diffused", 1e-6)])
 def test_threshold_default_grid_is_the_documented_grid(kind, low):
-    # the budget grid is built once; bisection on the documented grid
-    # must give the same report, bit for bit
-    grid = np.geomspace(low, 1.0, 200)
+    # the budget grid is built once, read-only, from the float front
+    # end's grid, bit for bit, and within 1 ulp of numpy's geomspace
+    grid = _DEFAULT_BUDGETS[kind]
+    assert not grid.flags.writeable
+    assert grid.tolist() == _geomspace(low, 1.0, 200)
+    want = np.geomspace(low, 1.0, 200)
+    assert np.all(np.abs(grid - want) <= np.spacing(want))
     for r in (0.3, 1.5, 2.7):
-        rep = werner_violation_threshold(r, kind=kind)
-        assert rep.p_star == threshold_bisection(r, grid, kind,
-                                                 TOLERANCES.threshold_p_abs)
-        assert rep.best_b_at_unit_weight == float(pure_bell_curve(grid, r).max())
+        best = werner_violation_threshold(r, kind=kind).best_b_at_unit_weight
+        top = float(pure_bell_curve(grid, r).max())
+        assert abs(best - top) <= 4 * math.ulp(top)
 
 
 @pytest.mark.parametrize("kind", ["werner-thermal", "phase-diffused"])
@@ -293,76 +296,100 @@ def test_product_curve_square_is_unchanged_below_overflow():
 
 
 KINDS = ("werner-thermal", "phase-diffused")
-DEFAULT_LOW = {"werner-thermal": 1e-4, "phase-diffused": 1e-6}
+EPS = 2.0 ** -52
 
 
-def _default_grid(kind):
-    return np.geomspace(DEFAULT_LOW[kind], 1.0, 200)
+def _nodes(r, kind):
+    """(j_min, j_top) at which the library threshold evaluates its report."""
+    with mock.patch("cvbell.mixtures.threshold_report",
+                    wraps=threshold_report) as spy:
+        werner_violation_threshold(r, kind)
+    return spy.call_args.args[2:]
+
+
+def _ratio_60(r, kind, J):
+    # min(1, R(J)) of one node, to 60 digits
+    return min_ratio_60(r, kind, [J])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(kind=st.sampled_from(KINDS), r=st.floats(0.0, 9.0))
-def test_threshold_equals_the_bisection_oracle(kind, r):
-    # the lattice cell found from min R is the one bisection ends on
+def test_threshold_is_the_60_digit_ratio_at_a_local_minimum(kind, r):
+    # p* is the 60-digit R at its node, and no neighbouring node has a
+    # smaller R; the best B at p = 1 is B_pure at a node whose
+    # neighbours have no larger B_pure
     rep = werner_violation_threshold(r, kind=kind)
-    assert rep.p_star == threshold_bisection(r, _default_grid(kind), kind,
-                                             TOLERANCES.threshold_p_abs)
-    assert rep.violated_at_unit_weight == (rep.p_star is not None)
+    grid = _DEFAULT_BUDGETS[kind].tolist()
+    j_min, j_top = _nodes(r, kind)
+    k, top = grid.index(j_min), grid.index(j_top)
+    near = [grid[i] for i in (k - 1, k + 1) if 0 <= i < len(grid)]
+    with mpmath.workdps(60):
+        best = mixture_bell_60(1, r, j_top, kind)[0]
+        assert abs(rep.best_b_at_unit_weight - best) <= 4 * EPS * best
+        for i in (top - 1, top + 1):
+            if 0 <= i < len(grid):
+                assert (mixture_bell_60(1, r, grid[i], kind)[0]
+                        <= best * (1 + 4 * EPS))
+        assert rep.violated_at_unit_weight == (rep.p_star is not None)
+        if rep.p_star is None:
+            return
+        want = _ratio_60(r, kind, j_min)
+        assert abs(rep.p_star - want) <= 4 * EPS * want
+        for J in near:
+            assert _ratio_60(r, kind, J) >= want * (1 - 4 * EPS)
 
 
-CELLS = 2 ** 14
-
-
-@pytest.mark.parametrize("top", [2.0, 1.5, math.nan])
-def test_threshold_report_without_a_violation_has_no_weight(top):
-    rep = threshold_report("werner-thermal", 1.0, top, 0.5)
+@pytest.mark.parametrize("j_top", [2.0, 1.5, math.nan])
+def test_threshold_report_without_a_violation_has_no_weight(j_top):
+    # at r = 1 the pure state stays below 2 at these budgets, and a NaN
+    # B is no violation either
+    rep = threshold_report("werner-thermal", 1.0, 0.01, j_top)
     assert rep.p_star is None and not rep.violated_at_unit_weight
-    assert rep.best_b_at_unit_weight is top
+    best = rep.best_b_at_unit_weight
+    assert best < 2.0 or math.isnan(best) and math.isnan(j_top)
 
 
-@pytest.mark.parametrize("k", [0, 1, 12345, CELLS - 1])
-def test_threshold_report_of_a_lattice_point_is_the_cell_above_it(k):
-    rep = threshold_report("werner-thermal", 1.0, 2.5, k / CELLS)
-    assert rep.p_star == (k + 0.5) / CELLS
-    assert rep.violated_at_unit_weight and rep.best_b_at_unit_weight == 2.5
-
-
-@pytest.mark.parametrize("min_r, want", [
-    (1.0, 1.0 - 0.5 / CELLS),
-    (1.5, 1.0 - 0.5 / CELLS),
-    (0.0, 0.5 / CELLS),
-    (-0.0, 0.5 / CELLS),
-    (-1e-300, 0.5 / CELLS),
-    (-3.0, 0.5 / CELLS),
-])
-def test_threshold_report_clamps_min_r_to_the_lattice(min_r, want):
-    assert threshold_report("phase-diffused", 1.0, 2.5, min_r).p_star == want
-
-
-def _cell_60(r, kind):
-    # the midpoint of the 2^-14 cell that holds the 60-digit min R
-    k = int(mpmath.floor(min_ratio_60(r, kind, _default_grid(kind)) * CELLS))
-    return (min(max(k, 0), CELLS - 1) + 0.5) / CELLS
+def _assert_near_60_digits(r, kind, want):
+    for front_end in (werner_violation_threshold, violation_threshold):
+        p_star = front_end(r, kind).p_star
+        assert abs(p_star - want) <= 4 * EPS * want, front_end
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("r", [0.3, 1.0, 1.5, 2.7, 4.0])
 def test_threshold_is_the_cell_of_the_60_digit_min_ratio(kind, r):
-    # each 60-digit min R lies at least 0.014 cells from a cell edge
-    want = _cell_60(r, kind)
-    assert werner_violation_threshold(r, kind).p_star == want
-    assert violation_threshold(r, kind).p_star == want
+    # named when p* was a 2^-14 cell; both front ends are now within
+    # 4 eps of the 60-digit min R over the whole grid
+    with mpmath.workdps(60):
+        want = min_ratio_60(r, kind, _DEFAULT_BUDGETS[kind])
+        _assert_near_60_digits(r, kind, want)
 
 
 @pytest.mark.parametrize("r, want", [
-    (5.493961497003613e-07, 0.910064697265625),
-    (7.421484740800455e-07, 0.673736572265625),
-    (9.209359249259617e-07, 0.542938232421875),
-    (2.90939092548579e-06, 0.171844482421875),
+    (5.493961497003613e-07, 0.9100919259727639),
+    (7.421484740800455e-07, 0.6737209836936214),
+    (9.209359249259617e-07, 0.5429270229037865),
+    (2.90939092548579e-06, 0.17185761997646504),
 ])
 def test_tiny_r_phase_diffused_threshold_is_the_60_digit_cell(r, want):
-    # R is a ratio of differences of nearly equal B here; the float
-    # front end still misses the first and the third cell (ROADMAP
-    # item 3)
-    assert _cell_60(r, "phase-diffused") == want
-    assert werner_violation_threshold(r, "phase-diffused").p_star == want
+    # R was a ratio of differences of nearly equal B here, and the two
+    # front ends fell into different 2^-14 cells; from the gain and the
+    # loss both are within 4 eps of the 60-digit min R, frozen as want
+    with mpmath.workdps(60):
+        exact = min_ratio_60(r, "phase-diffused",
+                             _DEFAULT_BUDGETS["phase-diffused"])
+        assert float(exact) == want
+        _assert_near_60_digits(r, "phase-diffused", exact)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7, 1.0, 1.5, 2.0])
+def test_phase_diffused_threshold_to_first_order_in_the_first_budget(r):
+    # R(J) = kappa J (1 + O(c J)), kappa = cosh 4r / sinh 2r, so the
+    # minimum sits at the first node J_min = 1e-6 (ROADMAP item 19)
+    j_low = 1e-6
+    assert _nodes(r, "phase-diffused")[0] == j_low
+    kappa = math.cosh(4.0 * r) / math.sinh(2.0 * r)
+    for front_end in (werner_violation_threshold, violation_threshold):
+        p_star = front_end(r, "phase-diffused").p_star
+        error = p_star / (kappa * j_low) - 1.0
+        assert abs(error) <= 3.0 * math.cosh(2.0 * r) * j_low

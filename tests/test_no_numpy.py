@@ -116,7 +116,7 @@ def test_import_cvbell_loads_no_numpy():
     proc = run_python(
         "import sys\n"
         "import cvbell\n"
-        "from cvbell import (TOLERANCES, ConvergenceError, CrossCheckError,\n"
+        "from cvbell import (TOLERANCES, CrossCheckError,\n"
         "    MaximizeResult, MixtureSpec, NormalModes, ReportRecord,\n"
         "    SqueezedStateParams, Tolerances, finite_dim_werner_threshold,\n"
         "    maximize_over_j, mixture_slope, render, separability_closed_pair)\n"

@@ -137,6 +137,35 @@ def test_j_alone_validates_like_the_maximiser():
         maximize_over_j({"r": 400.0, "d": 0.0, "nbar": 0.0})
 
 
+@pytest.mark.parametrize("name, bounds", [
+    ("r", (0.0, math.inf)),
+    ("r", (0.0, math.nan)),
+    ("d", (-math.inf, 1.0)),
+    ("nbar", (math.nan, 1.0)),
+    ("J", (1e-4, math.nan)),
+    ("J", (-math.inf, 1.0)),
+])
+def test_maximiser_rejects_a_bound_that_is_not_finite(name, bounds):
+    # before the coarse stage, which warned and blamed an overflow
+    fixed = {"J": 0.01, "r": 1.0, "d": 0.5, "nbar": 0.5}
+    free = ("J", "r") if name == "J" else (name,)
+    for key in free:
+        del fixed[key]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} bounds must be finite"):
+            maximize_bell(free, fixed, {name: bounds})
+
+
+def test_maximiser_accepts_an_unbounded_j_interval():
+    fixed = {"d": 0.2, "nbar": 0.1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = maximize_bell(("J", "r"), fixed, {"J": (1e-4, math.inf)})
+    assert res == maximize_bell(("J", "r"), fixed, {"J": (1e-4, 1e300)})
+    assert math.isfinite(res.params["J"]) and math.isfinite(res.b_max)
+
+
 def test_all_free_reaches_the_largest_squeezing():
     # the best state inside the default bounds is the pure one at r = 3;
     # regression: a search over J nodes stopped at r = 2.234, B = 2.1905025
