@@ -44,7 +44,8 @@ from .modes import (  # the benchmark resolves cvbell.mixtures.MixtureSpec
     mixture_correlations,
 )
 from .numerics import _bessel_excess_array, _i0e_array
-from .phase_space import LOG_PREFACTOR, TwoModePoint, wigner_pure_2mss
+from .phase_space import (LOG_PREFACTOR, TwoModePoint, _normal_mode_wigner,
+                          wigner_pure_2mss)
 
 __all__ = [
     "thermal_marginal",
@@ -72,11 +73,16 @@ def thermal_marginal(alpha, r: float):
 
 
 def werner_wigner(point: TwoModePoint, spec: MixtureSpec):
-    """Density of p (squeezed state) + (1 - p) (product of marginals)."""
+    """Density of p (squeezed state) + (1 - p) (product of marginals).
+
+    The product of the thermal marginals is the Gaussian with both
+    variances cosh 2r, so h = cosh^2 2r, which is inf (and the product 0)
+    where the square leaves the float range.
+    """
     if spec.kind != "werner-thermal":
         raise ValueError(f"expected a werner-thermal spec, got {spec.kind!r}")
-    product = thermal_marginal(point.alpha1, spec.r) * thermal_marginal(
-        point.alpha2, spec.r)
+    c = math.cosh(2.0 * spec.r)
+    product = _normal_mode_wigner(point, c, c, c * c)
     return spec.p * wigner_pure_2mss(point, spec.r) + (1.0 - spec.p) * product
 
 
@@ -89,14 +95,17 @@ def phase_averaged_wigner(point: TwoModePoint, r: float):
     s = sinh 2r).  With c - s = e^{-2r} that is
     e^{-2c(|a1| - |a2|)^2 - 4 e^{-2r}|a1||a2|} times (4/pi^2) and the
     scaled e^-x I0(x) at x = 4s|a1||a2|: no exponent is formed as the
-    difference of two large ones, and nothing overflows.
+    difference of two large ones.  A term or an x past the float range
+    is inf, and the density its limit, 0.
     """
     r = _require_squeezing(r)
     a1 = np.abs(np.asarray(point.alpha1))
     a2 = np.abs(np.asarray(point.alpha2))
-    exponent = (LOG_PREFACTOR - 2.0 * math.cosh(2.0 * r) * (a1 - a2) ** 2
-                - 4.0 * math.exp(-2.0 * r) * a1 * a2)
-    out = np.exp(exponent) * _i0e_array(4.0 * math.sinh(2.0 * r) * a1 * a2)
+    with np.errstate(over="ignore"):
+        exponent = (LOG_PREFACTOR - 2.0 * math.cosh(2.0 * r) * (a1 - a2) ** 2
+                    - 4.0 * math.exp(-2.0 * r) * a1 * a2)
+        x = 4.0 * math.sinh(2.0 * r) * a1 * a2
+    out = np.exp(exponent) * _i0e_array(x)
     return out if out.ndim else float(out)
 
 
@@ -184,8 +193,11 @@ def werner_violation_threshold(r: float,
     The grid has 200 geometric points from 1e-4 (from 1e-6 for the
     phase-diffused kind) to 1.  B is affine in p, so the mixture
     violates exactly when p > min R(J), R = loss / (gain + loss) over
-    the nodes where gain = B_pure - 2 > 0, with loss = 2 - B_ref.  The
-    arrays locate the node of min R and that of the largest gain, and
+    the live nodes, where gain = B_pure - 2 > 0, with loss = 2 - B_ref.
+    The loss is formed at the live nodes only; there 4cJ < 1.2188
+    (:func:`cvbell.modes._pure_gain`), so its Bessel series is short.
+    The arrays locate the node of min R (the first node where none is
+    live) and that of the largest gain, and
     :func:`cvbell.curves.threshold_report` evaluates the report there.
 
     Raises
@@ -198,8 +210,10 @@ def werner_violation_threshold(r: float,
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
     with np.errstate(over="ignore"):  # 4 s J past the float range: inf
         gain = _pure_gain(J, c, s, np.exp, np.expm1)
-        loss = _reference_loss(J, c, s, kind, np.expm1, _bessel_excess_array)
-    ratio = np.divide(loss, gain + loss, out=np.full_like(J, np.inf),
-                      where=gain > 0.0)
-    return threshold_report(kind, r, float(J[np.argmin(ratio)]),
-                            float(J[np.argmax(gain)]))
+    j_min = J[0]
+    live = np.flatnonzero(gain > 0.0)
+    if live.size:
+        loss = _reference_loss(J[live], c, s, kind, np.expm1,
+                               _bessel_excess_array)
+        j_min = J[live[np.argmin(loss / (gain[live] + loss))]]
+    return threshold_report(kind, r, float(j_min), float(J[np.argmax(gain)]))

@@ -204,10 +204,29 @@ def _bell_optimum(s1, s2, lo, hi, clip=_clip, log1p=math.log1p,
 # the modified Bessel function I0, for the phase-diffused state
 # ----------------------------------------------------------------------
 
-#: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4; at x = 15 the
-#: k = 40 tail is < 1e-16 relative.  Python's int division rounds
-#: correctly, so each coefficient is the double nearest its exact value.
+#: power-series coefficients 1/(k!)^2 of I0 in q = x^2/4.  Python's int
+#: division rounds correctly, so each coefficient is the double nearest
+#: its exact value.  A sum stops before the first term below 2^-70 of
+#: the first (:func:`_series_length`): below the x = 15 switch that
+#: leaves at most 36 coefficients.
 _I0_SERIES = tuple(1 / math.factorial(k) ** 2 for k in range(41))
+
+
+def _series_length(q: float) -> int:
+    """How many leading ``_I0_SERIES`` coefficients the sum of I0 - 1
+    needs at q = x^2/4 >= 0, the largest q of an array.
+
+    The sum stops before the first term q^k/(k!)^2 below 2^-70 of the
+    first term, q; the terms fall faster than geometrically from there,
+    so what is left out is below about 2^-70 of I0 - 1.  Where the pure
+    state gains, q < 0.371342 (see :func:`_pure_gain`), and that is 12
+    coefficients, 11 terms.
+    """
+    n, ratio = 1, 1.0  # ratio = term n over term 1, q^(n-1)/(n!)^2
+    while ratio >= 2.0 ** -70 and n < len(_I0_SERIES):
+        n += 1
+        ratio *= q / (n * n)
+    return n
 
 #: asymptotic coefficients a_k = a_{k-1} (2k-1)^2 / (8k) of
 #: I0(x) sqrt(2 pi x) e^{-x} in 1/x (DLMF 10.40.1); at the x = 15 switch
@@ -246,7 +265,9 @@ def _i0e(x: float) -> float:
     arrays.
     """
     if x < TOLERANCES.bessel_switch:
-        return math.exp(-x) * (1.0 + _horner_tail(x * x / 4.0, _I0_SERIES))
+        q = x * x / 4.0
+        return math.exp(-x) * (1.0 + _horner_tail(
+            q, _I0_SERIES[:_series_length(q)]))
     tail = _horner_tail(1.0 / x, _I0_ASYMPTOTIC)
     return (1.0 + tail) * _INV_SQRT_2PI / math.sqrt(x)
 
@@ -630,7 +651,12 @@ def _reference_curve(J, c: float, s: float, kind: str, exp=math.exp,
 def _pure_gain(J, c: float, s: float, exp=math.exp, expm1=math.expm1):
     """B_pure - 2 = e^{-4cJ} (1 - e^{-4sJ}) - (1 - e^{-2cJ})^2 at J > 0,
     accurate where B_pure is within rounding of 2; ``exp`` and ``expm1``
-    as in :func:`_variances`."""
+    as in :func:`_variances`.
+
+    With v = e^{-2cJ} and s < c the gain is below v^2 (1 - v^2) - (1 - v)^2,
+    so it is positive only where v^3 + v^2 + v > 1, v > 0.5436890127:
+    there 4sJ < 4cJ < 1.2187558, and q = (4sJ)^2/4 < 0.371342.
+    """
     return (exp(-4.0 * c * J) * -expm1(-4.0 * (s * J))
             - expm1(-2.0 * c * J) ** 2)
 
@@ -644,7 +670,8 @@ def _bessel_excess(J, c: float, s: float):
     decay = math.exp(-4.0 * c * J)
     x = 4.0 * (s * J)
     if x < TOLERANCES.bessel_switch:
-        return decay * _horner_tail(x * x / 4.0, _I0_SERIES)
+        q = x * x / 4.0
+        return decay * _horner_tail(q, _I0_SERIES[:_series_length(q)])
     return _bessel_correlation(J, c, s) - decay
 
 

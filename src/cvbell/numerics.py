@@ -36,6 +36,7 @@ from .modes import (  # the I0 tables and Horner rule are shared
     _INV_SQRT_2PI,
     _bessel_correlation,
     _horner_tail,
+    _series_length,
 )
 from .tolerances import TOLERANCES
 
@@ -64,6 +65,15 @@ def _maybe_scalar(a: np.ndarray, scalar: bool):
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _i0_excess_series(x: np.ndarray) -> np.ndarray:
+    """I0(x) - 1 of an array below ``TOLERANCES.bessel_switch``, the
+    power series to the :func:`cvbell.modes._series_length` of its
+    largest entry."""
+    q = x * x / 4.0
+    top = float(q.max(initial=0.0))
+    return _horner_tail(q, _I0_SERIES[:_series_length(top)])
+
+
 def bessel_i0_log(x):
     """log I0(x), finite for every finite x >= 0.
 
@@ -80,8 +90,7 @@ def bessel_i0_log(x):
     out = np.empty_like(a)
     small = a < TOLERANCES.bessel_switch
     if np.any(small):
-        xs = a[small]
-        out[small] = np.log1p(_horner_tail(xs * xs / 4.0, _I0_SERIES))
+        out[small] = np.log1p(_i0_excess_series(a[small]))
     if not np.all(small):
         xl = a[~small]
         out[~small] = (xl - 0.5 * (_LOG_2PI + np.log(xl))
@@ -101,8 +110,7 @@ def _i0e_array(x):
     small = a < TOLERANCES.bessel_switch
     if np.any(small):
         xs = a[small]
-        out[small] = np.exp(-xs) * (1.0 + _horner_tail(xs * xs / 4.0,
-                                                       _I0_SERIES))
+        out[small] = np.exp(-xs) * (1.0 + _i0_excess_series(xs))
     if not np.all(small):
         xl = a[~small]
         out[~small] = ((1.0 + _horner_tail(1.0 / xl, _I0_ASYMPTOTIC))
@@ -112,17 +120,19 @@ def _i0e_array(x):
 
 def _bessel_excess_array(J: np.ndarray, c: float, s: float) -> np.ndarray:
     """:func:`cvbell.modes._bessel_excess` elementwise on an array of
-    budgets J > 0: e^{-4cJ} (I0(4sJ) - 1)."""
+    budgets J > 0: e^{-4cJ} (I0(4sJ) - 1).  Where every 4sJ is below
+    ``TOLERANCES.bessel_switch``, as at the nodes where the pure state
+    gains, the series runs on the whole array, unmasked."""
     x = 4.0 * (s * J)
     out = np.exp(-4.0 * c * J)
     small = x < TOLERANCES.bessel_switch
-    if np.any(small):
-        xs = x[small]
-        out[small] *= _horner_tail(xs * xs / 4.0, _I0_SERIES)
-    if not np.all(small):
-        large = ~small
-        out[large] = (_bessel_correlation(J[large], c, s, np.exp, _i0e_array)
-                      - out[large])
+    if small.all():
+        out *= _i0_excess_series(x)
+        return out
+    out[small] *= _i0_excess_series(x[small])
+    large = ~small
+    out[large] = (_bessel_correlation(J[large], c, s, np.exp, _i0e_array)
+                  - out[large])
     return out
 
 

@@ -18,8 +18,10 @@ with c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2 read off the
 normal-mode variances of :class:`cvbell.modes.NormalModes`, the one
 state type of the package; the ideal two-mode squeezed vacuum is
 (s1, s2) = (e^-2r, e^2r), i.e. h = 1, c1 = 4 cosh 2r and
-c2 = -4 sinh 2r.  Densities are evaluated in log space internally and
-exponentiated at the boundary, so extreme squeezing underflows to zero
+c2 = -4 sinh 2r.  The densities are evaluated in the normal-mode frame,
+as (2/pi)^2 (1/h) exp(-|a1 + a2*|^2/s2 - |a1 - a2*|^2/s1): the exponent
+is a sum of two nonpositive terms, which keeps its digits along the
+squeezed axis at any r, and extreme squeezing underflows to zero
 instead of corrupting intermediate results.
 """
 
@@ -95,29 +97,40 @@ class CovarianceMatrix:
 # Wigner evaluators
 # ----------------------------------------------------------------------
 
-def _quadratic_invariants(point: TwoModePoint):
-    """|a1|^2 + |a2|^2 and the cross term a1 a2 + (a1 a2)*."""
+def _normal_mode_wigner(point: TwoModePoint, s1: float, s2: float, h: float):
+    """(2/pi)^2 (1/h) exp(-U/s2 - V/s1) with U = |a1 + a2*|^2 and
+    V = |a1 - a2*|^2.
+
+    The two terms are (s1 + s2)(|a1|^2 + |a2|^2) + (s1 - s2)(a1 a2 + c.c.)
+    over h regrouped in the normal-mode frame: both are nonnegative, so
+    nothing cancels along the squeezed axis, where each of the two grows
+    like e^{2r} |a|^2.  Each is squared after its division by sqrt(s),
+    so U/s2 stays finite where U does not; a term past the float range
+    is inf, and W its limit, 0, as it is where h is inf.
+    """
     a1 = np.asarray(point.alpha1)
-    a2 = np.asarray(point.alpha2)
-    radial = np.abs(a1) ** 2 + np.abs(a2) ** 2
-    cross = 2.0 * (a1 * a2).real
-    return radial, cross
+    a2 = np.conj(np.asarray(point.alpha2))
+    with np.errstate(over="ignore"):
+        exponent = (LOG_PREFACTOR - (np.abs(a1 + a2) / math.sqrt(s2)) ** 2
+                    - (np.abs(a1 - a2) / math.sqrt(s1)) ** 2)
+    w = np.exp(exponent) / h
+    return w if np.ndim(w) else float(w)
 
 
 def wigner_pure_2mss(point: TwoModePoint, r: float):
     """Wigner density of the ideal two-mode squeezed vacuum.
 
     W(a1, a2) = (2/pi)^2 exp[-2 cosh(2r)(|a1|^2 + |a2|^2)
-                             + 2 sinh(2r)(a1 a2 + a1* a2*)]
+                             + 2 sinh(2r)(a1 a2 + a1* a2*)],
 
-    Strictly positive, bounded by (2/pi)^2, and invariant under joint
-    conjugation of both arguments and under mode swap.
+    evaluated as the Gaussian of variances (e^-2r, e^2r) and h = 1.
+    Strictly positive where the exponent stays in the float range,
+    bounded by (2/pi)^2, and invariant under joint conjugation of both
+    arguments and under mode swap.
     """
     r = _require_squeezing(r)
-    radial, cross = _quadratic_invariants(point)
-    log_w = LOG_PREFACTOR - 2.0 * math.cosh(2.0 * r) * radial \
-        + 2.0 * math.sinh(2.0 * r) * cross
-    return np.exp(log_w) if np.ndim(log_w) else float(np.exp(log_w))
+    return _normal_mode_wigner(point, math.exp(-2.0 * r), math.exp(2.0 * r),
+                               1.0)
 
 
 def wigner_gaussian_eval(point: TwoModePoint, form: NormalModes):
@@ -125,11 +138,9 @@ def wigner_gaussian_eval(point: TwoModePoint, form: NormalModes):
 
     W = (2/pi)^2 (1/h) exp{-[c1 (|a1|^2 + |a2|^2)
                              + c2 (a1 a2 + a1* a2*)] / (2h)}
+      = (2/pi)^2 (1/h) exp(-|a1 + a2*|^2/s2 - |a1 - a2*|^2/s1)
     """
-    radial, cross = _quadratic_invariants(point)
-    log_w = LOG_PREFACTOR - math.log(form.h) \
-        - (form.c1 * radial + form.c2 * cross) / (2.0 * form.h)
-    return np.exp(log_w) if np.ndim(log_w) else float(np.exp(log_w))
+    return _normal_mode_wigner(point, form.s1, form.s2, form.h)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,14 @@ restructured for speed:
 * the coefficient triple (c1, c2, h) written out in p1 = d + 2r and
   p2 = d - 2r (:func:`coefficient_triple`), and the normal-mode
   variances to 50 digits (:func:`variances_50`),
-* the mixtures' Bell values, the minimum ratio R of their threshold
-  and the scaled Bessel function e^-x I0(x) to 60 digits
-  (:func:`mixture_bell_60`, :func:`min_ratio_60`, :func:`i0e_60`),
+* the Wigner density of a state in the (c1, c2, h) form to 50 digits
+  (:func:`wigner_50`),
+* the mixtures' Bell values, the minimum ratio R of their threshold,
+  the scaled Bessel function e^-x I0(x) and the series I0(x) - 1 to 60
+  digits (:func:`mixture_bell_60`, :func:`min_ratio_60`, :func:`i0e_60`,
+  :func:`i0_excess_60`),
+* the threshold's full-grid array pass, which forms R at all 200 nodes
+  with the 40-term Bessel series (:func:`threshold_nodes_full_grid`),
 * the drift and diffusion of the Fokker-Planck equation, the RK4
   Lyapunov integrator, the analytic propagator and the series matrix
   exponential, which give the second moments Sigma(t) without the
@@ -37,8 +42,11 @@ import mpmath
 import numpy as np
 
 from cvbell import NormalModes, TwoModePoint, wigner_pure_2mss
-from cvbell.modes import _check_rates, _require_finite
-from cvbell.numerics import one_minus_exp_over
+from cvbell.mixtures import _DEFAULT_BUDGETS
+from cvbell.modes import (_I0_SERIES, _bessel_correlation, _check_rates,
+                          _horner_tail, _pure_gain, _reference_loss,
+                          _require_finite)
+from cvbell.numerics import _i0e_array, one_minus_exp_over
 from cvbell.tolerances import TOLERANCES
 
 
@@ -314,6 +322,35 @@ def variances_50(r, d, nbar) -> tuple:
                      for p in (d + 2 * r, d - 2 * r))
 
 
+def wigner_50(point: TwoModePoint, s1, s2):
+    """W at ``point`` of the Gaussian of variances (s1, s2), to 50 digits.
+
+    The (c1, c2, h) form, with c1 = 2(s1 + s2), c2 = 2(s1 - s2) and
+    h = s1 s2:
+
+        W = (2/pi)^2 (1/h) exp{-[c1 (|a1|^2 + |a2|^2)
+                                 + c2 (a1 a2 + a1* a2*)] / (2h)}.
+
+    Its two terms grow like s2 |a|^2 / h and cancel along the squeezed
+    axis, so the working precision is 50 digits plus those of the larger
+    term.  s1 and s2 may be floats, taken as exact, or mpmath numbers,
+    taken to 50 digits.
+    """
+    a1, a2 = complex(point.alpha1), complex(point.alpha2)
+    x1, y1, x2, y2 = (mpmath.mpf(v) for v in (a1.real, a1.imag,
+                                              a2.real, a2.imag))
+    with mpmath.workdps(50):
+        s1, s2 = mpmath.mpf(s1), mpmath.mpf(s2)
+        size = (s1 + s2) * (x1 ** 2 + y1 ** 2 + x2 ** 2 + y2 ** 2) / (s1 * s2)
+        extra = int(mpmath.log10(size)) + 2 if size > 1 else 0
+    with mpmath.workdps(50 + extra):
+        radial = x1 ** 2 + y1 ** 2 + x2 ** 2 + y2 ** 2
+        cross = 2 * (x1 * x2 - y1 * y2)
+        h = s1 * s2
+        exponent = -(2 * (s1 + s2) * radial + 2 * (s1 - s2) * cross) / (2 * h)
+        return 4 / mpmath.pi ** 2 / h * mpmath.exp(exponent)
+
+
 #: argument above which :func:`i0e_60` sums the asymptotic series, whose
 #: smallest term there, ~e^-2x, lies far below 60 digits
 I0E_ASYMPTOTIC_FROM = 200
@@ -338,6 +375,21 @@ def i0e_60(x):
             term *= mpmath.mpf(2 * k - 1) ** 2 / (8 * k * x)
             total += term
         return total / mpmath.sqrt(2 * mpmath.pi * x)
+
+
+def i0_excess_60(x):
+    """I0(x) - 1 = sum_{k >= 1} (x^2/4)^k / (k!)^2 of x >= 0 as a 60-digit
+    mpmath number, summed term by term until a term falls below 1e-70 of
+    the sum; meant for the series branch, x below ~15."""
+    with mpmath.workdps(60):
+        q = mpmath.mpf(x) ** 2 / 4
+        total = term = q
+        k = 1
+        while term > total * mpmath.mpf(10) ** -70:
+            k += 1
+            term *= q / k ** 2
+            total += term
+        return total
 
 
 def mixture_bell_60(p, r, J, kind) -> tuple:
@@ -381,6 +433,40 @@ def min_ratio_60(r, kind, grid):
             if pure > reference:
                 ratios.append((2 - reference) / (pure - reference))
         return min(ratios)
+
+
+def _bessel_excess_40(J, c, s):
+    """e^{-4cJ} (I0(4sJ) - 1) on an array of budgets with all 40 terms of
+    the power series below the switch, as the runtime had it before each
+    series took only the terms its largest argument needs."""
+    x = 4.0 * (s * J)
+    out = np.exp(-4.0 * c * J)
+    small = x < TOLERANCES.bessel_switch
+    if np.any(small):
+        xs = x[small]
+        out[small] *= _horner_tail(xs * xs / 4.0, _I0_SERIES)
+    if not np.all(small):
+        large = ~small
+        out[large] = (_bessel_correlation(J[large], c, s, np.exp, _i0e_array)
+                      - out[large])
+    return out
+
+
+def threshold_nodes_full_grid(r: float, kind: str) -> tuple:
+    """(j_min, j_top) of the threshold on its default budget grid, as
+    ``werner_violation_threshold`` located them before it formed the
+    loss at the live nodes only: R at all 200 nodes with the 40-term
+    series, inf where the pure state does not gain, and the first node
+    of the smallest R.  ``threshold_report(kind, r, *nodes)`` is then the
+    report both front ends must give."""
+    J = _DEFAULT_BUDGETS[kind]
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    with np.errstate(over="ignore"):
+        gain = _pure_gain(J, c, s, np.exp, np.expm1)
+        loss = _reference_loss(J, c, s, kind, np.expm1, _bessel_excess_40)
+    ratio = np.divide(loss, gain + loss, out=np.full_like(J, np.inf),
+                      where=gain > 0.0)
+    return float(J[np.argmin(ratio)]), float(J[np.argmax(gain)])
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,17 @@ def point_from_xvec(x1, x2, x3, x4) -> TwoModePoint:
     return TwoModePoint(alpha1=x1 + 1j * x2, alpha2=x3 + 1j * x4)
 
 
+def point_in_normal_modes(s1, s2, u1, u2, v1, v2) -> TwoModePoint:
+    """The point with a1 + a2* = sqrt(s2) (u1 + i u2) and
+    a1 - a2* = sqrt(s1) (v1 + i v2): in units where the Gaussian of
+    variances (s1, s2) is exp(-(u1^2 + u2^2) - (v1^2 + v2^2)) times its
+    peak, whatever the squeezing."""
+    wide = math.sqrt(s2) * complex(u1, u2)
+    narrow = math.sqrt(s1) * complex(v1, v2)
+    return TwoModePoint(alpha1=(wide + narrow) / 2,
+                        alpha2=((wide - narrow) / 2).conjugate())
+
+
 def xvec_of(point: TwoModePoint) -> tuple:
     """Real coordinates (Re a1, Im a1, Re a2, Im a2) of ``point``; the
     exact inverse of :func:`point_from_xvec`."""

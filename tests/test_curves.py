@@ -36,13 +36,15 @@ from cvbell import cli
 from cvbell.curves import _geomspace, pure_bell_values, violation_threshold
 from cvbell.dynamics import variance_arrays
 from cvbell.modes import (
+    _bessel_excess,
     _i0e,
     _pure_gain,
     _reference_loss,
+    _series_length,
     mixture_correlations,
 )
 from cvbell.numerics import _bessel_excess_array, _i0e_array
-from oracles import i0e_60, mixture_bell_60
+from oracles import i0_excess_60, i0e_60, mixture_bell_60
 
 EPS = 2.0 ** -52
 KINDS = ("werner-thermal", "phase-diffused")
@@ -122,6 +124,83 @@ def test_i0e_domain():
     assert _i0e(1.7e308) == pytest.approx(1.0 / math.sqrt(2 * math.pi * 1e308)
                                           / math.sqrt(1.7), rel=1e-15)
     assert _i0e_array(np.array([0.0, math.inf])).tolist() == [1.0, 0.0]
+
+
+#: the whole power-series branch, x in [0, 15): at x in [14, 15) the
+#: series still needs ~36 terms, and at a subnormal x, one
+series_arguments = st.one_of(
+    st.floats(0.0, 15.0, exclude_max=True),
+    st.floats(14.0, 15.0, exclude_max=True),
+    st.floats(0.0, 2.0 ** -1022, exclude_max=True))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=series_arguments, r=st.floats(0.3, 3.0))
+def test_series_kernels_against_60_digits(x, r):
+    # each sum stops where the next term is below 2^-70 of the first;
+    # e^{-4cJ} (I0(4sJ) - 1) is checked at a J with 4sJ near x, on the
+    # float and the array kernel, the array beside a smaller argument so
+    # that its one series length is that of the larger; r >= 0.3 keeps
+    # e^{-4cJ} above e^{-27}.  A subnormal result keeps only the
+    # absolute spacing 2^-1074 of the subnormals
+    want = i0e_60(x)
+    with mpmath.workdps(60):
+        assert abs(_i0e(x) - want) <= I0E_REL * want
+        assert abs(_i0e_array(np.array([x / 3.0, x]))[1] - want) <= I0E_REL * want
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    J = x / (4.0 * s)
+    for got in (_bessel_excess(J, c, s),
+                _bessel_excess_array(np.array([J / 3.0, J]), c, s)[1]):
+        with mpmath.workdps(60):
+            exact = (mpmath.exp(-4 * mpmath.mpf(c) * J)
+                     * i0_excess_60(4 * mpmath.mpf(s) * J))
+            assert abs(got - exact) <= I0E_REL * exact + 4 * 2.0 ** -1074
+
+
+def test_excess_array_kernel_on_both_branches():
+    # the series wherever 4sJ < 15 and the asymptotic form elsewhere, in
+    # one array as on its own, and an empty array stays empty
+    c, s = math.cosh(3.0), math.sinh(3.0)
+    J = np.array([1e-9, 0.01, 14.9 / (4.0 * s), 15.1 / (4.0 * s), 1.0, 30.0])
+    got = _bessel_excess_array(J, c, s)
+    for budget, value in zip(J.tolist(), got.tolist()):
+        want = _bessel_excess(budget, c, s)
+        assert abs(value - want) <= 8 * EPS * want
+    assert _bessel_excess_array(J[:0], c, s).shape == (0,)
+
+
+#: 4cJ below which the pure state can gain: -2 log v0 = 1.21875572687...,
+#: v0 the real root of v^3 + v^2 + v = 1, rounded up
+GAIN_REACH = 1.2187558
+
+
+@st.composite
+def gain_edges(draw):
+    """(r, J) with r log-uniform on [1e-9, 354.8] and J log-uniform on
+    [1e-300, 1], or J where 4cJ lies near the edge of the gain."""
+    r = 10.0 ** draw(st.floats(-9.0, math.log10(354.8)))
+    if draw(st.booleans()):
+        return r, 10.0 ** draw(st.floats(-300.0, 0.0))
+    J = draw(st.floats(1.2, 1.24)) / (4.0 * math.cosh(2.0 * r))
+    return r, min(max(J, 1e-300), 1.0)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(gain_edges())
+def test_the_pure_state_gains_only_where_the_series_is_short(draw):
+    # with v = e^{-2cJ} and s < c the gain is below v^2 (1 - v^2) - (1 - v)^2,
+    # which is positive only for v^3 + v^2 + v > 1: so 4cJ < GAIN_REACH,
+    # and at the largest q = (4sJ)^2/4 there the series has 11 terms
+    r, J = draw
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    with np.errstate(over="ignore"):
+        gains = (_pure_gain(J, c, s),
+                 float(_pure_gain(np.array([J]), c, s, np.exp, np.expm1)[0]))
+    if max(gains) > 0.0:
+        assert 4.0 * c * J < GAIN_REACH
+        x = 4.0 * (s * J)
+        assert _series_length(x * x / 4.0) <= 12
+    assert _series_length(GAIN_REACH ** 2 / 4.0) == 12
 
 
 # ----------------------------------------------------------------------

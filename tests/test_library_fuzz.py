@@ -8,7 +8,9 @@ lists of such values.  Each draw must either return finite values or
 raise ``ValueError``.  The only non-finite results are the documented
 ones: ``boundary_nbar`` is NaN on a row with no separable cell, and a
 threshold's ``p_star`` is None where no weight on the budget grid
-violates (ROADMAP item 3).  No draw may raise a warning.  A failed
+violates (ROADMAP item 3).  The Wigner densities are drawn at points in
+the state's normal-mode units, where they are O(1) at any r, and must
+lie in [0, (2/pi)^2 / h].  No draw may raise a warning.  A failed
 cross-check is an internal defect, never the answer to a legal input:
 ``CrossCheckError`` is no ``ValueError``, so it escapes and fails the
 test, as any other exception does.
@@ -21,12 +23,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvbell import (MixtureSpec, bell_surface, maximize_bell,
-                    mixture_bell_curve, separability_map,
-                    werner_violation_threshold)
+from cvbell import (MixtureSpec, NormalModes, SqueezedStateParams,
+                    bell_surface, maximize_bell, mixture_bell_curve,
+                    mixture_wigner, separability_map,
+                    werner_violation_threshold, wigner_pure_2mss)
 from cvbell.errors import CrossCheckError
 from cvbell.modes import MIXTURE_KINDS, PARAM_ORDER
+from cvbell.phase_space import wigner_gaussian_eval
 
+from quad_helpers import point_in_normal_modes
 from test_cli_fuzz import magnitude, squeezing, weight
 
 grid = st.lists(magnitude, min_size=1, max_size=6, unique=True).map(sorted)
@@ -117,3 +122,38 @@ def test_werner_violation_threshold(r, kind):
         assert 0.0 <= report.p_star <= 1.0
     else:
         assert report.p_star is None
+
+
+#: a coordinate in normal-mode units, where the density is exp(-u^2)
+unit = st.floats(-4.0, 4.0)
+#: squeezing also uniform on [0, 356], where the squeezed axis is long
+wide_squeezing = st.one_of(squeezing, st.floats(0.0, 356.0))
+#: the largest density, (2/pi)^2, and the rounding of W at most 4 ulp above
+PEAK = 4.0 / math.pi ** 2 * (1.0 + 2.0 ** -50)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(wide_squeezing, magnitude, magnitude,
+       st.lists(unit, min_size=4, max_size=4))
+def test_gaussian_wigner_in_normal_mode_units(r, d, nbar, u):
+    params = call(SqueezedStateParams, r, d, nbar)
+    modes = params and call(NormalModes.of, params)
+    if modes is None:
+        return
+    W = call(wigner_gaussian_eval, point_in_normal_modes(modes.s1, modes.s2,
+                                                         *u), modes)
+    assert W is not None and 0.0 <= W <= PEAK / modes.h
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(weight, wide_squeezing, st.sampled_from(MIXTURE_KINDS),
+       st.lists(unit, min_size=4, max_size=4))
+def test_mixture_wigner_in_normal_mode_units(p, r, kind, u):
+    # at a point in the pure state's units, where its density is O(1)
+    spec = call(MixtureSpec, p, r, kind)
+    if spec is None:
+        return
+    point = point_in_normal_modes(math.exp(-2.0 * r), math.exp(2.0 * r), *u)
+    for W in (call(wigner_pure_2mss, point, r), call(mixture_wigner, point,
+                                                     spec)):
+        assert W is not None and 0.0 <= W <= PEAK

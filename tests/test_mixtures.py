@@ -25,6 +25,7 @@ from cvbell import (
     werner_violation_threshold,
     wigner_pure_2mss,
 )
+from cvbell import numerics
 from cvbell.curves import _geomspace, threshold_report, violation_threshold
 from cvbell.mixtures import _DEFAULT_BUDGETS, werner_wigner
 from cvbell.modes import mixture_slope
@@ -36,6 +37,7 @@ from oracles import (
     min_ratio_60,
     mixture_bell_60,
     phase_average_quadrature_oracle,
+    threshold_nodes_full_grid,
 )
 from quad_helpers import marginal_by_quadrature
 
@@ -113,6 +115,15 @@ def test_phase_average_at_large_squeezing(r, a1, a2):
         scale = 1 + 2 * mpmath.cosh(2 * R) * (A1 - A2) ** 2
         assert abs(got - want) <= 8 * 2.0 ** -52 * scale * want
     assert got <= 4 / math.pi ** 2
+
+
+@pytest.mark.parametrize("r, a", [(316.0, math.exp(316.0) / 2.0),
+                                  (1.0, 1e200)])
+def test_phase_average_past_the_float_range(r, a, recwarn):
+    # 4s|a1||a2| overflowed with a RuntimeWarning; it is inf, e^-x I0(x)
+    # is 0 there, and so is the density, which is below 1e-130 at both
+    assert phase_averaged_wigner(TwoModePoint(a * 1j, -a * 1j), r) == 0.0
+    assert len(recwarn) == 0
 
 
 def test_phase_average_depends_on_moduli_only():
@@ -393,3 +404,34 @@ def test_phase_diffused_threshold_to_first_order_in_the_first_budget(r):
         p_star = front_end(r, "phase-diffused").p_star
         error = p_star / (kappa * j_low) - 1.0
         assert abs(error) <= 3.0 * math.cosh(2.0 * r) * j_low
+
+
+#: r log-uniform on [1e-9, 354.8], or uniform on [0, 9]
+threshold_squeezing = st.one_of(
+    st.floats(-9.0, math.log10(354.8)).map(lambda u: 10.0 ** u),
+    st.floats(0.0, 9.0))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(r=threshold_squeezing)
+def test_both_front_ends_give_the_full_grid_report(kind, r):
+    # the loss is formed where the pure state gains only, with the series
+    # its largest argument needs; the full-grid pass with 40 terms at all
+    # 200 nodes picks the nodes of the same report
+    want = threshold_report(kind, r, *threshold_nodes_full_grid(r, kind))
+    assert werner_violation_threshold(r, kind) == want
+    assert violation_threshold(r, kind) == want
+
+
+@pytest.mark.parametrize("r", [0.3, 1.5, 3.0])
+def test_the_array_pass_runs_a_short_series_only(r):
+    # where the pure state gains, 4sJ < 1.2188, so each Bessel series has
+    # at most 11 terms, and the asymptotic branch is never entered
+    with mock.patch("cvbell.numerics._horner_tail",
+                    wraps=numerics._horner_tail) as horner, \
+            mock.patch("cvbell.numerics._i0e_array",
+                       side_effect=AssertionError("asymptotic branch")):
+        werner_violation_threshold(r, "phase-diffused")
+    assert horner.call_count == 1
+    assert len(horner.call_args.args[1]) <= 12
