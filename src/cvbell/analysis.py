@@ -20,7 +20,6 @@ both check it against the closed-form pair
 
     e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
-whose sign reproduces the separability law "separable iff r <= d nbar",
 formed as (E(p) d) nbar +- E(p) r, which stays finite where d nbar
 overflows.  The map forms only the smaller variance and the smaller
 root wherever rounding keeps them the smaller.  The routes must agree to
@@ -28,8 +27,11 @@ root wherever rounding keeps them the smaller.  The routes must agree to
 because both are the size of the smaller variance and round like it;
 disagreement (or a NaN) raises
 :class:`~cvbell.errors.CrossCheckError` instead of returning a silently
-wrong verdict.  States with margin exactly on the boundary count as
-separable (the criterion is a non-strict inequality).  The 4x4
+wrong margin.  The sign of e_small is the separability law, "separable
+iff r <= d nbar" (the criterion is a non-strict inequality), and both
+the point report and the map take the verdict from the law itself,
+:func:`cvbell.modes._separable` of the inputs: a margin within rounding
+of 0, as for a pure state at tiny r, has no reliable sign.  The 4x4
 W -> V pipeline of :mod:`cvbell.phase_space` stays as an independent
 route that tests compare the normal modes with.
 """
@@ -45,6 +47,7 @@ from .modes import (
     NormalModes,
     SqueezedStateParams,
     _mode_variance,
+    _separable,
     separability_closed_pair,
 )
 from .numerics import one_minus_exp_over
@@ -81,7 +84,9 @@ class SeparabilityReport:
     ``eigenvalues`` are the four eigenvalues of V - I/2 ascending (the
     doubly degenerate pair {e_small, e_small, e_large, e_large});
     ``margin`` is the smallest one; ``closed_pair`` carries the
-    closed-form (e_large, e_small) cross-check values.
+    closed-form (e_large, e_small) cross-check values.  ``separable``
+    is the law r <= d nbar of the inputs
+    (:attr:`SqueezedStateParams.separable`).
     """
 
     eigenvalues: np.ndarray
@@ -103,7 +108,7 @@ def separability_eigenvalues(params: SqueezedStateParams) -> SeparabilityReport:
     e_small, e_large = modes.pair
     return SeparabilityReport(
         eigenvalues=np.array([e_small, e_small, e_large, e_large]),
-        separable=modes.separable,
+        separable=params.separable,
         margin=modes.margin,
         closed_pair=separability_closed_pair(params),
     )
@@ -113,10 +118,11 @@ def separability_eigenvalues(params: SqueezedStateParams) -> SeparabilityReport:
 class SeparabilityMap:
     """Separability verdicts over a (d, nbar) grid at fixed r.
 
-    ``separable[i, j]`` refers to (d_grid[i], nbar_grid[j]);
-    ``boundary_nbar[i]`` is the smallest grid nbar that is separable at
-    d_grid[i] (NaN when the whole row is nonseparable).  The underlying
-    law puts the boundary at nbar = r / d.
+    ``separable[i, j]`` is the law d nbar >= r at (d_grid[i],
+    nbar_grid[j]), on the rounded product, and ``margin[i, j]`` the
+    smallest eigenvalue of V - I/2 there; ``boundary_nbar[i]`` is the
+    first grid nbar that is separable at d_grid[i] (NaN when the whole
+    row is nonseparable).  The law puts the boundary at nbar = r / d.
     """
 
     r: float
@@ -139,12 +145,11 @@ def _mode_columns(r: float, d: np.ndarray) -> tuple:
 
 
 def _margin_rows(occ: np.ndarray, nbar: np.ndarray, first: tuple,
-                 second: tuple | None, margin: np.ndarray,
-                 separable: np.ndarray) -> None:
-    """Write the margin and the verdict of a block of rows into
-    ``margin`` and ``separable``, views of the map's outputs, from the
-    :func:`_mode_columns` of its rows; ``second`` is None where only
-    the first mode's variance and root are needed."""
+                 second: tuple | None, margin: np.ndarray) -> None:
+    """Write the margin of a block of rows into ``margin``, a view of
+    the map's output, from the :func:`_mode_columns` of its rows;
+    ``second`` is None where only the first mode's variance and root are
+    needed."""
     d_e, decay, r_e = first
     s = _mode_variance(occ, d_e, decay)
     closed = d_e * nbar
@@ -157,10 +162,9 @@ def _margin_rows(occ: np.ndarray, nbar: np.ndarray, first: tuple,
         np.minimum(closed, e_large, out=closed)
     np.subtract(s, 1.0, out=margin)
     margin *= 0.5
-    np.greater_equal(margin, TOLERANCES.boundary_margin, out=separable)
     # both routes are min(s1, s2)-sized and round like it, so the tolerance
     # scales with the smaller variance; the larger one (up to e^{4r}) would
-    # loosen it exactly where the verdict is decided.  The closed-form
+    # loosen it exactly where the margin crosses 0.  The closed-form
     # route must agree everywhere before we trust it; a NaN gap fails the
     # comparison and raises as well
     scale = np.add(s, 1.0, out=s)
@@ -182,9 +186,11 @@ def separability_map(r: float, d_grid, nbar_grid,
     (:func:`cvbell.dynamics.scan_inputs`).  The margin
     (min(s1, s2) - 1)/2 is that of
     :func:`cvbell.dynamics.variance_arrays`, bit for bit, with the
-    closed-form pair asserted against it cell by cell.  Rows run in the
-    cache-sized blocks of :func:`cvbell.dynamics.row_blocks`, written
-    straight into the margin and the verdict.  Where a block's computed
+    closed-form pair asserted against it cell by cell.  The verdict is
+    :func:`cvbell.modes._separable` of the inputs, d nbar >= r, which is
+    inf >= r where d nbar overflows.  Rows run in the cache-sized blocks
+    of :func:`cvbell.dynamics.row_blocks`, written straight into the
+    margin and the verdict.  Where a block's computed
     d E(p1) <= d E(p2) and e^-p1 <= e^-p2, s1 <= s2 and
     e_small <= e_large in every cell of it, because correctly rounded
     products and sums are monotone in each operand, so only s1 and
@@ -206,7 +212,9 @@ def separability_map(r: float, d_grid, nbar_grid,
         _margin_rows(occ, nbar, tuple(c[rows] for c in first),
                      None if ordered[rows].all()
                      else tuple(c[rows] for c in second),
-                     margin[rows], separable[rows])
+                     margin[rows])
+        with np.errstate(over="ignore"):  # an overflowing d nbar is separable
+            separable[rows] = _separable(r, d_grid[rows, None], nbar)
     boundary = np.where(separable.any(axis=1),
                         nbar_grid[separable.argmax(axis=1)], np.nan)
     return SeparabilityMap(r=r, d_grid=d_grid, nbar_grid=nbar_grid,

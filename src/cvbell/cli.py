@@ -106,9 +106,10 @@ def _figure_separability() -> ReportRecord:
     rows = []
     for d in (2.5, 5.0):
         for nbar in _linspace(0.0, 10.0, 201):
-            modes = NormalModes.of(SqueezedStateParams(r=r, d=d, nbar=nbar))
+            params = SqueezedStateParams(r=r, d=d, nbar=nbar)
+            modes = NormalModes.of(params)
             rows.append((d, nbar, modes.N, modes.M) + modes.pair
-                        + (modes.margin, modes.separable))
+                        + (modes.margin, params.separable))
     meta = _meta("figure", index=1, r=r, nbar_max=10.0, nbar_count=201)
     return ReportRecord(meta=meta,
                         columns=("d", "nbar", "N", "M", "e_small", "e_large",
@@ -215,7 +216,7 @@ def cmd_separability(args) -> ReportRecord:
                                  "margin", "separable"),
                         rows=[(args.r, args.d, args.nbar, e_small, e_small,
                                e_large, e_large, modes.margin,
-                               modes.separable)])
+                               params.separable)])
 
 
 def cmd_steady(args) -> ReportRecord:

@@ -103,8 +103,10 @@ def mixed_values(p: float, pure: list, reference: list) -> list:
 class ThresholdReport:
     """Smallest squeezed-component weight that still violates B > 2.
 
-    ``p_star`` is None when even the unmixed state (p = 1) stays below
-    the ceiling on the scanned budget grid.
+    ``violated_at_unit_weight`` says whether the unmixed state (p = 1)
+    gains, B_pure - 2 > 0, at some node of the scanned budget grid, from
+    the cancellation-free gain; B_pure itself can round to 2 there.
+    ``p_star`` is None when it does not, and in (0, 1) otherwise.
     """
 
     kind: str
@@ -120,12 +122,14 @@ def threshold_report(kind: str, r: float, j_min: float,
 
     ``j_top`` is the node of the largest gain B_pure - 2 and ``j_min``
     that of min R among the nodes where the gain is positive.  The best
-    B at p = 1 is B_pure at ``j_top``; ``p_star`` is None unless it
-    exceeds 2, and otherwise R at ``j_min``.
+    B at p = 1 is B_pure at ``j_top``.  The state violates at p = 1
+    exactly when :func:`cvbell.modes._pure_gain` is positive at
+    ``j_top``, which B_pure, rounded near 2, cannot always tell;
+    ``p_star`` is None unless it is, and otherwise R at ``j_min``.
     """
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
     best = _pure_curve(j_top, c, s)
-    if not best > 2.0:
+    if not _pure_gain(j_top, c, s) > 0.0:
         return ThresholdReport(kind=kind, r=float(r), p_star=None,
                                violated_at_unit_weight=False,
                                best_b_at_unit_weight=best)

@@ -25,6 +25,15 @@ of (s1, s2):
   as r grows (PRL 82, 2009, 1999);
 * the small-J slope 4 p sinh 2r of the mixtures.
 
+The separability verdict is the one exception.  The margin has the sign
+of the smaller closed root E(p1) (d nbar - r) with E > 0, so a state of
+the family is separable exactly when r <= d nbar, and
+:func:`_separable` decides that from the inputs, on floats
+(:attr:`SqueezedStateParams.separable`) and on the arrays of the map.
+A margin within rounding of 0 cannot tell the two sides apart.  The
+steady state and the mixture components are normal modes outside the
+family's law, and have no verdict.
+
 The mixtures' single Bell values come from the same place, one
 function of the mixture and the budget (:func:`mixture_correlations`):
 the Werner-type mixture has two Gaussian components, and the
@@ -272,6 +281,16 @@ def _i0e(x: float) -> float:
     return (1.0 + tail) * _INV_SQRT_2PI / math.sqrt(x)
 
 
+def _separable(r, d, nbar):
+    """Separable exactly when r <= d nbar, on the rounded product: the
+    sign of the smaller closed root E(p1) (d nbar - r), E > 0, at the
+    precision of the inputs.  One comparison on floats and on numpy
+    arrays; a product past the float range is inf, which is separable
+    (numpy warns of the overflow unless told not to).
+    """
+    return d * nbar >= r
+
+
 @frozen_record
 class SqueezedStateParams:
     """Reduced parameters of the noisy squeezed state.
@@ -308,6 +327,11 @@ class SqueezedStateParams:
     @property
     def p2(self) -> float:
         return self.d - 2.0 * self.r
+
+    @property
+    def separable(self) -> bool:
+        """The separability law of the model family, :func:`_separable`."""
+        return _separable(self.r, self.d, self.nbar)
 
 
 def separability_closed_pair(params: SqueezedStateParams) -> tuple:
@@ -398,11 +422,6 @@ class NormalModes:
     def margin(self) -> float:
         """Smallest eigenvalue of V - I/2, (min(s1, s2) - 1)/2."""
         return (min(self.s1, self.s2) - 1.0) / 2.0
-
-    @property
-    def separable(self) -> bool:
-        """Margin at or above ``TOLERANCES.boundary_margin``."""
-        return self.margin >= TOLERANCES.boundary_margin
 
     @property
     def purity_residual(self) -> float:

@@ -37,8 +37,6 @@ class Tolerances:
     #: allowed gap between the normal-mode and closed-form separability
     #: routes, relative to 1 + min(s1, s2)
     route_agreement: float = 1e-9
-    #: margin at or above which a state is classified separable
-    boundary_margin: float = -1e-12
     #: simplex diameter at which Nelder-Mead refinement stops
     simplex_diameter: float = 1e-6
     #: |B(0) - 2| below which a Bell curve counts as anchored

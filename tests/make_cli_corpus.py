@@ -54,6 +54,12 @@ EXTRA = [
     # tiny budgets past the overflow of the pure rate 4(c + s)
     ["werner", "--r", "354.5", "--p", "0.5", "--J", "1e-310"],
     ["phase-diffused", "--r", "354.5", "--p", "0.5", "--J", "1e-310"],
+    # separability by the law d nbar >= r where the margin rounds near 0
+    ["separability", "--r", "1e-14", "--d", "0", "--nbar", "0"],
+    ["separability", "--r", "1e-13", "--d", "0", "--nbar", "0"],
+    ["separability", "--r", "1.0000000000001", "--d", "1", "--nbar", "1"],
+    # the pure state gains at J = 1e-4 while B_pure there rounds to 2
+    ["werner", "--threshold", "--r", "5.001000258413368e-05"],
     # usage errors, exit 2
     [],
     ["nosuch"],

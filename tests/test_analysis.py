@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbell import (
-    TOLERANCES,
     CrossCheckError,
     NormalModes,
     SqueezedStateParams,
@@ -72,7 +71,7 @@ def test_report_internal_consistency():
         eigs = np.asarray(rep.eigenvalues)
         assert np.all(np.diff(eigs) >= -1e-12)
         assert rep.margin == pytest.approx(float(eigs[0]), abs=1e-13)
-        assert rep.separable == (rep.margin >= TOLERANCES.boundary_margin)
+        assert rep.separable == (params.d * params.nbar >= params.r)
 
 
 def test_closed_pair_matches_numeric_eigenvalues():
@@ -380,8 +379,7 @@ def test_map_is_the_smaller_variance_on_both_paths(r):
     s1, s2 = variance_arrays(r, MIXED_D[:, None], MIXED_N[None, :])
     margin = (np.minimum(s1, s2) - 1.0) / 2.0
     assert np.array_equal(m.margin, margin)
-    assert np.array_equal(m.separable,
-                          margin >= TOLERANCES.boundary_margin)
+    assert np.array_equal(m.separable, MIXED_D[:, None] * MIXED_N >= r)
 
 
 def test_mixed_grid_takes_both_paths(monkeypatch):

@@ -28,7 +28,7 @@ from cvbell import (
 from cvbell import numerics
 from cvbell.curves import _geomspace, threshold_report, violation_threshold
 from cvbell.mixtures import _DEFAULT_BUDGETS, werner_wigner
-from cvbell.modes import mixture_slope
+from cvbell.modes import _pure_gain, mixture_slope
 
 from oracles import (
     SLOPE_REL,
@@ -419,9 +419,41 @@ def test_both_front_ends_give_the_full_grid_report(kind, r):
     # the loss is formed where the pure state gains only, with the series
     # its largest argument needs; the full-grid pass with 40 terms at all
     # 200 nodes picks the nodes of the same report
-    want = threshold_report(kind, r, *threshold_nodes_full_grid(r, kind))
+    j_min, j_top = threshold_nodes_full_grid(r, kind)
+    want = threshold_report(kind, r, j_min, j_top)
     assert werner_violation_threshold(r, kind) == want
     assert violation_threshold(r, kind) == want
+    _assert_verdict_is_the_gain(want, r, j_top)
+
+
+def _assert_verdict_is_the_gain(rep, r, j_top):
+    # violated at p = 1 exactly where the pure state gains at the node of
+    # the largest gain, and then p* is a weight strictly inside (0, 1)
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    assert rep.violated_at_unit_weight == (_pure_gain(j_top, c, s) > 0.0)
+    assert rep.violated_at_unit_weight == (rep.p_star is not None)
+    if rep.violated_at_unit_weight:
+        assert 0.0 < rep.p_star < 1.0
+
+
+#: Werner squeezing 1e-16 apart across the window near r = 5.0010002584e-05
+#: where the pure state gains at J = 1e-4 but B_pure there rounds to 2
+GAIN_WINDOW_R = [5.0010002584e-05 + k * 1e-16 for k in range(-100, 500)]
+
+
+def test_unit_weight_verdict_is_the_sign_of_the_gain_where_b_rounds_to_2():
+    # over half of the window violates with a best B that rounds to 2
+    rounded = 0
+    for r in GAIN_WINDOW_R:
+        for module, front_end in (("mixtures", werner_violation_threshold),
+                                  ("curves", violation_threshold)):
+            with mock.patch(f"cvbell.{module}.threshold_report",
+                            wraps=threshold_report) as spy:
+                rep = front_end(r)
+            _assert_verdict_is_the_gain(rep, r, spy.call_args.args[3])
+        rounded += rep.violated_at_unit_weight and (
+            rep.best_b_at_unit_weight == 2.0)
+    assert rounded > 300
 
 
 @pytest.mark.parametrize("r", [0.3, 1.5, 3.0])

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from cvbell import (
     coefficient_arrays,
     is_pure,
     mixture_evaluator,
+    separability_eigenvalues,
     separability_map,
 )
 from cvbell.bell import maximize_bell
@@ -118,10 +120,11 @@ def test_core_matches_separability_map_cells(r):
     m = separability_map(r, d_grid, n_grid)
     for i, d in enumerate(d_grid):
         for j, nbar in enumerate(n_grid):
-            modes = NormalModes.of(SqueezedStateParams(r, float(d), float(nbar)))
+            params = SqueezedStateParams(r, float(d), float(nbar))
+            modes = NormalModes.of(params)
             scale = 1.0 + min(modes.s1, modes.s2)
             assert abs(m.margin[i, j] - modes.margin) <= 1e-15 * scale
-            assert m.separable[i, j] == modes.separable
+            assert m.separable[i, j] == params.separable
 
 
 def test_core_matches_coefficient_arrays():
@@ -198,11 +201,69 @@ def test_core_is_accurate_to_fifty_digits(state):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(states)
 def test_route_check_accepts_every_legal_state(state):
-    # the W/V route rejected legal states from r ~ 2.8 on
+    # the W/V route rejected legal states from r ~ 2.8 on; away from the
+    # boundary the margin has the sign of the law
     modes = NormalModes.of(SqueezedStateParams(*state))
     r, d, nbar = state
     if abs(d * nbar - r) > 1e-9 * (1.0 + r):
-        assert modes.separable == (r <= d * nbar)
+        assert (modes.margin >= 0.0) == (r <= d * nbar)
+
+
+@st.composite
+def _next_to_the_boundary(draw):
+    # nbar = r / d and its float neighbours
+    r, d = draw(st.floats(0.0, 300.0)), draw(st.floats(1e-300, 1e3))
+    nbar = r / d
+    assume(nbar < 1e300)
+    step = draw(st.sampled_from((-math.inf, 0.0, math.inf)))
+    return r, d, max(math.nextafter(nbar, step) if step else nbar, 0.0)
+
+
+@st.composite
+def _tiny_squeezing_without_noise(draw):
+    # d nbar = 0: one factor 0, or both so small that the product underflows
+    r = draw(st.floats(5e-324, 1e-10))
+    small = st.floats(5e-324, 1e-170)
+    d, nbar = draw(st.sampled_from((
+        (0.0, draw(st.floats(0.0, 1e3))), (draw(st.floats(0.0, 1e3)), 0.0),
+        (draw(small), draw(small)))))
+    return r, d, nbar
+
+
+@st.composite
+def _tiny_diffusion(draw):
+    return (draw(st.floats(5e-324, 300.0)), draw(st.floats(5e-324, 1e-290)),
+            draw(st.floats(0.0, 1e200)))
+
+
+@st.composite
+def _overflowing_product(draw):
+    # d nbar past the float range, while h ~ (2 nbar + 1)^2 stays in it
+    nbar = 10.0 ** draw(st.floats(0.5, 153.0))
+    d = draw(st.floats(sys.float_info.max / nbar, sys.float_info.max))
+    assume(d * nbar == math.inf)
+    return draw(st.floats(0.0, 300.0)), d, nbar
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(_next_to_the_boundary(), _tiny_squeezing_without_noise(),
+                 _tiny_diffusion(), _overflowing_product()))
+def test_every_reader_decides_separability_by_the_law(state):
+    # the verdict is d nbar >= r on the rounded product at every reader,
+    # also where the margin is within rounding of 0 and has no reliable
+    # sign (a pure state at r ~ 1e-14 has margin ~ -1e-14)
+    r, d, nbar = state
+    law = d * nbar >= r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = SqueezedStateParams(r, d, nbar)
+        assert params.separable == law
+        assert separability_eigenvalues(params).separable == law
+        assert separability_map(r, [d], [nbar]).separable[0, 0] == law
+        code, out, err = run_cli("separability", "--r", repr(r),
+                                 "--d", repr(d), "--nbar", repr(nbar))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split(",")[-1] == ("true" if law else "false")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -235,8 +296,9 @@ def test_separable_states_do_not_violate(d, nbar, fraction):
     # attained by states that stay the vacuum (r = nbar = 0, any d),
     # where h = s1 s2 = 1 may round to 1 - eps and B(0) = 2/h to 2 + 2 eps
     r = min(fraction * d * nbar, 350.0)
-    modes = NormalModes.of(SqueezedStateParams(r, d, nbar))
-    assert modes.separable
+    params = SqueezedStateParams(r, d, nbar)
+    modes = NormalModes.of(params)
+    assert params.separable
     assert modes.bell_optimum(0.0, 1e6)[1] <= 2.0 + 4.0 * EPS
 
 
