@@ -144,21 +144,35 @@ def _mode_columns(r: float, d: np.ndarray) -> tuple:
     return tuple(columns)
 
 
-def _margin_rows(occ: np.ndarray, nbar: np.ndarray, first: tuple,
-                 second: tuple | None, margin: np.ndarray) -> None:
+def _margin_rows(tiles: tuple, first: tuple, second: tuple | None,
+                 bufs: tuple, margin: np.ndarray) -> None:
     """Write the margin of a block of rows into ``margin``, a view of
-    the map's output, from the :func:`_mode_columns` of its rows;
-    ``second`` is None where only the first mode's variance and root are
-    needed."""
+    the map's output, from the :func:`_mode_columns` of its rows.
+
+    ``tiles`` are 2 nbar + 1 and nbar repeated to the block's height,
+    and ``bufs`` three scratch arrays of its shape; each factor of a row
+    is copied along its row into one of them, so every pass is
+    contiguous and the cells round as the broadcast products did.
+    ``second`` is None where only the first mode's variance and root
+    are needed.
+    """
+    occ, nbar = tiles
+    fac, term, extra = bufs
     d_e, decay, r_e = first
-    s = _mode_variance(occ, d_e, decay)
-    closed = d_e * nbar
-    closed -= r_e
+    np.copyto(fac, d_e)
+    np.copyto(term, decay)
+    s = _mode_variance(occ, fac, term)
+    closed = np.multiply(fac, nbar, out=fac)
+    np.copyto(term, r_e)
+    closed -= term
     if second is not None:
         d_e, decay, r_e = second
-        np.minimum(s, _mode_variance(occ, d_e, decay), out=s)
-        e_large = d_e * nbar
-        e_large += r_e
+        np.copyto(term, d_e)
+        np.copyto(extra, decay)
+        np.minimum(s, _mode_variance(occ, term, extra), out=s)
+        e_large = np.multiply(term, nbar, out=term)
+        np.copyto(extra, r_e)
+        e_large += extra
         np.minimum(closed, e_large, out=closed)
     np.subtract(s, 1.0, out=margin)
     margin *= 0.5
@@ -170,12 +184,35 @@ def _margin_rows(occ: np.ndarray, nbar: np.ndarray, first: tuple,
     scale = np.add(s, 1.0, out=s)
     closed -= margin
     gap = np.abs(closed, out=closed)
-    if not np.all(gap <= TOLERANCES.route_agreement * scale):
+    if not np.all(gap <= np.multiply(scale, TOLERANCES.route_agreement,
+                                     out=term)):
         worst = float(np.max(gap / scale))
         raise CrossCheckError(
             f"separability routes disagree by {worst:.3e} relative to "
             f"1 + min(s1, s2) (tolerance {TOLERANCES.route_agreement:.0e}) "
             f"on the scan grid")
+
+
+def _first_separable(r: float, d: np.ndarray, nbar: np.ndarray) -> np.ndarray:
+    """Index of the first separable node of each row, len(nbar) where the
+    row has none.
+
+    For d >= 0 the rounded product d nbar_j is monotone in the ascending
+    nbar_j, so :func:`cvbell.modes._separable` is false and then true
+    along a row, and the number of leading false nodes is found bit by
+    bit, from the highest bit of len(nbar) down: one pass of the law
+    over the d column per bit, about log2(len(nbar) + 1) in all.
+    """
+    n = len(nbar)
+    first = np.zeros(len(d), dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        longer = first + step
+        probe = nbar.take(longer - 1, mode="clip")
+        np.copyto(first, longer,
+                  where=(longer <= n) & ~_separable(r, d, probe))
+        step >>= 1
+    return first
 
 
 def separability_map(r: float, d_grid, nbar_grid,
@@ -186,37 +223,52 @@ def separability_map(r: float, d_grid, nbar_grid,
     (:func:`cvbell.dynamics.scan_inputs`).  The margin
     (min(s1, s2) - 1)/2 is that of
     :func:`cvbell.dynamics.variance_arrays`, bit for bit, with the
-    closed-form pair asserted against it cell by cell.  The verdict is
-    :func:`cvbell.modes._separable` of the inputs, d nbar >= r, which is
-    inf >= r where d nbar overflows.  Rows run in the cache-sized blocks
-    of :func:`cvbell.dynamics.row_blocks`, written straight into the
-    margin and the verdict.  Where a block's computed
-    d E(p1) <= d E(p2) and e^-p1 <= e^-p2, s1 <= s2 and
-    e_small <= e_large in every cell of it, because correctly rounded
-    products and sums are monotone in each operand, so only s1 and
-    e_small are formed; elsewhere rounding can tie the pairs (r below
-    about 1e-15 max(1, d)), and both are formed and the smaller taken.
-    ``workers`` is accepted for compatibility and ignored.
+    closed-form pair asserted against it cell by cell.  Rows run in the
+    cache-sized blocks of :func:`cvbell.dynamics.row_blocks`, written
+    straight into the margin: the factors that depend on d alone are
+    taken once on the d column and expanded into a block-sized buffer,
+    and 2 nbar + 1 and nbar are tiled to a block's height once per
+    call, so every pass of a block runs on contiguous operands.  Where a
+    block's computed d E(p1) <= d E(p2) and e^-p1 <= e^-p2, s1 <= s2
+    and e_small <= e_large in every cell of it, because correctly
+    rounded products and sums are monotone in each operand, so only s1
+    and e_small are formed; elsewhere rounding can tie the pairs (r
+    below about 1e-15 max(1, d)), and both are formed and the smaller
+    taken.
+
+    The verdict is :func:`cvbell.modes._separable` of the inputs,
+    d nbar >= r, which is inf >= r where d nbar overflows.  The rounded
+    product is monotone in nbar, so each row is nonseparable up to its
+    first separable node and separable from there on; that node is
+    found by bisection (:func:`_first_separable`), and it gives both
+    the row of the verdict and ``boundary_nbar``.  ``workers`` is
+    accepted for compatibility and ignored.
     """
     r, d_grid, nbar_grid = scan_inputs(r, None, d_grid=d_grid,
                                        nbar_grid=nbar_grid)
     shape = (len(d_grid), len(nbar_grid))
     margin = np.empty(shape)
-    separable = np.empty(shape, dtype=bool)
-    nbar = nbar_grid[None, :]
-    occ = 2.0 * nbar + 1.0
     first, second = _mode_columns(r, d_grid[:, None])
     ordered = (first[0] <= second[0]) & (first[1] <= second[1])
-    for lo, hi in row_blocks(*shape):
-        rows = slice(lo, hi)
-        _margin_rows(occ, nbar, tuple(c[rows] for c in first),
+    blocks = list(row_blocks(*shape))
+    height = (blocks[0][1] - blocks[0][0], shape[1])
+    tiles = tuple(np.tile(row, (height[0], 1))
+                  for row in (2.0 * nbar_grid + 1.0, nbar_grid))
+    bufs = tuple(np.empty(height) for _ in range(3))
+    for lo, hi in blocks:
+        rows, h = slice(lo, hi), hi - lo
+        _margin_rows(tuple(t[:h] for t in tiles),
+                     tuple(c[rows] for c in first),
                      None if ordered[rows].all()
                      else tuple(c[rows] for c in second),
-                     margin[rows])
-        with np.errstate(over="ignore"):  # an overflowing d nbar is separable
-            separable[rows] = _separable(r, d_grid[rows, None], nbar)
-    boundary = np.where(separable.any(axis=1),
-                        nbar_grid[separable.argmax(axis=1)], np.nan)
+                     tuple(b[:h] for b in bufs), margin[rows])
+    with np.errstate(over="ignore"):  # an overflowing d nbar is separable
+        onset = _first_separable(r, d_grid, nbar_grid)
+    counts = np.column_stack((onset, shape[1] - onset))
+    separable = np.repeat(np.tile((False, True), shape[0]),
+                          counts.ravel()).reshape(shape)
+    boundary = np.where(onset < shape[1],
+                        nbar_grid.take(onset, mode="clip"), np.nan)
     return SeparabilityMap(r=r, d_grid=d_grid, nbar_grid=nbar_grid,
                            separable=separable, margin=margin,
                            boundary_nbar=boundary)

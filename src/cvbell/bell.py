@@ -21,7 +21,10 @@ c1 = 2(s1 + s2), c2 = 2(s1 - s2) and h = s1 s2, it reads
 B = (1 + 2 e^{-aJ} - e^{-bJ}) / h with a = 1/s1 + 1/s2 and b = 4/s1,
 the one closed form of B, :func:`cvbell.modes._bell`: on one state
 through :meth:`cvbell.modes.NormalModes.bell` (:func:`bell_closed_form`),
-and on arrays in the surface.  Its maximum over J is
+and on arrays in the surface, which takes its state factors
+(:func:`cvbell.modes._bell_factors`) once per d column and its budget
+part (:func:`cvbell.modes._bell_budget`) block by block.  Its maximum
+over J is
 :func:`cvbell.modes._bell_optimum`, which the maximiser's coarse scan
 evaluates on arrays and its refinement on floats.  The tests pin B to
 the assembly.
@@ -45,7 +48,8 @@ from .modes import (
     MaximizeResult,
     NormalModes,
     SqueezedStateParams,
-    _bell,
+    _bell_budget,
+    _bell_factors,
     _bell_optimum,
     _maximize_inputs,
     _model_variances,
@@ -157,18 +161,29 @@ def model_evaluator(params: SqueezedStateParams) -> Callable[[TwoModePoint], flo
     return lambda point: wigner_gaussian_eval(point, form)
 
 
+def _in_place(ufunc) -> Callable:
+    """``ufunc`` writing into its first operand, for the surface's
+    :func:`cvbell.modes._bell_budget`."""
+    return lambda x, *args: ufunc(x, *args, out=x)
+
+
 def bell_surface(r: float, nbar: float, J_grid, d_grid,
                  workers: int | None = None) -> BellSurface:
     """B over the product of ascending nonnegative J and d grids.
 
-    Evaluated through the closed form :func:`cvbell.modes._bell`
+    Evaluated through the closed form of :func:`cvbell.modes._bell`
     (itself pinned to the four-point assembly by the test suite) on the
     normal-mode variances of each d column: B = (1 + 2 e^{-aJ} -
     e^{-bJ}) / h with a = 1/s1 + 1/s2, b = 4/s1 and h = s1 s2; an
     exponent that overflows at a huge budget gives its limit, 0.  The
-    rows run in the cache-sized blocks of
-    :func:`cvbell.dynamics.row_blocks`, each written straight into the
-    surface.  ``workers`` is accepted for compatibility and ignored.
+    factors 1/s1, -a and 1/h (:func:`cvbell.modes._bell_factors`) are
+    taken once per call and tiled to a block's height.  The rows run in
+    the cache-sized blocks of :func:`cvbell.dynamics.row_blocks`: each
+    block of the surface is filled with its J column, and
+    :func:`cvbell.modes._bell_budget` runs in place there on contiguous
+    operands, so the cells round as the broadcast products did and no
+    block is copied.  ``workers`` is accepted for compatibility and
+    ignored.
 
     Raises ``ValueError`` (:func:`cvbell.dynamics.scan_inputs`) unless
     r and nbar are finite and nonnegative, the grids are nonempty, 1-D,
@@ -178,9 +193,15 @@ def bell_surface(r: float, nbar: float, J_grid, d_grid,
     r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
     s1, s2 = variance_arrays(r, d_grid, nbar)
     values = np.empty((len(J_grid), len(d_grid)))
+    blocks = list(row_blocks(*values.shape))
+    height = blocks[0][1] - blocks[0][0]
+    exp, mul = _in_place(np.exp), _in_place(np.multiply)
     with np.errstate(over="ignore"):
-        for lo, hi in row_blocks(*values.shape):
-            values[lo:hi] = _bell(J_grid[lo:hi, None], s1, s2, np.exp)
+        tiles = tuple(np.tile(f, (height, 1)) for f in _bell_factors(s1, s2))
+        for lo, hi in blocks:
+            block = values[lo:hi]
+            np.copyto(block, J_grid[lo:hi, None])
+            _bell_budget(block, tuple(t[:hi - lo] for t in tiles), exp, mul)
     return BellSurface(r=float(r), nbar=float(nbar), J_grid=J_grid,
                        d_grid=d_grid, values=values)
 

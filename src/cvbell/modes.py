@@ -177,22 +177,39 @@ def _model_variances(r: float, d: float, nbar: float) -> tuple:
     return _in_range(s1, s2, lambda: _where(r, d, nbar))
 
 
-def _bell(J, s1, s2, exp=math.exp):
-    """B = (1 + 2 e^-aJ - e^-bJ)/h of the variances (s1, s2) at budget
-    J, a = 1/s1 + 1/s2, b = 4/s1, h = s1 s2; ``exp`` as in
-    :func:`_variances`, and on arrays the updates run in place.
+def _bell_factors(s1, s2) -> tuple:
+    """(1/s1, -a, 1/h) of the variances, a = 1/s1 + 1/s2 and h = s1 s2:
+    the factors of :func:`_bell_budget` that depend on the state alone."""
+    inv1 = 1.0 / s1
+    return inv1, -(inv1 + 1.0 / s2), 1.0 / (s1 * s2)
+
+
+def _bell_budget(J, factors, exp=math.exp, mul=operator.mul):
+    """B = (1 + 2 e^-aJ - e^-bJ)/h at budget J from the
+    :func:`_bell_factors` of a state, with b = 4/s1; ``exp`` as in
+    :func:`_variances`, and on arrays the updates run in place.  The
+    Bell surface passes ufuncs that write into their first operand, so
+    B is formed in J's own buffer.
 
     -bJ is (-4J)(1/s1), which rounds as J (-4/s1) but stays finite
     where 4/s1 overflows (s1 below ~2.2e-308, r above ~354.2).  B(0) is
     2 (1/h), which is 2/h exactly.
     """
-    inv1 = 1.0 / s1
-    B = exp(J * -(inv1 + 1.0 / s2))
+    inv1, minus_a, inv_h = factors
+    minus_bj = mul(-4.0 * J, inv1)  # before ``mul`` may overwrite J
+    B = exp(mul(J, minus_a))
     B *= 2.0
     B += 1.0
-    B -= exp(-4.0 * J * inv1)
-    B *= 1.0 / (s1 * s2)
+    B -= exp(minus_bj)
+    B *= inv_h
     return B
+
+
+def _bell(J, s1, s2, exp=math.exp):
+    """B = (1 + 2 e^-aJ - e^-bJ)/h of the variances (s1, s2) at budget
+    J, a = 1/s1 + 1/s2, b = 4/s1, h = s1 s2: :func:`_bell_budget` of
+    :func:`_bell_factors`, on floats and on numpy arrays alike."""
+    return _bell_budget(J, _bell_factors(s1, s2), exp)
 
 
 def _clip(x, lo, hi):

@@ -25,7 +25,9 @@ restructured for speed:
 * Gauss-Legendre and periodic trapezoidal quadrature, and the
   phase-diffused density by a brute-force double phase average,
 * Nelder-Mead and log I0 as the runtime had them before they were
-  restructured,
+  restructured, and the two grid scans as row-block loops that
+  broadcast each row's factor against the grid's row
+  (:func:`separability_map_broadcast`, :func:`bell_surface_broadcast`),
 * cyclic Jacobi eigenvalues of a symmetric matrix, the reference of
   the runtime's closed 4x4 cross-pattern split.
 
@@ -42,6 +44,7 @@ import mpmath
 import numpy as np
 
 from cvbell import NormalModes, TwoModePoint, wigner_pure_2mss
+from cvbell.dynamics import row_blocks, scan_inputs, variance_arrays
 from cvbell.mixtures import _DEFAULT_BUDGETS
 from cvbell.modes import (_I0_SERIES, _bessel_correlation, _check_rates,
                           _horner_tail, _pure_gain, _reference_loss,
@@ -120,6 +123,65 @@ def nelder_mead_pairwise(f, x0, step, diameter_tol=1e-6, max_iter=2000):
                     vals[i] = f(verts[i])
     best = int(np.argmin(vals))
     return verts[best].copy(), float(vals[best])
+
+
+def separability_map_broadcast(r, d_grid, nbar_grid) -> tuple:
+    """(margin, separable, boundary_nbar) of the separability map, each
+    block formed by broadcasting the d column against the nbar row.
+
+    The map's arithmetic in its straightforward form: per block, s1 =
+    (2 nbar + 1)(d E(p1)) + e^-p1, and s2 with it where a row's factors
+    are out of order, their minimum, margin (s - 1)/2; the verdict is
+    d nbar >= r on the full grid and the boundary its first true column.
+    """
+    r, d_grid, nbar_grid = scan_inputs(r, None, d_grid=d_grid,
+                                       nbar_grid=nbar_grid)
+    shape = (len(d_grid), len(nbar_grid))
+    margin = np.empty(shape)
+    separable = np.empty(shape, dtype=bool)
+    nbar = nbar_grid[None, :]
+    occ = 2.0 * nbar + 1.0
+    d = d_grid[:, None]
+    columns = []
+    for p in (d + 2.0 * r, d - 2.0 * r):
+        columns.append((d * one_minus_exp_over(p), np.exp(-p)))
+    (de1, decay1), (de2, decay2) = columns
+    ordered = (de1 <= de2) & (decay1 <= decay2)
+    for lo, hi in row_blocks(*shape):
+        rows = slice(lo, hi)
+        s = occ * de1[rows]
+        s += decay1[rows]
+        if not ordered[rows].all():
+            s2 = occ * de2[rows]
+            s2 += decay2[rows]
+            np.minimum(s, s2, out=s)
+        np.subtract(s, 1.0, out=margin[rows])
+        margin[rows] *= 0.5
+        with np.errstate(over="ignore"):
+            separable[rows] = d[rows] * nbar >= r
+    boundary = np.where(separable.any(axis=1),
+                        nbar_grid[separable.argmax(axis=1)], np.nan)
+    return margin, separable, boundary
+
+
+def bell_surface_broadcast(r, nbar, J_grid, d_grid) -> np.ndarray:
+    """B over the (J, d) grid, each block formed by broadcasting the J
+    column against the rows of 1/s1, 1/s2 and 1/h, as
+    (1 + 2 e^{-aJ} - e^{-(-4J)(1/s1)})/h with a = 1/s1 + 1/s2."""
+    r, J_grid, d_grid = scan_inputs(r, nbar, J_grid=J_grid, d_grid=d_grid)
+    s1, s2 = variance_arrays(r, d_grid, nbar)
+    values = np.empty((len(J_grid), len(d_grid)))
+    with np.errstate(over="ignore"):
+        for lo, hi in row_blocks(*values.shape):
+            J = J_grid[lo:hi, None]
+            inv1 = 1.0 / s1
+            B = np.exp(J * -(inv1 + 1.0 / s2))
+            B *= 2.0
+            B += 1.0
+            B -= np.exp(-4.0 * J * inv1)
+            B *= 1.0 / (s1 * s2)
+            values[lo:hi] = B
+    return values
 
 
 def jacobi_eigenvalues(M: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from cvbell import (
 from cvbell.dynamics import row_blocks, variance_arrays
 from cvbell.modes import exp_quotient
 
+from oracles import separability_map_broadcast
+
 # frozen margin of the strongly nonseparable reference point
 MARGIN_R15_D5 = -0.18743710075726833
 
@@ -408,3 +410,145 @@ def test_map_where_d_nbar_overflows():
         m = separability_map(0.0, [1e242], [0.0, 1e88])
     assert m.margin.tolist() == [[0.0, 1e88]]
     assert m.separable.tolist() == [[True, True]]
+
+
+# ----------------------------------------------------------------------
+# the map's verdict: each row's first separable node, found by bisection,
+# against the law d nbar >= r on the full grid
+# ----------------------------------------------------------------------
+
+def _chain(x, below, above):
+    """The ``below`` floats under x, x itself and the ``above`` over it,
+    each the float next to the last."""
+    down = [x]
+    for _ in range(below):
+        down.append(np.nextafter(down[-1], 0.0))
+    up = [x]
+    for _ in range(above):
+        up.append(np.nextafter(up[-1], np.inf))
+    return np.array(down[:0:-1] + up)
+
+
+def _assert_verdict_is_the_law(r, d_grid, n_grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = separability_map(r, d_grid, n_grid)
+    with np.errstate(over="ignore"):
+        law = np.asarray(d_grid)[:, None] * np.asarray(n_grid) >= r
+    assert np.array_equal(m.separable, law)
+    first = np.where(law.any(axis=1), m.nbar_grid[law.argmax(axis=1)],
+                     np.nan)
+    assert np.array_equal(m.boundary_nbar, first, equal_nan=True)
+    return m
+
+
+@pytest.mark.parametrize("r, d", [(1.5, 0.7), (1.0, 3.0), (1e-300, 1e-5),
+                                  (2e-17, 1e-10), (350.0, 1e3)])
+def test_verdict_across_the_boundary_node_by_node(r, d):
+    # nbar steps float by float across r / d, at d and its neighbours: the
+    # rounded product tips over at one of these nodes on each row
+    x = r / d
+    d_grid = _chain(d, 3, 3)
+    n_grid = _chain(x, 40, 40)
+    m = _assert_verdict_is_the_law(r, d_grid, n_grid)
+    assert m.separable.any(axis=1).all() and not m.separable[:, 0].any()
+
+
+def test_verdict_on_rows_without_diffusion():
+    # d = 0: no nbar separates r > 0
+    m = _assert_verdict_is_the_law(0.5, [0.0, 1.0], np.linspace(0.0, 3.0, 7))
+    assert not m.separable[0].any() and math.isnan(m.boundary_nbar[0])
+
+
+def test_verdict_without_squeezing_is_separable_from_the_first_node():
+    # r = 0: every node is separable, the d = 0 row included
+    n_grid = np.geomspace(1e-3, 10.0, 9)
+    m = _assert_verdict_is_the_law(0.0, np.linspace(0.0, 2.0, 5), n_grid)
+    assert m.separable.all()
+    assert np.array_equal(m.boundary_nbar, np.full(5, n_grid[0]))
+
+
+def test_verdict_where_d_nbar_leaves_the_float_range():
+    # at the two larger d, d nbar passes 1e308 and rounds to inf, which is
+    # separable; at d = 1e-300 it underflows and stays below r
+    d_grid = np.array([0.0, 1e-300, 1e240, 1e300])
+    n_grid = np.array([0.0, 1e-100, 1e70, 1e100])
+    m = _assert_verdict_is_the_law(1.0, d_grid, n_grid)
+    assert m.separable[2:, 2:].all() and not m.separable[:2].any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 50), (50, 1), (33, 1000),
+                                   (1025, 32), (3, 40_000)])
+@pytest.mark.parametrize("r", [0.0, 0.7, 1.5])
+def test_verdict_on_block_edge_shapes(shape, r):
+    # one node, one row, one column, a partial last block (33 rows of 1000
+    # and 1025 rows of 32 leave one row over) and rows wider than a block
+    rows, cols = shape
+    d_grid = np.linspace(0.0, 4.5, rows) if rows > 1 else np.array([2.0])
+    n_grid = np.linspace(0.0, 2.0, cols) if cols > 1 else np.array([0.75])
+    _assert_verdict_is_the_law(r, d_grid, n_grid)
+
+
+def test_verdict_bisects_instead_of_testing_every_cell(monkeypatch):
+    # the mechanism: the law is evaluated about log2(n + 1) times per row,
+    # not on each of the n cells
+    import cvbell.analysis as analysis
+    cells = []
+    real = analysis._separable
+
+    def spy(r, d, nbar):
+        cells.append(np.broadcast(d, nbar).size)
+        return real(r, d, nbar)
+    monkeypatch.setattr(analysis, "_separable", spy)
+    rows, n = 1000, 1000
+    separability_map(1.5, np.linspace(0.0, 4.5, rows),
+                     np.linspace(0.0, 2.0, n))
+    assert 0 < sum(cells) <= rows * math.ceil(math.log2(n + 1))
+
+
+# ----------------------------------------------------------------------
+# the map against its broadcast form, bit for bit
+# ----------------------------------------------------------------------
+
+def _grid(top, size, geometric):
+    if size == 1:
+        return np.array([top])
+    if geometric:
+        return np.concatenate([[0.0], np.geomspace(top * 1e-12, top,
+                                                   size - 1)])
+    return np.linspace(0.0, top, size)
+
+
+def _assert_map_is_the_broadcast_map(r, d_grid, n_grid):
+    try:
+        m = separability_map(r, d_grid, n_grid)
+    except ValueError:  # a variance leaves the float range
+        with pytest.raises(ValueError):
+            separability_map_broadcast(r, d_grid, n_grid)
+        return
+    margin, separable, boundary = separability_map_broadcast(
+        r, d_grid, n_grid)
+    assert m.margin.tobytes() == margin.tobytes()
+    assert np.array_equal(m.separable, separable)
+    assert np.array_equal(m.boundary_nbar, boundary, equal_nan=True)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-300, 1e-15),
+                 st.floats(0.0, 354.0)),
+       st.integers(1, 70), st.integers(1, 1100),
+       st.floats(1e-20, 1e3), st.floats(1e-12, 1e3),
+       st.booleans(), st.booleans())
+@example(2e-17, 1, 1, 1.0, 1.0, False, False)
+@example(354.0, 33, 1000, 5.0, 2.0, False, False)
+def test_map_is_its_broadcast_form_bit_for_bit(r, rows, cols, d_top, n_top,
+                                               d_geom, n_geom):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_map_is_the_broadcast_map(r, _grid(d_top, rows, d_geom),
+                                         _grid(n_top, cols, n_geom))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-18, 2e-17, 1e-10, 1.5])
+def test_mixed_map_is_its_broadcast_form_bit_for_bit(r):
+    _assert_map_is_the_broadcast_map(r, MIXED_D, MIXED_N)

@@ -2,8 +2,12 @@
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvbell import (
     BellSettings,
@@ -21,6 +25,8 @@ from cvbell import (
 from cvbell.bell import _coarse_best
 from cvbell.dynamics import variance_arrays
 from cvbell.modes import DEFAULT_BOUNDS, PARAM_ORDER, NormalModes
+
+from oracles import bell_surface_broadcast
 
 # frozen values at the J=0.01, r=1.5 reference point
 B_ANCHOR = 2.187452904044629
@@ -186,6 +192,40 @@ def test_surface_at_the_top_of_the_squeezing_range_does_not_warn():
     # RuntimeWarning fails the suite
     surface = bell_surface(354.0, 0.0, [0, 1e-310, 1e10], [0])
     assert surface.values.ravel().tolist() == [2.0, 2.005983065061828, 1.0]
+
+
+def _surface_grid(top, size, geometric):
+    if size == 1:
+        return np.array([top])
+    if geometric:
+        return np.concatenate([[0.0], np.geomspace(top * 1e-12, top,
+                                                   size - 1)])
+    return np.linspace(0.0, top, size)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-300, 1e-15),
+                 st.floats(0.0, 354.0)),
+       st.floats(0.0, 10.0), st.integers(1, 70), st.integers(1, 1100),
+       st.floats(1e-200, 1e308), st.floats(1e-20, 1e3), st.booleans())
+@example(1.5, 0.0, 33, 1000, 1.0, 5.0, True)
+@example(354.0, 0.0, 3, 40_000, 1e308, 0.5, True)
+def test_surface_is_its_broadcast_form_bit_for_bit(r, nbar, rows, cols,
+                                                   j_top, d_top, j_geom):
+    # J up to 1e308, where -4J overflows and B takes its limit 1/h without
+    # a warning
+    J = _surface_grid(j_top, rows, j_geom)
+    d = _surface_grid(d_top, cols, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            surface = bell_surface(r, nbar, J, d)
+        except ValueError:  # c1 or h leaves the float range
+            with pytest.raises(ValueError):
+                bell_surface_broadcast(r, nbar, J, d)
+            return
+        values = bell_surface_broadcast(r, nbar, J, d)
+    assert surface.values.tobytes() == values.tobytes()
 
 
 def test_surface_validates_grids():
