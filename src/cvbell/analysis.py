@@ -21,8 +21,9 @@ both check it against the closed-form pair
     e_large = E(p2) (d nbar + r),   e_small = E(p1) (d nbar - r),
 
 formed as (E(p) d) nbar +- E(p) r, which stays finite where d nbar
-overflows.  The map forms only the smaller variance and the smaller
-root wherever rounding keeps them the smaller.  The routes must agree to
+overflows.  For every state of the family s1 <= s2, because p1 >= p2
+and each variance falls as p grows, so the map forms the squeezed mode
+alone, s1 and e_small.  The routes must agree to
 ``TOLERANCES.route_agreement`` times 1 + min(s1, s2) for the margin,
 because both are the size of the smaller variance and round like it;
 disagreement (or a NaN) raises
@@ -120,9 +121,10 @@ class SeparabilityMap:
 
     ``separable[i, j]`` is the law d nbar >= r at (d_grid[i],
     nbar_grid[j]), on the rounded product, and ``margin[i, j]`` the
-    smallest eigenvalue of V - I/2 there; ``boundary_nbar[i]`` is the
-    first grid nbar that is separable at d_grid[i] (NaN when the whole
-    row is nonseparable).  The law puts the boundary at nbar = r / d.
+    squeezed mode's (s1 - 1)/2 there, the smallest eigenvalue of
+    V - I/2; ``boundary_nbar[i]`` is the first grid nbar that is
+    separable at d_grid[i] (NaN when the whole row is nonseparable).
+    The law puts the boundary at nbar = r / d.
     """
 
     r: float
@@ -134,53 +136,41 @@ class SeparabilityMap:
 
 
 def _mode_columns(r: float, d: np.ndarray) -> tuple:
-    """(d E(p), e^-p, r E(p)) on the d column, for p = p1 and p2: the
-    factors of the variance (:func:`cvbell.modes._mode_variance`) and of
-    the closed root (d E(p)) nbar -+ r E(p) that depend on d alone."""
-    columns = []
-    for p in (d + 2.0 * r, d - 2.0 * r):
-        e = one_minus_exp_over(p)
-        columns.append((d * e, np.exp(-p), r * e))
-    return tuple(columns)
+    """(d E(p1), e^-p1, r E(p1)) on the d column, p1 = d + 2r: the
+    factors of the squeezed mode's variance
+    (:func:`cvbell.modes._mode_variance`) and of the closed root
+    (d E(p1)) nbar - r E(p1) that depend on d alone."""
+    p1 = d + 2.0 * r
+    e = one_minus_exp_over(p1)
+    return d * e, np.exp(-p1), r * e
 
 
-def _margin_rows(tiles: tuple, first: tuple, second: tuple | None,
-                 bufs: tuple, margin: np.ndarray) -> None:
-    """Write the margin of a block of rows into ``margin``, a view of
-    the map's output, from the :func:`_mode_columns` of its rows.
+def _margin_rows(tiles: tuple, columns: tuple, bufs: tuple,
+                 margin: np.ndarray) -> None:
+    """Write the margin (s1 - 1)/2 of a block of rows into ``margin``, a
+    view of the map's output, from the :func:`_mode_columns` of its rows,
+    and check it against the closed root e_small.
 
     ``tiles`` are 2 nbar + 1 and nbar repeated to the block's height,
-    and ``bufs`` three scratch arrays of its shape; each factor of a row
+    and ``bufs`` two scratch arrays of its shape; each factor of a row
     is copied along its row into one of them, so every pass is
     contiguous and the cells round as the broadcast products did.
-    ``second`` is None where only the first mode's variance and root
-    are needed.
     """
     occ, nbar = tiles
-    fac, term, extra = bufs
-    d_e, decay, r_e = first
+    fac, term = bufs
+    d_e, decay, r_e = columns
     np.copyto(fac, d_e)
     np.copyto(term, decay)
     s = _mode_variance(occ, fac, term)
     closed = np.multiply(fac, nbar, out=fac)
     np.copyto(term, r_e)
     closed -= term
-    if second is not None:
-        d_e, decay, r_e = second
-        np.copyto(term, d_e)
-        np.copyto(extra, decay)
-        np.minimum(s, _mode_variance(occ, term, extra), out=s)
-        e_large = np.multiply(term, nbar, out=term)
-        np.copyto(extra, r_e)
-        e_large += extra
-        np.minimum(closed, e_large, out=closed)
     np.subtract(s, 1.0, out=margin)
     margin *= 0.5
-    # both routes are min(s1, s2)-sized and round like it, so the tolerance
-    # scales with the smaller variance; the larger one (up to e^{4r}) would
-    # loosen it exactly where the margin crosses 0.  The closed-form
-    # route must agree everywhere before we trust it; a NaN gap fails the
-    # comparison and raises as well
+    # both routes are s1-sized and round like it, so the tolerance scales
+    # with s1; the larger s2 (up to e^{4r}) would loosen it exactly where
+    # the margin crosses 0.  The closed-form route must agree everywhere
+    # before we trust it; a NaN gap fails the comparison and raises as well
     scale = np.add(s, 1.0, out=s)
     closed -= margin
     gap = np.abs(closed, out=closed)
@@ -220,21 +210,17 @@ def separability_map(r: float, d_grid, nbar_grid,
     """Classify separability over a (d, nbar) grid at fixed r.
 
     The arguments are checked as :func:`cvbell.bell.bell_surface`'s
-    (:func:`cvbell.dynamics.scan_inputs`).  The margin
-    (min(s1, s2) - 1)/2 is that of
-    :func:`cvbell.dynamics.variance_arrays`, bit for bit, with the
-    closed-form pair asserted against it cell by cell.  Rows run in the
-    cache-sized blocks of :func:`cvbell.dynamics.row_blocks`, written
-    straight into the margin: the factors that depend on d alone are
-    taken once on the d column and expanded into a block-sized buffer,
-    and 2 nbar + 1 and nbar are tiled to a block's height once per
-    call, so every pass of a block runs on contiguous operands.  Where a
-    block's computed d E(p1) <= d E(p2) and e^-p1 <= e^-p2, s1 <= s2
-    and e_small <= e_large in every cell of it, because correctly
-    rounded products and sums are monotone in each operand, so only s1
-    and e_small are formed; elsewhere rounding can tie the pairs (r
-    below about 1e-15 max(1, d)), and both are formed and the smaller
-    taken.
+    (:func:`cvbell.dynamics.scan_inputs`).  The margin is that of the
+    squeezed mode, (s1 - 1)/2 of :func:`cvbell.dynamics.variance_arrays`
+    bit for bit, with its closed root e_small = E(p1) (d nbar - r)
+    asserted against it cell by cell: s1 <= s2 for every state of the
+    family, so this is the smallest eigenvalue of V - I/2, up to an ulp
+    where rounding ties s1 and s2.  Rows run in the cache-sized blocks
+    of :func:`cvbell.dynamics.row_blocks`, written straight into the
+    margin: the factors that depend on d alone are taken once on the d
+    column and expanded into a block-sized buffer, and 2 nbar + 1 and
+    nbar are tiled to a block's height once per call, so every pass of a
+    block runs on contiguous operands.
 
     The verdict is :func:`cvbell.modes._separable` of the inputs,
     d nbar >= r, which is inf >= r where d nbar overflows.  The rounded
@@ -248,19 +234,16 @@ def separability_map(r: float, d_grid, nbar_grid,
                                        nbar_grid=nbar_grid)
     shape = (len(d_grid), len(nbar_grid))
     margin = np.empty(shape)
-    first, second = _mode_columns(r, d_grid[:, None])
-    ordered = (first[0] <= second[0]) & (first[1] <= second[1])
+    columns = _mode_columns(r, d_grid[:, None])
     blocks = list(row_blocks(*shape))
     height = (blocks[0][1] - blocks[0][0], shape[1])
     tiles = tuple(np.tile(row, (height[0], 1))
                   for row in (2.0 * nbar_grid + 1.0, nbar_grid))
-    bufs = tuple(np.empty(height) for _ in range(3))
+    bufs = tuple(np.empty(height) for _ in range(2))
     for lo, hi in blocks:
         rows, h = slice(lo, hi), hi - lo
         _margin_rows(tuple(t[:h] for t in tiles),
-                     tuple(c[rows] for c in first),
-                     None if ordered[rows].all()
-                     else tuple(c[rows] for c in second),
+                     tuple(c[rows] for c in columns),
                      tuple(b[:h] for b in bufs), margin[rows])
     with np.errstate(over="ignore"):  # an overflowing d nbar is separable
         onset = _first_separable(r, d_grid, nbar_grid)

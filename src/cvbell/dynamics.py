@@ -50,11 +50,10 @@ __all__ = [
 
 #: cells per block of :func:`row_blocks`: 256 kB per float buffer.  A
 #: block of the separability map touches six such buffers (two row
-#: tiles, two scratch arrays, the variance and its view of the margin;
-#: eight where both modes are formed), one of the Bell surface five
-#: (three factor tiles, its view of the surface and one temporary), so
-#: 1.25 to 2 MB, which fit a 2 MB L2 cache; blocks of 16384 and 65536
-#: cells were both slower
+#: tiles, two scratch arrays, the variance and its view of the margin),
+#: one of the Bell surface five (three factor tiles, its view of the
+#: surface and one temporary), so 1.25 to 1.5 MB, which fit a 2 MB L2
+#: cache; blocks of 16384 and 65536 cells were both slower
 BLOCK_CELLS = 32768
 
 

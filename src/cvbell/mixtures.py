@@ -126,12 +126,22 @@ def mixture_evaluator(spec: MixtureSpec) -> Callable[[TwoModePoint], float]:
 # closed component Bell curves
 # ----------------------------------------------------------------------
 
+def _budgets(J) -> np.ndarray:
+    """J as a float array, checked as the J grid of a Bell surface."""
+    J = np.asarray(J, dtype=float)
+    if not np.all(np.isfinite(J) & (J >= 0)):
+        raise ValueError("J must be finite and nonnegative")
+    return J
+
+
 def pure_bell_curve(J, r: float):
     """B(J) of the pure squeezed state (closed form).
 
-    An exponent that overflows at a huge budget gives its limit, 0.
+    r and J are checked as by :class:`cvbell.modes.MixtureSpec` and
+    :func:`cvbell.bell.bell_surface`.  An exponent that overflows at a
+    huge budget gives its limit, 0.
     """
-    J = np.asarray(J, dtype=float)
+    J, r = _budgets(J), _require_squeezing(r)
     with np.errstate(over="ignore"):
         out = _pure_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r), np.exp)
     return out if out.ndim else float(out)
@@ -142,9 +152,10 @@ def component_bell_curve(J, r: float, kind: str):
 
     Where cosh^2 2r leaves the float range (r above ~177) the product
     state's curve is 0, and an exponent that overflows at a huge budget
-    gives its limit, 0.
+    gives its limit, 0.  r and J are checked as by
+    :func:`pure_bell_curve`.
     """
-    J = np.asarray(J, dtype=float)
+    J, r = _budgets(J), _require_squeezing(r)
     with np.errstate(over="ignore"):
         out = _reference_curve(J, math.cosh(2.0 * r), math.sinh(2.0 * r),
                                kind, np.exp, _i0e_array)

@@ -24,7 +24,9 @@ class Tolerances:
     test suite.
     """
 
-    #: argument where bessel_i0_log switches from power series to asymptotics
+    #: argument where the I0 kernels (numerics.bessel_i0_log, _i0e_array,
+    #: _bessel_excess_array; modes._i0e, _bessel_excess) switch from the
+    #: power series to the asymptotic expansion
     bessel_switch: float = 15.0
     #: absolute symmetry requirement on eigensolver input
     symmetry_abs: float = 1e-12

@@ -130,9 +130,9 @@ def separability_map_broadcast(r, d_grid, nbar_grid) -> tuple:
     block formed by broadcasting the d column against the nbar row.
 
     The map's arithmetic in its straightforward form: per block, s1 =
-    (2 nbar + 1)(d E(p1)) + e^-p1, and s2 with it where a row's factors
-    are out of order, their minimum, margin (s - 1)/2; the verdict is
-    d nbar >= r on the full grid and the boundary its first true column.
+    (2 nbar + 1)(d E(p1)) + e^-p1 and the margin (s1 - 1)/2; the
+    verdict is d nbar >= r on the full grid and the boundary its first
+    true column.
     """
     r, d_grid, nbar_grid = scan_inputs(r, None, d_grid=d_grid,
                                        nbar_grid=nbar_grid)
@@ -142,19 +142,12 @@ def separability_map_broadcast(r, d_grid, nbar_grid) -> tuple:
     nbar = nbar_grid[None, :]
     occ = 2.0 * nbar + 1.0
     d = d_grid[:, None]
-    columns = []
-    for p in (d + 2.0 * r, d - 2.0 * r):
-        columns.append((d * one_minus_exp_over(p), np.exp(-p)))
-    (de1, decay1), (de2, decay2) = columns
-    ordered = (de1 <= de2) & (decay1 <= decay2)
+    p1 = d + 2.0 * r
+    de1, decay1 = d * one_minus_exp_over(p1), np.exp(-p1)
     for lo, hi in row_blocks(*shape):
         rows = slice(lo, hi)
         s = occ * de1[rows]
         s += decay1[rows]
-        if not ordered[rows].all():
-            s2 = occ * de2[rows]
-            s2 += decay2[rows]
-            np.minimum(s, s2, out=s)
         np.subtract(s, 1.0, out=margin[rows])
         margin[rows] *= 0.5
         with np.errstate(over="ignore"):

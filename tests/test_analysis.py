@@ -334,27 +334,36 @@ def test_first_of_each_pair_is_the_smaller_on_arrays():
     _check_order(r, d, s1, s2, e1 * (dn - r), e2 * (dn + r), ordered)
 
 
+def _assert_margin_is_s1(m, r, d_grid, n_grid):
+    # the squeezed mode's margin bit for bit, and within an ulp of the
+    # smaller variance's where rounding ties s1 and s2
+    s1, s2 = variance_arrays(r, d_grid[:, None], n_grid[None, :])
+    assert np.array_equal(m.margin, (s1 - 1.0) / 2.0)
+    smaller = np.minimum(s1, s2)
+    assert np.all(np.abs(m.margin - (smaller - 1.0) / 2.0)
+                  <= np.spacing(smaller))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(squeezing)
 @example(0.0)
 @example(1e-18)
-@example(2e-17)  # s2 rounds below s1 on 155 cells
+@example(2e-17)  # s2 rounds below s1 on 154 cells
 @example(1e-10)
 def test_map_margin_is_the_smaller_variance_bit_for_bit(r):
     d_grid = np.linspace(0.0, 1.0, 101)
     n_grid = np.linspace(0.0, 100.0, 101)
-    m = separability_map(r, d_grid, n_grid)
-    s1, s2 = variance_arrays(r, d_grid[:, None], n_grid[None, :])
-    assert np.array_equal(m.margin, (np.minimum(s1, s2) - 1.0) / 2.0)
+    _assert_margin_is_s1(separability_map(r, d_grid, n_grid), r, d_grid,
+                         n_grid)
 
 
 # ----------------------------------------------------------------------
-# the map's two paths: a block whose rows order d E(p_i) and e^-p_i forms
-# s1 and e_small alone, any other block both pairs and their minima
+# the map forms the squeezed mode alone, also on grids where rounding
+# puts a row's factors d E(p_i) and e^-p_i out of order
 # ----------------------------------------------------------------------
 
 # geometric d down to 1e-20: at r = 2e-17 a few rows near d ~ 1e-10 round
-# their factors out of order, so the blocks mix both paths
+# their factors out of order
 MIXED_D = np.concatenate([[0.0], np.geomspace(1e-20, 1e3, 399)])
 MIXED_N = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 199)])
 
@@ -374,32 +383,25 @@ def _spy_variances(monkeypatch):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.one_of(st.just(0.0), st.floats(1e-300, 1e-15),
                  st.floats(0.0, 350.0)))
-@example(2e-17)  # rows of both paths in the second block
+@example(2e-17)  # rows out of order in the second block
 @example(1e-18)
 def test_map_is_the_smaller_variance_on_both_paths(r):
     m = separability_map(r, MIXED_D, MIXED_N)
-    s1, s2 = variance_arrays(r, MIXED_D[:, None], MIXED_N[None, :])
-    margin = (np.minimum(s1, s2) - 1.0) / 2.0
-    assert np.array_equal(m.margin, margin)
+    _assert_margin_is_s1(m, r, MIXED_D, MIXED_N)
     assert np.array_equal(m.separable, MIXED_D[:, None] * MIXED_N >= r)
 
 
-def test_mixed_grid_takes_both_paths(monkeypatch):
-    calls = _spy_variances(monkeypatch)
-    separability_map(2e-17, MIXED_D, MIXED_N)
-    blocks = len(list(row_blocks(len(MIXED_D), len(MIXED_N))))
-    # one block forms both variances, the others s1 alone
-    assert len(calls) == blocks + 1
-
-
 def test_ordered_map_never_forms_the_larger_variance(monkeypatch):
-    # the gain of the guard: at r = 1.5 every row orders its factors, so
-    # each block forms s1 once and s2 never
+    # each block forms s1 once and s2 never, also at r = 2e-17, where
+    # rounding puts some rows' factors out of order
     calls = _spy_variances(monkeypatch)
-    d_grid, n_grid = np.linspace(0.0, 4.5, 1000), np.linspace(0.0, 2.0, 1000)
-    separability_map(1.5, d_grid, n_grid)
-    blocks = list(row_blocks(1000, 1000))
-    assert calls == [hi - lo for lo, hi in blocks]
+    for r, d_grid, n_grid in ((1.5, np.linspace(0.0, 4.5, 1000),
+                               np.linspace(0.0, 2.0, 1000)),
+                              (2e-17, MIXED_D, MIXED_N)):
+        calls.clear()
+        separability_map(r, d_grid, n_grid)
+        blocks = list(row_blocks(len(d_grid), len(n_grid)))
+        assert calls == [hi - lo for lo, hi in blocks]
 
 
 def test_map_where_d_nbar_overflows():

@@ -12,6 +12,7 @@ magnitudes of the terms.
 
 import argparse
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -483,3 +484,26 @@ def test_mixture_bell_functions_check_their_kind():
         B, correlations = mixture_correlations(spec, 0.01)
         assert B == pytest.approx(float(mixture_bell_curve(spec, 0.01)),
                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("curve, args", [
+    (pure_bell_curve, (-1.0, 1.0)),
+    (pure_bell_curve, (0.1, -1.0)),
+    (pure_bell_curve, (0.1, 400.0)),  # e^{2r} leaves the float range
+    (pure_bell_curve, (math.nan, 1.0)),
+    (pure_bell_curve, (np.array([0.0, math.inf]), 1.0)),
+    (pure_bell_curve, (0.1, math.nan)),
+    (component_bell_curve, (-1.0, 1.0, "phase-diffused")),
+    (component_bell_curve, (math.nan, 1.0, "werner-thermal")),
+    (component_bell_curve, (0.1, -1.0, "werner-thermal")),
+    (component_bell_curve, (0.1, 400.0, "phase-diffused")),
+    (mixture_bell_curve, (MixtureSpec(0.5, 1.0), -1.0)),
+    (mixture_bell_curve, (MixtureSpec(0.5, 1.0, "phase-diffused"),
+                          np.array([0.01, math.nan]))),
+])
+def test_mixture_curves_reject_what_the_spec_and_the_scans_reject(curve,
+                                                                  args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            curve(*args)
